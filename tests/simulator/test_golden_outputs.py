@@ -1,0 +1,238 @@
+"""Cross-commit golden digests of the simulated outputs.
+
+The determinism suites check that a run repeats itself; this file checks
+that a run matches what an earlier commit produced.  Each case runs a
+grid -- ``montage(25)`` and ``mapreduce(20)`` under the five paper
+policies -- through one execution surface (the static replay, the online
+executor, or a two-tenant service run) in one fault/market environment,
+and hashes every observable of the grid into one SHA-256 digest:
+
+* static replay: events, task times, VM windows, ``vm_costs``,
+  ``FaultStats.as_dict()`` plus the decision log;
+* online runs: every :class:`~repro.simulator.online.OnlineResult` field;
+* service runs: the rollup plus the per-workflow reports;
+* every run: the ``MetricsRegistry`` counters, in insertion order.
+
+A refactor that promises byte identity must leave every digest as it
+is.  A change that means to alter simulated results re-pins the
+affected digests and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.cloud.platform import CloudPlatform
+from repro.errors import ReproError
+from repro.experiments.config import strategy
+from repro.experiments.scenarios import price_scenario
+from repro.market import FallbackOnDemand, RebidHigher
+from repro.obs.metrics import MetricsRegistry
+from repro.service.arrivals import WorkflowRequest
+from repro.service.loop import run_service
+from repro.simulator.executor import ScheduleExecutor
+from repro.simulator.faults import FaultPlan
+from repro.simulator.online import run_online
+from repro.workflows.generators import mapreduce, montage
+
+WORKFLOWS = {
+    "montage25": lambda: montage(25),
+    "mapreduce20": lambda: mapreduce(20),
+}
+POLICIES = (
+    "OneVMperTask",
+    "AllParExceed",
+    "AllParNotExceed",
+    "StartParExceed",
+    "StartParNotExceed",
+)
+CRASHY = FaultPlan(
+    seed=1, task_fail_prob=0.2, vm_crash_rate=1 / 7200, boot_fail_prob=0.1
+)
+COLD = FaultPlan(
+    seed=1,
+    boot_cold_seconds=90.0,
+    boot_warm_pool=2,
+    boot_warm_seconds=5.0,
+    boot_fail_prob=0.1,
+)
+
+
+def _environment(name):
+    """``(platform, fault_plan, recovery)`` of one named environment.
+
+    ``spike-rebid`` takes its market from the platform (the ambient
+    path); ``spike-fallback`` passes it in an explicit plan."""
+    ec2 = CloudPlatform.ec2()
+    spike = price_scenario("spot_spike").market
+    ckpt = dict(checkpoint_on_warning=True, restart_cost_seconds=10.0)
+    return {
+        "plain": (ec2, None, None),
+        "faults-retry": (ec2, CRASHY, "retry"),
+        "faults-resubmit": (ec2, CRASHY, "resubmit"),
+        "faults-replan": (ec2, CRASHY, "replan"),
+        "spike-rebid": (ec2.with_market(spike), None, RebidHigher(**ckpt)),
+        "spike-fallback": (
+            ec2.with_market(spike),
+            FaultPlan(seed=1, market=spike),
+            FallbackOnDemand(**ckpt),
+        ),
+        "cold-warm-pool": (
+            CloudPlatform.ec2(boot_seconds=30.0, prebooted=False),
+            COLD,
+            "retry",
+        ),
+    }[name]
+
+
+def _events(events):
+    return [[e.time, e.kind, e.task_id, e.vm, e.detail] for e in events]
+
+
+def _faults(stats):
+    if stats is None:
+        return None
+    return [stats.as_dict(), stats.decisions]
+
+
+def _error(exc):
+    """A run that raises is pinned by its error, not skipped."""
+    return ["error", type(exc).__name__, str(exc)]
+
+
+def _counters(registry):
+    return [list(registry.counters.items()), list(registry.gauges.items())]
+
+
+def _static(platform, plan, recovery):
+    out = []
+    for wf_name, make in WORKFLOWS.items():
+        for policy in POLICIES:
+            sched = strategy(f"{policy}-s").run(make(), platform)
+            registry = MetricsRegistry()
+            try:
+                with registry.activate():
+                    res = ScheduleExecutor(
+                        sched, fault_plan=plan, recovery=recovery
+                    ).run()
+            except ReproError as exc:
+                out.append([wf_name, policy, _error(exc), _counters(registry)])
+                continue
+            out.append(
+                [
+                    wf_name,
+                    policy,
+                    _events(res.events),
+                    res.task_start,
+                    res.task_finish,
+                    res.vm_windows,
+                    res.vm_costs,
+                    _faults(res.faults),
+                    _counters(registry),
+                ]
+            )
+    return out
+
+
+def _online(platform, plan, recovery):
+    out = []
+    for wf_name, make in WORKFLOWS.items():
+        for policy in POLICIES:
+            registry = MetricsRegistry()
+            with registry.activate():
+                res = run_online(
+                    make(), platform, policy=policy, fault_plan=plan,
+                    recovery=recovery,
+                )
+            out.append(
+                [
+                    wf_name,
+                    policy,
+                    res.makespan,
+                    res.rent_cost,
+                    res.idle_seconds,
+                    res.vm_count,
+                    res.task_start,
+                    res.task_finish,
+                    res.task_vm,
+                    _events(res.events),
+                    _faults(res.faults),
+                    _counters(registry),
+                ]
+            )
+    return out
+
+
+def _service(platform, plan, recovery):
+    requests = [
+        WorkflowRequest("a", montage(25), 0.0, name="a-montage"),
+        WorkflowRequest("b", mapreduce(20), 300.0, name="b-mapreduce"),
+        WorkflowRequest("a", mapreduce(20), 900.0, name="a-mapreduce"),
+        WorkflowRequest("b", montage(25), 1500.0, name="b-montage"),
+    ]
+    out = []
+    for policy in POLICIES:
+        registry = MetricsRegistry()
+        with registry.activate():
+            res = run_service(
+                requests, platform, policy=policy, admission="fair",
+                max_concurrent=2, fault_plan=plan, recovery=recovery,
+            )
+        out.append(
+            [
+                policy,
+                res.rollup(),
+                [
+                    [w.name, w.tenant, w.arrival, w.started, w.finished, w.tasks]
+                    for w in res.workflows
+                ],
+                _counters(registry),
+            ]
+        )
+    return out
+
+
+SURFACES = {"static": _static, "online": _online, "service": _service}
+
+#: SHA-256 of each (surface, environment) grid, computed before the
+#: fault/market/recovery runtime was shared between the executors
+GOLDEN = {
+    ("static", "plain"): "7a47d14d74b02c734a2d127c44cd2111e7cc457d91f89a20a93567e6efc64287",
+    ("static", "faults-retry"): "98b7809a3b31bfd86671a8aa7121e0225db75ca47a48a8841c393e7ade0d081d",
+    ("static", "faults-resubmit"): "2d50ae1c4ff28fd9e9761c9c0015c2598207dba233a5b0a7426bcfd3ec40f16a",
+    ("static", "faults-replan"): "3c3332c883ff9e45ed6a14c14a6573a495ff4624b35920ff0c77c0e2cb54ebb8",
+    ("static", "spike-rebid"): "ee735ce1ee4bd6e36a6ff3be431ccaa466de2ce07ec51978c2f017162ba76e6e",
+    ("static", "spike-fallback"): "7ed5334fe71471b3d7364fb8f93d5912d53b447891deab3feb5e908c5a6679fd",
+    ("static", "cold-warm-pool"): "39dfdde34430c637b2405f5a0e824e28e5a075cebcc23151ca02acf3da8934f8",
+    ("online", "plain"): "34d4b013c235979bb2af3c85998e4a995b60e6715adec1c4e6245de7aab99861",
+    ("online", "faults-retry"): "3e2b9c2bd7cdf447204a838ba4c1d32773d70a4e69b8087b525dc6d935568bbd",
+    ("online", "faults-resubmit"): "ae8f457f1e80521399d5e99be95178e5b04b38af6a5db59ba88defe7eb5d89a4",
+    ("online", "faults-replan"): "52f9bf67e0eabe39e802cfaf7d347e47c073a648233a5111e198b210a1e478a0",
+    ("online", "spike-rebid"): "0c664217b1443a64ee880256f775756eeef3ae5897472ad9b7a7fa5b86d3fac3",
+    ("online", "spike-fallback"): "26e9eb01ac7becc65c32ab289333711ff543a2aef515590fe76e21c18e339866",
+    ("online", "cold-warm-pool"): "4dd96f4fee485696b2619f23d157d072590bc640385a79a9c99e7fae54a5eaf0",
+    ("service", "plain"): "96fbc09ff7d393e79855da678632057b4bfcac5182328ee7dd6b5664bc48aa13",
+    ("service", "faults-retry"): "02a383b74721cc9aa8b54a2b526fb66ef4373ce064687206153730bdf0c7bf4d",
+    ("service", "faults-resubmit"): "68f5329661841d08aebe8c78206edf10b27a877e95dda6fb45c7e70baa158c81",
+    ("service", "faults-replan"): "ce24ee5bf1c010ff281fde1452ce82e13d1b15ae3961bdcfed03c2c65e3d9505",
+    ("service", "spike-rebid"): "01daaf6781c6aeed34efd873c755876201ab96225573059a18bba62530e8b76e",
+    ("service", "spike-fallback"): "6d14441fb6f925fdbf7ea106f5eff69b09d9134a582d7e62b8addb474813b594",
+    ("service", "cold-warm-pool"): "af853b1bd3762e9d5fff8a5a52004dfe59d8168f1c6f37797be294fef31a08aa",
+}
+
+
+def _digest(surface, env):
+    obs = SURFACES[surface](*_environment(env))
+    text = json.dumps(obs, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "surface,env",
+    [pytest.param(s, e, id=f"{s}-{e}") for (s, e) in GOLDEN],
+)
+def test_golden_digest(surface, env):
+    assert _digest(surface, env) == GOLDEN[(surface, env)]
