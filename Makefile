@@ -25,9 +25,11 @@ lint:
 	  $(PYTHON) -m compileall -q src tests benchmarks examples; \
 	fi
 
-# The full gate: lint + the tier-1 suite + the perf-regression check.
+# The full gate: lint + the tier-1 suite + the benchmark self-test
+# (benchmarks/e2e, ~10 s) + the perf-regression check.
 check: lint
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 	$(MAKE) bench-check
 
 # Line coverage when pytest-cov is installed; this container image

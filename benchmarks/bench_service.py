@@ -1,8 +1,8 @@
 """WaaS service-loop throughput benchmark: the multi-size stress run.
 
 Times seeded multi-tenant service runs at three sizes (1k/5k/10k
-workflows over 50/250/500 tenants), plus the preserved scan-based
-reference fleet (``FleetManager(indexed=False)``) at 1k, and records
+workflows over 50/250/500 tenants), plus the scan-based reference
+fleet (the oracle in ``tests/oracles/fleet_scan.py``) at 1k, and records
 wall time, per-size speedup, simulated throughput, tail latency and
 fleet utilization to ``BENCH_service.json`` at the repo root —
 appending one dated row to ``BENCH_history.jsonl``, the same
@@ -26,6 +26,7 @@ Regression gate (used by ``make bench-check``)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -36,10 +37,16 @@ from pathlib import Path
 
 from repro.cloud.platform import CloudPlatform
 from repro.experiments.service import ServiceCell, build_requests
-from repro.service.fleet import FleetManager
 from repro.service.loop import run_service
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# the scan oracle lives with the tests, outside the package
+sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles.fleet_scan import (  # noqa: E402
+    ScanFleetManager,
+    scan_service_executors,
+)
+
 DEFAULT_OUT = REPO_ROOT / "BENCH_service.json"
 HISTORY = REPO_ROOT / "BENCH_history.jsonl"
 SEED = 2013
@@ -70,15 +77,17 @@ def _run_cell(args, count: int, tenants: int, repeats: int, indexed: bool = True
     requests = build_requests(cell)
     best, result = float("inf"), None
     for _ in range(repeats):
+        scan = contextlib.nullcontext() if indexed else scan_service_executors()
         t0 = time.perf_counter()
-        result = run_service(
-            requests,
-            cell.platform,
-            policy=cell.policy,
-            admission=cell.admission,
-            max_concurrent=cell.max_concurrent,
-            fleet=None if indexed else FleetManager(indexed=False),
-        )
+        with scan:
+            result = run_service(
+                requests,
+                cell.platform,
+                policy=cell.policy,
+                admission=cell.admission,
+                max_concurrent=cell.max_concurrent,
+                fleet=None if indexed else ScanFleetManager(),
+            )
         best = min(best, time.perf_counter() - t0)
     assert result is not None and result.completed == result.admitted
     return result, best

@@ -60,6 +60,28 @@ class BillingModel:
         """USD rent for a VM of *itype* in *region* up for *uptime*."""
         return self.btus(uptime_seconds) * region.price(itype)
 
+    def realized_cost(
+        self,
+        uptime_seconds: float,
+        itype: InstanceType,
+        region: Region,
+        start: float,
+        purchase: "object | None",
+        market: "object | None",
+        seed: int,
+    ) -> float:
+        """USD rent of one VM rented at *start*, market-aware.
+
+        With a *market* (a :class:`~repro.market.spot.Market`) and a
+        recorded *purchase* option the rent is the market's price
+        integral under *seed*; otherwise it is :meth:`vm_cost`, the
+        paper's fixed list price per BTU."""
+        if market is not None and purchase is not None:
+            return market.vm_cost(
+                self, seed, start, uptime_seconds, itype, region, purchase
+            )
+        return self.vm_cost(uptime_seconds, itype, region)
+
     def paid_window(self, start: float, uptime_seconds: float) -> tuple:
         """The absolute time window actually billed for a rental that
         opened at *start* and ran *uptime* — the integration range for

@@ -41,8 +41,8 @@ class CloudPlatform:
     #: ambient price environment (a :class:`repro.market.spot.Market`,
     #: typed loosely to keep the cloud layer free of upward imports).
     #: ``None`` is the paper's fixed-price on-demand market.  Executors
-    #: pick an ambient market up automatically (synthesizing a
-    #: ``FaultPlan(market=...)``); a market inside an explicit fault
+    #: pick an ambient market up automatically (through
+    #: ``FaultRuntime.plan_for``); a market inside an explicit fault
     #: plan takes precedence.
     market: "object | None" = None
 

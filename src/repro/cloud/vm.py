@@ -53,9 +53,6 @@ class VM:
     region: Region
     boot_seconds: float = 0.0
     placements: List[Placement] = field(default_factory=list)
-    #: how the VM was bought (a market ``PurchaseOption``); ``None``
-    #: outside market runs — plain fixed-price on-demand billing
-    purchase: object | None = None
 
     def __post_init__(self) -> None:
         if self.boot_seconds < 0:
@@ -138,26 +135,10 @@ class VM:
         """Paid-but-unused time: schedule gaps + the last BTU's tail."""
         return self.paid_seconds(billing) - self.busy_seconds
 
-    def cost(
-        self,
-        billing: BillingModel,
-        market: object | None = None,
-        seed: int = 0,
-    ) -> float:
-        """Rent in USD.  With a *market* and a recorded purchase option
-        the VM is priced at the realized price integral over its paid
-        window under *seed*; otherwise the paper's fixed-price BTU
-        arithmetic applies."""
-        if market is not None and self.purchase is not None:
-            return market.vm_cost(
-                billing,
-                seed,
-                self.rent_start,
-                self.uptime_seconds,
-                self.itype,
-                self.region,
-                self.purchase,
-            )
+    def cost(self, billing: BillingModel) -> float:
+        """Rent in USD: the paper's fixed-price BTU arithmetic.  Realized
+        market rent is the executors' business
+        (:meth:`~repro.cloud.billing.BillingModel.realized_cost`)."""
         return billing.vm_cost(self.uptime_seconds, self.itype, self.region)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

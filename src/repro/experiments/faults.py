@@ -36,7 +36,6 @@ from repro.experiments.parallel import (
 from repro.experiments.result import ResultBase
 from repro.simulator.executor import ScheduleExecutor
 from repro.simulator.faults import FaultPlan, FaultStats
-from repro.util.compat import removed_kwargs
 from repro.util.tables import format_table
 from repro.workflows.dag import Workflow
 
@@ -171,7 +170,6 @@ class FaultSweepResult(ResultBase):
         }
 
 
-@removed_kwargs(n_jobs="jobs", pool="backend", recovery_policy="recovery")
 def run_fault_sweep(
     platform: CloudPlatform | None = None,
     workflow: Workflow | None = None,

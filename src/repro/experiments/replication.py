@@ -20,7 +20,6 @@ from repro.experiments.config import StrategySpec, paper_strategies, paper_workf
 from repro.experiments.parallel import ExecutionBackend, make_backend
 from repro.experiments.runner import SweepResult, run_sweep
 from repro.experiments.scenarios import Scenario, scenario
-from repro.util.compat import removed_kwargs
 from repro.util.rng import ensure_rng
 from repro.util.tables import format_table
 from repro.workflows.dag import Workflow
@@ -95,7 +94,6 @@ def _run_seed(job: _SeedJob) -> SweepResult:
     )
 
 
-@removed_kwargs(n_jobs="jobs", pool="backend")
 def replicate(
     seeds: Iterable[int],
     platform: CloudPlatform | None = None,

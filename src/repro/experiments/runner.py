@@ -32,7 +32,6 @@ from repro.experiments.scenarios import Scenario, paper_scenarios
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, ensure_tracer
 from repro.simulator.executor import simulate_schedule
-from repro.util.compat import removed_kwargs
 from repro.util.rng import spawn_seeds
 from repro.workflows.dag import Workflow
 
@@ -137,7 +136,6 @@ class SweepResult(ResultBase):
         return data
 
 
-@removed_kwargs(n_jobs="jobs", pool="backend", rng_seed="seed", error_mode="on_error")
 def run_sweep(
     platform: CloudPlatform | None = None,
     workflows: Mapping[str, Workflow] | None = None,

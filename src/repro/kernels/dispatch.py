@@ -15,14 +15,11 @@ conservative:
   to the indexed kernels, which go through the real objects.
 
 Tests force either side with :func:`force_columnar` /
-:func:`columnar_disabled`; ``REPRO_COLUMNAR_MIN_TASKS`` overrides the
-threshold per process (``0`` forces columnar everywhere, a huge value
-disables it).
+:func:`columnar_disabled`.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from contextlib import contextmanager
 
@@ -35,27 +32,14 @@ COLUMNAR_MIN_TASKS = 4096
 
 _DISABLED = sys.maxsize
 
-#: process-wide override (None = use COLUMNAR_MIN_TASKS / env)
+#: scoped override set by :func:`use_columnar` (None = COLUMNAR_MIN_TASKS)
 _override: "int | None" = None
-
-
-def _env_threshold() -> "int | None":
-    raw = os.environ.get("REPRO_COLUMNAR_MIN_TASKS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
 
 
 def columnar_threshold() -> int:
     """Effective task-count threshold for columnar dispatch."""
     if _override is not None:
         return _override
-    env = _env_threshold()
-    if env is not None:
-        return env
     return COLUMNAR_MIN_TASKS
 
 

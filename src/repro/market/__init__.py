@@ -18,8 +18,8 @@ arXiv:2504.21536) treats as first-class:
   :class:`~repro.market.recovery.FallbackOnDemand`) composed with the
   paper-era policies of :mod:`repro.core.recovery`.
 
-A market enters a run through :class:`~repro.simulator.faults.FaultPlan`
-(``FaultPlan(market=...)``) — the price path is seeded by the plan seed,
+A market enters a run through the ``market`` field of a
+:class:`~repro.simulator.faults.FaultPlan` — the price path is seeded by the plan seed,
 so ``with_seed`` re-samples prices exactly like every other fault
 process — or ambiently through ``CloudPlatform(market=...)``, which the
 executors adopt when no plan is given.

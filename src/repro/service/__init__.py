@@ -35,7 +35,6 @@ import importlib
 _EXPORTS = {
     "FleetManager": "repro.service.fleet",
     "FleetVM": "repro.service.fleet",
-    "private_fleet": "repro.service.fleet",
     "OwnerBill": "repro.service.fleet",
     "FleetRollup": "repro.service.fleet",
     "WorkflowRequest": "repro.service.arrivals",

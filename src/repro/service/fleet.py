@@ -40,9 +40,9 @@ PR 4 stamp-guarded lazy-heap pattern applied to the live fleet:
 
 Every mutation bumps the VM's stamp (``note_use`` after a placement,
 death at reap/crash), invalidating old heap entries lazily.  The
-original full scans are preserved (``reap_reference``; pass
-``indexed=False``) as the property-test oracle: decision logs, service
-rollups and metric counters are byte-identical between the two paths.
+original full scans live on as the property-test oracle in
+``tests/oracles/fleet_scan.py``: decision logs, service rollups and
+metric counters are byte-identical between the two paths.
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ _EPS = 1e-9
 class FleetVM:
     """One VM of a live (simulated) fleet.
 
-    This is the record the online executor historically kept as its
-    private ``_OnlineVM``; lifted here so a fleet can outlive any one
-    workflow run.  ``owner`` names the tenant whose submission rented
-    the VM — the attribution key for per-tenant billing.
+    The record lives here, not in the online executor, so a fleet can
+    outlive any one workflow run.  ``owner`` names the tenant whose
+    submission rented the VM — the attribution key for per-tenant
+    billing.
     """
 
     id: int
@@ -137,16 +137,10 @@ class FleetManager:
     :meth:`on_builder_rent`, so static planning (e.g. the budget-guard
     admission estimate) is accounted per owner without the builder
     giving up its local VM indexing.
-
-    With *indexed* (the default) the manager maintains the incremental
-    structures described in the module docstring; ``indexed=False``
-    preserves the original full-roster scans — same observable
-    behavior, property-tested byte-identical — as the reference oracle.
     """
 
-    def __init__(self, region: Region | None = None, indexed: bool = True) -> None:
+    def __init__(self, region: Region | None = None) -> None:
         self.region = region
-        self.indexed = indexed
         self.vms: List[FleetVM] = []
         #: executors (or any callables) notified when a VM crashes, so
         #: every run with work on the VM can recover its own tasks
@@ -160,8 +154,7 @@ class FleetManager:
         #: the owner attributed builder rentals (and rentals made with
         #: no explicit owner); the service sets this around each run
         self.active_owner: str = ""
-        # --- incremental fleet indexes (maintained in both modes, so
-        # counters/liveness stay O(1) even on the reference path) ----
+        # --- incremental fleet indexes ------------------------------
         #: ids of living VMs
         self._live: set = set()
         #: per-VM entry stamp; heap entries with an older stamp are
@@ -203,10 +196,9 @@ class FleetManager:
         self.vms.append(vm)
         self._live.add(vm.id)
         self._stamp.append(0)
-        if self.indexed:
-            heapq.heappush(self._expiry, (vm.free_at, vm.id, 0))
-            heapq.heappush(self._rank, (-vm.busy_seconds, vm.id, 0))
-            heapq.heappush(self._free_pool, (vm.free_at, vm.id, 0))
+        heapq.heappush(self._expiry, (vm.free_at, vm.id, 0))
+        heapq.heappush(self._rank, (-vm.busy_seconds, vm.id, 0))
+        heapq.heappush(self._free_pool, (vm.free_at, vm.id, 0))
         return vm
 
     def note_use(self, vm: FleetVM) -> None:
@@ -214,7 +206,7 @@ class FleetManager:
         ``busy_seconds``.  Executors call this for every reservation on
         a live VM (crash bookkeeping on dead VMs needs no note — death
         already invalidated every entry)."""
-        if not self.indexed or vm.dead:
+        if vm.dead:
             return
         stamp = self._stamp[vm.id] + 1
         self._stamp[vm.id] = stamp
@@ -267,17 +259,15 @@ class FleetManager:
         dead ones in roster order (callers record their own ``vm_stop``
         events).
 
-        Indexed: pop the expiry heap while the top entry's lower bound
-        has passed.  A popped entry whose VM is current (stamp match)
+        Pops the expiry heap while the top entry's lower bound has
+        passed.  A popped entry whose VM is current (stamp match)
         but not expired — the lower bound was ``free_at`` or the VM is
         still inside its horizon — is re-armed at ``max(horizon,
         free_at)``, which stays a lower bound of any future expiry
         (reuse only pushes ``free_at``, hence the horizon, later).
-        O(k log n) for k expired + stale entries, instead of the
-        reference's O(fleet) scan.
+        O(k log n) for k expired + stale entries, instead of an O(fleet)
+        roster scan.
         """
-        if not self.indexed:
-            return self.reap_reference(now, btu)
         reaped: List[FleetVM] = []
         heap = self._expiry
         stamps = self._stamp
@@ -298,17 +288,6 @@ class FleetManager:
                 heapq.heappush(heap, (max(horizon, vm.free_at), vid, stamp))
         if len(reaped) > 1:
             reaped.sort(key=lambda v: v.id)
-        return reaped
-
-    def reap_reference(self, now: float, btu: float) -> List[FleetVM]:
-        """The original full-roster reap scan — the property-test
-        oracle for :meth:`reap` (identical dead set, order, timing)."""
-        reaped: List[FleetVM] = []
-        for vm in self.vms:
-            if not vm.dead and vm.free_at <= now and vm.horizon(btu) < now - _EPS:
-                self._retire(vm, vm.free_at)
-                self.reaped_count += 1
-                reaped.append(vm)
         return reaped
 
     # ------------------------------------------------------------------
@@ -433,44 +412,40 @@ class FleetManager:
         region: Region | None = None,
         market: object | None = None,
         seed: int = 0,
-        check: bool = True,
     ) -> FleetRollup:
         """Bills, utilization and conservation in **one** roster pass.
 
-        The original service finish walked the (mostly dead) roster
-        three times — ``check_conservation``, ``bill`` and two sums in
-        ``utilization``.  This compacts them into a single pass with
-        identical accumulation order, so every float comes out
-        bit-equal to the multi-pass originals (a property the identity
-        tests pin).
+        Each VM's cost goes to the tenant that rented it (reuse by
+        another tenant's tasks extends ``busy_seconds`` but never moves
+        the bill — the renter keeps the meter).  With a *market* (a
+        :class:`~repro.market.spot.Market`), VMs carrying a purchase
+        option are billed at the realized price integral under *seed*;
+        all others keep the fixed-price arithmetic.
+
+        Raises :class:`SimulationError` unless the fleet bookkeeping is
+        conserved: dense ids, crashed ⊆ dead, and no VM freed before it
+        started.
         """
         region = region or self.region
         if region is None and self.vms:
-            raise SimulationError("bill() needs a region (none configured)")
+            raise SimulationError("finalize() needs a region (none configured)")
         rows: Dict[str, Dict[str, float]] = {}
         busy_total = 0.0
         paid_total = 0.0
         for idx, vm in enumerate(self.vms):
-            if check:
-                if vm.id != idx:
-                    raise SimulationError(
-                        f"fleet ids not dense: vm{vm.id} at slot {idx}"
-                    )
-                if vm.crashed and not vm.dead:
-                    raise SimulationError(f"vm{vm.id} crashed but not dead")
-                if vm.free_at < vm.started_at - _EPS:
-                    raise SimulationError(
-                        f"vm{vm.id} freed at {vm.free_at} before start "
-                        f"{vm.started_at}"
-                    )
+            if vm.id != idx:
+                raise SimulationError(f"fleet ids not dense: vm{vm.id} at slot {idx}")
+            if vm.crashed and not vm.dead:
+                raise SimulationError(f"vm{vm.id} crashed but not dead")
+            if vm.free_at < vm.started_at - _EPS:
+                raise SimulationError(
+                    f"vm{vm.id} freed at {vm.free_at} before start {vm.started_at}"
+                )
             up = self.uptime(vm)
             paid = billing.paid_seconds(up)
-            if market is not None and vm.purchase is not None:
-                cost = market.vm_cost(
-                    billing, seed, vm.started_at, up, vm.itype, region, vm.purchase
-                )
-            else:
-                cost = billing.btus(up) * region.price(vm.itype)
+            cost = billing.realized_cost(
+                up, vm.itype, region, vm.started_at, vm.purchase, market, seed
+            )
             acc = rows.setdefault(
                 vm.owner,
                 {"vms": 0, "btus": 0, "cost": 0.0, "busy": 0.0, "paid": 0.0},
@@ -500,66 +475,6 @@ class FleetManager:
             rent_cost=sum(b.rent_cost for b in bills.values()),
         )
 
-    def bill(
-        self,
-        billing: BillingModel,
-        region: Region | None = None,
-        market: object | None = None,
-        seed: int = 0,
-    ) -> Dict[str, OwnerBill]:
-        """Per-owner realized rent over the whole fleet.
-
-        Each VM's cost goes to the tenant that rented it (reuse by
-        another tenant's tasks extends ``busy_seconds`` but never moves
-        the bill — the renter keeps the meter).  With a *market* (a
-        :class:`~repro.market.spot.Market`), VMs carrying a purchase
-        option are billed at the realized price integral under *seed*;
-        all others keep the fixed-price arithmetic.
-        """
-        region = region or self.region
-        if region is None:
-            raise SimulationError("bill() needs a region (none configured)")
-        return self.finalize(
-            billing, region, market=market, seed=seed, check=False
-        ).bills
-
-    def utilization(self, billing: BillingModel) -> float:
-        """Busy seconds over paid seconds across the fleet (0 when the
-        fleet never rented anything) — one roster pass."""
-        busy = 0.0
-        paid = 0.0
-        for vm in self.vms:
-            busy += vm.busy_seconds
-            paid += billing.paid_seconds(self.uptime(vm))
-        if paid <= 0:
-            return 0.0
-        return busy / paid
-
-    # ------------------------------------------------------------------
-    # invariants (used by the test harness and the service loop)
-    # ------------------------------------------------------------------
-    def check_conservation(self) -> None:
-        """Raise :class:`SimulationError` unless fleet bookkeeping is
-        conserved: dense ids, crashed ⊆ dead, and no VM freed before it
-        started."""
-        for idx, vm in enumerate(self.vms):
-            if vm.id != idx:
-                raise SimulationError(f"fleet ids not dense: vm{vm.id} at slot {idx}")
-            if vm.crashed and not vm.dead:
-                raise SimulationError(f"vm{vm.id} crashed but not dead")
-            if vm.free_at < vm.started_at - _EPS:
-                raise SimulationError(
-                    f"vm{vm.id} freed at {vm.free_at} before start {vm.started_at}"
-                )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FleetManager(vms={len(self.vms)}, alive={len(self._live)})"
 
-
-#: the owner attributed to VMs rented outside any tenant context
-DEFAULT_OWNER = ""
-
-
-def private_fleet(region: Region | None = None) -> FleetManager:
-    """A fresh single-run manager (the pre-lift behavior)."""
-    return FleetManager(region=region)

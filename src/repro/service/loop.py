@@ -49,7 +49,7 @@ from repro.service.admission import (
 from repro.service.arrivals import WorkflowRequest
 from repro.service.fleet import FleetManager, OwnerBill
 from repro.simulator.engine import Simulator
-from repro.simulator.faults import FaultPlan
+from repro.simulator.faults import FaultPlan, FaultRuntime
 from repro.simulator.online import OnlineCloudExecutor
 
 
@@ -224,17 +224,15 @@ class WorkflowService:
         self.admission = resolved
         self.max_concurrent = max_concurrent
         self.runtime_fn = runtime_fn
-        if fault_plan is None and getattr(platform, "market", None) is not None:
-            # ambient platform market: same synthesis as the executors,
-            # done here so the service's billing sees the market too
-            fault_plan = FaultPlan(market=platform.market)
-        self.fault_plan = fault_plan
+        # resolved here, not only in each executor, so the service's
+        # billing sees an ambient platform market too
+        self.fault_plan = FaultRuntime.plan_for(fault_plan, platform)
         self.recovery = recovery
         self.tracer = ensure_tracer(tracer)
         self.metrics = metrics if metrics is not None else current_metrics()
         self.sim = Simulator(max_events=max_events, tracer=tracer)
-        #: the shared fleet; inject one (e.g. ``FleetManager(
-        #: indexed=False)``) to run against the reference scan path
+        #: the shared fleet; inject one to inspect it after the run, or
+        #: to run against the scan oracle of the property tests
         self.fleet = fleet if fleet is not None else FleetManager(region=self.region)
         self.accounts: Dict[str, TenantAccount] = {}
         self.queue: List[WorkflowRequest] = []

@@ -35,21 +35,15 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cloud.instance import InstanceType
 from repro.cloud.region import Region
-from repro.core.recovery import (
-    FailureEvent,
-    RecoveryAction,
-    RecoveryPolicy,
-    recovery_policy,
-)
+from repro.core.recovery import RecoveryAction, RecoveryPolicy
 from repro.core.schedule import Schedule
 from repro.errors import FaultError, SchedulingError, SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import current as current_metrics
 from repro.obs.tracer import Tracer, ensure_tracer
 from repro.simulator.engine import Simulator
-from repro.simulator.faults import FaultPlan, FaultStats
+from repro.simulator.faults import FaultPlan, FaultRuntime, actual_duration
 from repro.simulator.trace import SimulationResult, TraceEvent
-from repro.util.compat import removed_kwargs
 
 
 @dataclass
@@ -120,34 +114,20 @@ class ScheduleExecutor:
     ) -> None:
         self.schedule = schedule
         self.runtime_fn = runtime_fn
-        if fault_plan is None:
-            # a platform-level market makes the run fault-injected even
-            # without an explicit plan (the price process is a fault)
-            ambient = getattr(schedule.platform, "market", None)
-            if ambient is not None:
-                fault_plan = FaultPlan(market=ambient)
-        self.fault_plan = fault_plan
-        self.market = fault_plan.market if fault_plan is not None else None
-        self._spot = fault_plan.spot_plan() if fault_plan is not None else None
-        self.recovery: Optional[RecoveryPolicy] = (
-            recovery_policy(recovery) if fault_plan is not None else None
-        )
+        #: the fault/market/recovery layer; ``None`` on the zero-fault path
+        self.faults = FaultRuntime.for_run(fault_plan, schedule.platform, recovery)
+        plan = self.faults.plan if self.faults is not None else None
         self.tracer = ensure_tracer(tracer)
         self.metrics = metrics if metrics is not None else current_metrics()
         self.sim = Simulator(max_events=max_events, tracer=tracer)
         self.result = SimulationResult()
-        self.stats: Optional[FaultStats] = (
-            FaultStats() if fault_plan is not None else None
-        )
         wf = schedule.workflow
         # Remaining input count per task; entry tasks are ready at t=0.
         self._pending_inputs: Dict[str, int] = {
             tid: len(wf.predecessors(tid)) for tid in wf.task_ids
         }
         # Runtime fleet: starts as the planned VMs, may grow on recovery.
-        self._default_purchase = (
-            self.market.purchase if self.market is not None else None
-        )
+        purchase = self.faults.default_purchase if self.faults is not None else None
         self._vms: List[_ExecVM] = [
             _ExecVM(
                 id=vm.id,
@@ -155,7 +135,7 @@ class ScheduleExecutor:
                 itype=vm.itype,
                 region=vm.region,
                 queue=list(vm.task_ids),
-                purchase=self._default_purchase,
+                purchase=purchase,
             )
             for vm in schedule.vms
         ]
@@ -172,8 +152,6 @@ class ScheduleExecutor:
         self._gen: Dict[str, int] = {tid: 0 for tid in wf.task_ids}
         #: estimated end of the currently running attempt (replan input)
         self._exp_end: Dict[str, float] = {}
-        #: seconds of work checkpointed at a reclamation warning, by task
-        self._ckpt: Dict[str, float] = {}
         #: warm-pool acquisitions consumed so far, by flavor name
         self._warm_used: Dict[str, int] = {}
         # whether starting a fresh VM involves a boot phase at all: the
@@ -183,8 +161,8 @@ class ScheduleExecutor:
         self._boot_needed = not platform.prebooted and (
             platform.boot_seconds > 0
             or (
-                fault_plan is not None
-                and (fault_plan.boot_cold_seconds > 0 or fault_plan.boot_warm_pool > 0)
+                plan is not None
+                and (plan.boot_cold_seconds > 0 or plan.boot_warm_pool > 0)
             )
         )
 
@@ -203,55 +181,44 @@ class ScheduleExecutor:
     # execution
     # ------------------------------------------------------------------
     def _open_rent(self, vm: _ExecVM) -> None:
-        """Open the VM's rent window and arm its crash process."""
+        """Open the VM's rent window and arm what can kill it."""
         if vm.rent_open:
             return
         vm.rent_open = True
         vm.rent_start = self.sim.now
         vm.last_active = self.sim.now
-        if self.fault_plan is not None:
-            uptime = self.fault_plan.vm_crash_uptime(vm.name)
-            if uptime != float("inf"):
-                self.sim.after(
-                    uptime, lambda v=vm: self._vm_crash(v), f"crash:{vm.name}"
-                )
-        self._arm_preemption(vm)
-
-    def _arm_preemption(self, vm: _ExecVM) -> None:
-        """Arm the price-correlated reclamation of a spot VM: a warning
-        at the price-crossing instant, the kill a grace window later."""
-        if self._spot is None or vm.purchase is None:
-            return
-        warn, kill = self._spot.preemption(
-            vm.itype, vm.region, vm.purchase, self.sim.now
-        )
-        if kill == float("inf"):
-            return
-        if warn < kill:  # a zero-grace market kills without warning
-            self.sim.after(
-                warn - self.sim.now,
-                lambda v=vm: self._spot_warning(v),
-                f"spot_warn:{vm.name}",
+        if self.faults is not None:
+            self.faults.arm(
+                self.sim,
+                vm.name,
+                vm.itype,
+                vm.region,
+                vm.purchase,
+                crash=lambda: self._vm_crash(vm),
+                warning=lambda: self._spot_warning(vm),
+                kill=lambda: self._vm_crash(vm, preempt=True),
+                at=self._at_as_delay,
             )
-        self.sim.after(
-            kill - self.sim.now,
-            lambda v=vm: self._vm_crash(v, preempt=True),
-            f"preempt:{vm.name}",
-        )
+
+    def _at_as_delay(self, time: float, action, label: str) -> None:
+        """Schedule at absolute *time* as a delay from now: the replay's
+        event-time arithmetic, which the traces are pinned to."""
+        self.sim.after(time - self.sim.now, action, label)
 
     def _spot_warning(self, vm: _ExecVM) -> None:
         """The provider's reclamation warning: count it, and checkpoint
         the running attempt when the recovery policy asks for it."""
         if vm.crashed or not vm.rent_open:
             return
-        assert self.stats is not None and self.recovery is not None
+        faults = self.faults
+        assert faults is not None
         now = self.sim.now
-        self.stats.grace_warnings += 1
+        faults.stats.grace_warnings += 1
         self.result.record(TraceEvent(now, "spot_warning", vm.running or "", vm.name))
-        if self.recovery.checkpoint_on_warning and vm.running is not None:
+        if faults.recovery.checkpoint_on_warning and vm.running is not None:
             done = max(now - self.result.task_start[vm.running], 0.0)
             if done > 0:
-                self._ckpt[vm.running] = done
+                faults.ckpt[vm.running] = done
 
     def _try_start(self, task_id: str) -> None:
         if task_id in self._started or task_id in self._done:
@@ -276,28 +243,14 @@ class ScheduleExecutor:
         now = self.sim.now
         self._open_rent(vm)
         duration = platform.runtime(self.schedule.workflow.task(task_id), vm.itype)
-        if self.runtime_fn is not None:
-            duration = self.runtime_fn(task_id, duration)
-            if duration < 0:
-                raise SimulationError(
-                    f"runtime_fn returned negative duration for {task_id!r}"
-                )
-        if self._ckpt:
-            # resume from the state checkpointed at a reclamation
-            # warning: only the remainder runs, plus the restore cost
-            done = self._ckpt.pop(task_id, 0.0)
-            if done > 0:
-                assert self.recovery is not None
-                duration = (
-                    max(duration - done, 0.0) + self.recovery.restart_cost_seconds
-                )
+        faults = self.faults
+        if self.runtime_fn is not None or faults is not None:
+            duration = actual_duration(task_id, duration, self.runtime_fn, faults)
         self.result.record(TraceEvent(now, "task_start", task_id, vm.name))
         vm.running = task_id
         attempt = self._attempt_of(task_id)
         frac = (
-            self.fault_plan.task_attempt(task_id, attempt)
-            if self.fault_plan is not None
-            else None
+            faults.plan.task_attempt(task_id, attempt) if faults is not None else None
         )
         if frac is None:
             self._exp_end[task_id] = now + duration
@@ -322,13 +275,14 @@ class ScheduleExecutor:
         attempt = vm.boot_attempt
         delay = platform.boot_seconds
         fails = False
-        if self.fault_plan is not None:
-            if attempt == 1 and self.fault_plan.boot_warm_pool > 0:
+        if self.faults is not None:
+            plan = self.faults.plan
+            if attempt == 1 and plan.boot_warm_pool > 0:
                 used = self._warm_used.get(vm.itype.name, 0)
-                if used < self.fault_plan.boot_warm_pool:
+                if used < plan.boot_warm_pool:
                     self._warm_used[vm.itype.name] = used + 1
                     vm.booted_warm = True
-            fails, delay = self.fault_plan.boot_delay_outcome(
+            fails, delay = plan.boot_delay_outcome(
                 vm.name, attempt, platform.boot_seconds, warm=vm.booted_warm
             )
 
@@ -336,15 +290,11 @@ class ScheduleExecutor:
             if v.crashed:
                 return
             if failed:
-                assert self.stats is not None and self.recovery is not None
-                self.stats.boot_failures += 1
+                assert self.faults is not None
                 self.result.record(
                     TraceEvent(self.sim.now, "vm_boot_fail", "", v.name)
                 )
-                if v.boot_attempt >= self.recovery.max_attempts:
-                    raise FaultError(
-                        f"{v.name} failed to boot {v.boot_attempt} times"
-                    )
+                self.faults.boot_failed(v.name, v.boot_attempt)
                 # acquisition failures are not billed: the rent clock
                 # restarts with the re-issued request
                 v.rent_start = self.sim.now
@@ -416,54 +366,32 @@ class ScheduleExecutor:
         vm = self._vm_of[task_id]
         if vm.crashed:
             return  # the crash handler already recovered this task
-        assert self.stats is not None and self.recovery is not None
+        faults = self.faults
+        assert faults is not None
         now = self.sim.now
         self._started.discard(task_id)
         vm.running = None
         vm.last_active = now
-        self.stats.task_failures += 1
-        self.stats.wasted_task_seconds += wasted
+        faults.attempt_failed(wasted)
         self.result.record(
             TraceEvent(now, "task_fail", task_id, vm.name, f"attempt:{attempt}")
         )
-        failure = FailureEvent(
-            task_id=task_id,
-            vm_id=vm.id,
-            attempt=attempt,
-            time=now,
-            reason="task",
-            vm_alive=True,
-            purchase=vm.purchase,
+        action = faults.decide(
+            task_id, vm.id, attempt, now, "task", vm_alive=True, purchase=vm.purchase
         )
-        action = self.recovery.decide(failure)
-        self._log_decision(action, task_id, now)
-        if action.kind == "abort":
-            raise FaultError(
-                f"task {task_id!r} failed {attempt} times; recovery gave up"
-            )
         self._attempt[task_id] = attempt + 1
         if action.kind == "retry":
             # same VM, inputs already staged: re-run after the backoff
-            self.stats.retries += 1
+            faults.stats.retries += 1
             self.sim.after(
                 action.delay, lambda t=task_id: self._try_start(t), f"retry:{task_id}"
             )
         elif action.kind == "resubmit":
-            self.stats.resubmits += 1
+            faults.stats.resubmits += 1
             self._resubmit(task_id, vm, action.delay, action.purchase)
         else:  # replan
-            self.stats.replans += 1
+            faults.stats.replans += 1
             self._replan(action.delay)
-
-    def _log_decision(self, action: RecoveryAction, task_id: str, now: float) -> None:
-        """Append one decision-log line; market tags suffix the historic
-        format, so zero-market logs are unchanged byte-for-byte."""
-        assert self.stats is not None
-        line = f"{action.kind}:{task_id}@{now:.3f}"
-        if action.tag:
-            line += f"[{action.tag}]"
-            self.stats.rebids += 1
-        self.stats.decisions.append(line)
 
     def _vm_crash(self, vm: _ExecVM, preempt: bool = False) -> None:
         if vm.crashed:
@@ -472,60 +400,47 @@ class ScheduleExecutor:
         remaining = [t for t in vm.queue[vm.next_idx :] if t not in self._done]
         if running is None and not remaining:
             return  # the VM had already drained and stopped
-        assert self.stats is not None and self.recovery is not None
+        faults = self.faults
+        assert faults is not None
         now = self.sim.now
         vm.crashed = True
         vm.crashed_at = now
         vm.preempted = preempt
         reason = "spot_preempt" if preempt else "vm_crash"
-        if preempt:
-            self.stats.preemptions += 1
-            self.result.record(TraceEvent(now, "vm_preempt", "", vm.name))
-        else:
-            self.stats.vm_crashes += 1
-            self.result.record(TraceEvent(now, "vm_crash", "", vm.name))
+        self.result.record(TraceEvent(now, faults.vm_killed(preempt), "", vm.name))
         if running is not None:
             attempt = self._attempt_of(running)
             wasted = max(now - self.result.task_start[running], 0.0)
-            if running in self._ckpt:
-                # checkpointed progress is not lost to the reclamation
-                wasted = max(wasted - self._ckpt[running], 0.0)
-            self.stats.task_failures += 1
-            self.stats.wasted_task_seconds += wasted
+            faults.attempt_failed(faults.unsaved(running, wasted))
             self.result.record(
                 TraceEvent(now, "task_fail", running, vm.name, reason)
             )
             self._started.discard(running)
             vm.running = None
-            failure = FailureEvent(
-                task_id=running,
-                vm_id=vm.id,
-                attempt=attempt,
-                time=now,
-                reason=reason,
+            action = faults.decide(
+                running,
+                vm.id,
+                attempt,
+                now,
+                reason,
                 vm_alive=False,
                 purchase=vm.purchase,
+                lost=True,
             )
-            action = self.recovery.decide(failure)
-            self._log_decision(action, running, now)
-            if action.kind == "abort":
-                raise FaultError(
-                    f"task {running!r} lost to a {reason} after {attempt} attempts"
-                )
             self._attempt[running] = attempt + 1
         else:
-            kind = "replan" if self.recovery.queue_strategy == "replan" else "resubmit"
+            kind = "replan" if faults.recovery.queue_strategy == "replan" else "resubmit"
             action = RecoveryAction(kind, 0.0)
         # the dead VM keeps only its executed prefix
         vm.queue = vm.queue[: vm.next_idx]
-        if action.kind == "replan" or self.recovery.queue_strategy == "replan":
-            self.stats.replans += 1
+        if action.kind == "replan" or faults.recovery.queue_strategy == "replan":
+            faults.stats.replans += 1
             self._replan(action.delay)
         else:
             # one replacement VM inherits the interrupted + queued work,
             # bought as the recovery directed (rebid/fallback) or on the
             # dead VM's own terms
-            self.stats.resubmits += 1
+            faults.stats.resubmits += 1
             nvm = self._new_vm(vm.itype, vm.region, action.purchase or vm.purchase)
             for tid in remaining:
                 self._move_task(tid, nvm, action.delay)
@@ -539,12 +454,13 @@ class ScheduleExecutor:
         region: Region,
         purchase: Optional[object] = None,
     ) -> _ExecVM:
+        assert self.faults is not None
         evm = _ExecVM(
             id=len(self._vms),
             name=f"vm{len(self._vms)}-{itype.short}",
             itype=itype,
             region=region,
-            purchase=purchase if purchase is not None else self._default_purchase,
+            purchase=purchase if purchase is not None else self.faults.default_purchase,
         )
         self._vms.append(evm)
         self.result.record(
@@ -631,9 +547,12 @@ class ScheduleExecutor:
         from repro.core.builder import ScheduleBuilder
         from repro.core.provisioning.base import provisioning_policy as _provision
 
-        assert self.recovery is not None
+        assert self.faults is not None
         wf = self.schedule.workflow
-        name = getattr(self.recovery, "provisioning", None) or self.schedule.provisioning
+        name = (
+            getattr(self.faults.recovery, "provisioning", None)
+            or self.schedule.provisioning
+        )
         try:
             policy = _provision(name)
         except SchedulingError:
@@ -754,6 +673,7 @@ class ScheduleExecutor:
                 f"simulation deadlocked; never completed: {sorted(missing)}"
             )
         billing = self.schedule.platform.billing
+        faults = self.faults
         for evm in self._vms:
             finals = [t for t in evm.queue if self._vm_of[t] is evm]
             if finals:
@@ -777,36 +697,23 @@ class ScheduleExecutor:
             else:
                 self.result.record(TraceEvent(window[1], "vm_stop", "", evm.name))
                 uptime = window[1] - evm.rent_start
-            if self.stats is not None:
-                cost = self._vm_cost(billing, evm, uptime)
-                paid = billing.paid_seconds(uptime)
-                self.result.vm_costs[evm.name] = cost
-                self.stats.realized_cost += cost
-                self.stats.paid_seconds += paid
-                self.stats.wasted_btu_seconds += paid - evm.useful_seconds
-        if self.stats is not None:
-            self.result.faults = self.stats
+            if faults is not None:
+                self.result.vm_costs[evm.name], _ = faults.close_vm(
+                    billing,
+                    evm.rent_start,
+                    uptime,
+                    evm.itype,
+                    evm.region,
+                    evm.purchase,
+                    evm.useful_seconds,
+                )
+        if faults is not None:
+            self.result.faults = faults.stats
         if self.tracer.enabled:
             self._emit_trace()
         if self.metrics is not None:
             self._emit_metrics()
         return self.result
-
-    def _vm_cost(self, billing, evm: _ExecVM, uptime: float) -> float:
-        """Realized rent of one VM: the fixed-price arithmetic outside
-        market runs, the price integral (by purchase option) inside."""
-        if self.market is None or evm.purchase is None:
-            return billing.vm_cost(uptime, evm.itype, evm.region)
-        assert self.fault_plan is not None
-        return self.market.vm_cost(
-            billing,
-            self.fault_plan.seed,
-            evm.rent_start,
-            uptime,
-            evm.itype,
-            evm.region,
-            evm.purchase,
-        )
 
     def _emit_trace(self) -> None:
         """Project the replay onto simulated-time trace tracks: one
@@ -874,21 +781,8 @@ class ScheduleExecutor:
         m.inc("executor.tasks_executed", len(self._done))
         m.inc("sim.events_processed", self.sim.processed_events)
         m.inc("sim.simulated_seconds", self.result.makespan)
-        if self.stats is not None:
-            m.inc("faults.task_failures", self.stats.task_failures)
-            m.inc("faults.vm_crashes", self.stats.vm_crashes)
-            m.inc("faults.boot_failures", self.stats.boot_failures)
-            m.inc("recovery.tasks_retried", self.stats.retries)
-            m.inc("recovery.tasks_resubmitted", self.stats.resubmits)
-            m.inc("recovery.replans", self.stats.replans)
-            # market counters only when the processes actually fired, so
-            # zero-market runs keep their historical counter keys
-            if self.stats.preemptions:
-                m.inc("faults.preemptions", self.stats.preemptions)
-            if self.stats.grace_warnings:
-                m.inc("faults.grace_warnings", self.stats.grace_warnings)
-            if self.stats.rebids:
-                m.inc("recovery.rebids", self.stats.rebids)
+        if self.faults is not None:
+            self.faults.emit_metrics(m)
 
 
 def simulate_schedule(
@@ -905,7 +799,6 @@ def simulate_schedule(
     return result
 
 
-@removed_kwargs(faults="fault_plan", recovery_policy="recovery")
 def run_with_faults(
     schedule: Schedule,
     fault_plan: FaultPlan,

@@ -24,6 +24,18 @@ decisions across the serial, thread, and process execution backends.
 A plan whose probabilities are all zero draws nothing and injects
 nothing: executor and online-scheduler results are byte-identical to a
 run without any plan (regression-tested).
+
+Runtime
+-------
+A :class:`FaultRuntime` is what one run executes under once a plan (or
+an ambient platform market) is in force: the recovery policy, the
+:class:`FaultStats` ledger, the spot interruption process and the
+default purchase option.  Both executors call it for every job the
+fault layer adds — arming crashes and spot reclamations at rent, the
+actual duration of a resumed attempt, the recovery decision and its
+log line, the realized rent of each VM, and the fault counters — and
+keep only their own timing and placement rules.  A run with no plan and
+no market has no runtime, so its per-task paths never reach this layer.
 """
 
 from __future__ import annotations
@@ -32,14 +44,25 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.core.recovery import (
+    FailureEvent,
+    RecoveryAction,
+    RecoveryPolicy,
+    recovery_policy,
+)
+from repro.errors import FaultError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cloud.billing import BillingModel
+    from repro.cloud.instance import InstanceType
+    from repro.cloud.region import Region
     from repro.market.spot import Market, SpotInterruptionPlan
+    from repro.obs.metrics import MetricsRegistry
+    from repro.simulator.engine import Simulator
 
 
 def _stream(seed: int, *key) -> np.random.Generator:
@@ -316,3 +339,227 @@ class FaultStats:
             "paid_seconds": self.paid_seconds,
             "realized_cost": self.realized_cost,
         }
+
+
+class FaultRuntime:
+    """The fault, market and recovery layer of one run.
+
+    Built by :meth:`for_run`, which returns ``None`` on the zero-fault
+    path (no plan, no ambient market).  One runtime serves exactly one
+    executor: its :attr:`stats` and checkpoint table are per run, even
+    when several runs share a fleet.
+    """
+
+    def __init__(
+        self, plan: FaultPlan, recovery: "str | RecoveryPolicy | None" = None
+    ) -> None:
+        self.plan = plan
+        self.market = plan.market
+        self.spot = plan.spot_plan()
+        self.recovery = recovery_policy(recovery)
+        self.stats = FaultStats()
+        #: how VMs are bought unless a recovery decision says otherwise
+        self.default_purchase = (
+            self.market.purchase if self.market is not None else None
+        )
+        #: seconds of work checkpointed at a reclamation warning, by task
+        self.ckpt: Dict[str, float] = {}
+
+    @staticmethod
+    def plan_for(plan: Optional[FaultPlan], platform) -> Optional[FaultPlan]:
+        """*plan*, or without one a plan carrying the platform's ambient
+        market: the price process is a fault even with no plan given."""
+        if plan is None:
+            market = getattr(platform, "market", None)
+            if market is not None:
+                return FaultPlan(market=market)
+        return plan
+
+    @classmethod
+    def for_run(
+        cls,
+        plan: Optional[FaultPlan],
+        platform,
+        recovery: "str | RecoveryPolicy | None",
+    ) -> Optional["FaultRuntime"]:
+        """The runtime of one run on *platform*, or ``None`` when there
+        is neither a plan nor an ambient market."""
+        plan = cls.plan_for(plan, platform)
+        return None if plan is None else cls(plan, recovery)
+
+    # ------------------------------------------------------------------
+    # rent
+    # ------------------------------------------------------------------
+    def arm(
+        self,
+        sim: "Simulator",
+        vm_key: str,
+        itype: "InstanceType",
+        region: "Region",
+        purchase: Optional[object],
+        crash: Callable[[], None],
+        warning: Callable[[], None],
+        kill: Callable[[], None],
+        at: Callable[[float, Callable[[], None], str], None],
+    ) -> None:
+        """Arm what can kill a VM rented now: its crash draw, then (for
+        a spot VM) the reclamation warning and the kill.  Same-time
+        events fire in arming order, so this order is part of the trace.
+
+        *at* schedules an action at an absolute time.  The executors
+        turn a price-crossing instant into an event time with different
+        float arithmetic, and each keeps its own."""
+        uptime = self.plan.vm_crash_uptime(vm_key)
+        if uptime != math.inf:
+            sim.after(uptime, crash, f"crash:{vm_key}")
+        if self.spot is None or purchase is None:
+            return
+        warn, kill_at = self.spot.preemption(itype, region, purchase, sim.now)
+        if kill_at == math.inf:
+            return
+        if warn < kill_at:  # a zero-grace market kills without warning
+            at(warn, warning, f"spot_warn:{vm_key}")
+        at(kill_at, kill, f"preempt:{vm_key}")
+
+    def boot_failed(self, vm_key: str, attempt: int) -> None:
+        """Count one failed boot; raise once the recovery policy's
+        attempt budget is spent."""
+        self.stats.boot_failures += 1
+        if attempt >= self.recovery.max_attempts:
+            raise FaultError(f"{vm_key} failed to boot {attempt} times")
+
+    # ------------------------------------------------------------------
+    # failures and recovery
+    # ------------------------------------------------------------------
+    def vm_killed(self, preempt: bool) -> str:
+        """Count one VM death; returns its trace event kind."""
+        if preempt:
+            self.stats.preemptions += 1
+            return "vm_preempt"
+        self.stats.vm_crashes += 1
+        return "vm_crash"
+
+    def attempt_failed(self, wasted: float) -> None:
+        """Count one failed attempt that burnt *wasted* seconds."""
+        self.stats.task_failures += 1
+        self.stats.wasted_task_seconds += wasted
+
+    def unsaved(self, task_id: str, wasted: float) -> float:
+        """The part of *wasted* not checkpointed at a reclamation
+        warning: checkpointed progress survives the VM's death."""
+        if task_id in self.ckpt:
+            return max(wasted - self.ckpt[task_id], 0.0)
+        return wasted
+
+    def decide(
+        self,
+        task_id: str,
+        vm_id: int,
+        attempt: int,
+        now: float,
+        reason: str,
+        vm_alive: bool,
+        purchase: Optional[object],
+        lost: bool = False,
+    ) -> RecoveryAction:
+        """Ask the recovery policy about one failed attempt and log the
+        verdict.
+
+        Market decisions suffix the log line with ``[tag]``, so
+        zero-market logs keep their historic format.  An abort raises
+        :class:`~repro.errors.FaultError`; *lost* words it as a task
+        lost with its VM rather than a policy giving up."""
+        failure = FailureEvent(
+            task_id=task_id,
+            vm_id=vm_id,
+            attempt=attempt,
+            time=now,
+            reason=reason,
+            vm_alive=vm_alive,
+            purchase=purchase,
+        )
+        action = self.recovery.decide(failure)
+        line = f"{action.kind}:{task_id}@{now:.3f}"
+        if action.tag:
+            line += f"[{action.tag}]"
+            self.stats.rebids += 1
+        self.stats.decisions.append(line)
+        if action.kind == "abort":
+            if lost:
+                raise FaultError(
+                    f"task {task_id!r} lost to a {reason} after {attempt} attempts"
+                )
+            raise FaultError(
+                f"task {task_id!r} failed {attempt} times; recovery gave up"
+            )
+        return action
+
+    # ------------------------------------------------------------------
+    # accounting
+    # ------------------------------------------------------------------
+    def close_vm(
+        self,
+        billing: "BillingModel",
+        start: float,
+        uptime: float,
+        itype: "InstanceType",
+        region: "Region",
+        purchase: Optional[object],
+        useful: float,
+    ) -> Tuple[float, float]:
+        """Bill one VM's rent window into the stats: its realized cost,
+        its paid seconds and the paid seconds that did no useful work.
+        Returns ``(cost, paid_seconds)``."""
+        cost = billing.realized_cost(
+            uptime, itype, region, start, purchase, self.market, self.plan.seed
+        )
+        paid = billing.paid_seconds(uptime)
+        self.stats.realized_cost += cost
+        self.stats.paid_seconds += paid
+        self.stats.wasted_btu_seconds += paid - useful
+        return cost, paid
+
+    def emit_metrics(self, m: "MetricsRegistry") -> None:
+        """Roll the fault and recovery counters into *m*."""
+        s = self.stats
+        m.inc("faults.task_failures", s.task_failures)
+        m.inc("faults.vm_crashes", s.vm_crashes)
+        m.inc("faults.boot_failures", s.boot_failures)
+        m.inc("recovery.tasks_retried", s.retries)
+        m.inc("recovery.tasks_resubmitted", s.resubmits)
+        m.inc("recovery.replans", s.replans)
+        # market counters only when the processes actually fired, so
+        # zero-market runs keep their historical counter keys
+        if s.preemptions:
+            m.inc("faults.preemptions", s.preemptions)
+        if s.grace_warnings:
+            m.inc("faults.grace_warnings", s.grace_warnings)
+        if s.rebids:
+            m.inc("recovery.rebids", s.rebids)
+
+
+def actual_duration(
+    task_id: str,
+    planned: float,
+    runtime_fn: Optional[Callable[[str, float], float]],
+    faults: Optional[FaultRuntime],
+) -> float:
+    """How long the next attempt of *task_id* really runs.
+
+    *runtime_fn* maps the planned duration to the actual one.  An
+    attempt that resumes from a reclamation-warning checkpoint runs only
+    the remainder, plus the recovery policy's restart cost."""
+    duration = planned
+    if runtime_fn is not None:
+        duration = runtime_fn(task_id, planned)
+        if duration < 0:
+            raise SimulationError(
+                f"runtime_fn returned negative duration for {task_id!r}"
+            )
+    if faults is not None and faults.ckpt:
+        done = faults.ckpt.pop(task_id, 0.0)
+        if done > 0:
+            duration = (
+                max(duration - done, 0.0) + faults.recovery.restart_cost_seconds
+            )
+    return duration

@@ -38,21 +38,16 @@ from repro.cloud.instance import SMALL, InstanceType
 from repro.cloud.platform import CloudPlatform
 from repro.cloud.region import Region
 from repro.core.provisioning.base import online_policy_names
-from repro.core.recovery import FailureEvent, RecoveryPolicy, recovery_policy
-from repro.errors import FaultError, SchedulingError, SimulationError
+from repro.core.recovery import RecoveryPolicy
+from repro.errors import SchedulingError, SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import current as current_metrics
 from repro.obs.tracer import Tracer, ensure_tracer
 from repro.service.fleet import FleetManager, FleetVM
 from repro.simulator.engine import Simulator
-from repro.simulator.faults import FaultPlan, FaultStats
+from repro.simulator.faults import FaultPlan, FaultRuntime, FaultStats, actual_duration
 from repro.simulator.trace import TraceEvent
-from repro.util.compat import removed_kwargs
 from repro.workflows.dag import Workflow
-
-#: the fleet record was lifted into :mod:`repro.service.fleet` so a
-#: fleet can outlive one run; the old private name stays as an alias
-_OnlineVM = FleetVM
 
 
 @dataclass
@@ -122,7 +117,6 @@ class OnlineCloudExecutor:
         self.metrics = metrics if metrics is not None else current_metrics()
         self.sim = sim if sim is not None else Simulator(max_events=max_events, tracer=tracer)
         self._fleet_mgr = fleet if fleet is not None else FleetManager(region=self.region)
-        self._shared_fleet = fleet is not None
         self.owner = owner
         self.run_name = run_name
         self.on_complete = on_complete
@@ -137,24 +131,8 @@ class OnlineCloudExecutor:
         self.task_finish: Dict[str, float] = {}
         self.task_vm: Dict[str, int] = {}
         self.events: List[TraceEvent] = []
-        if fault_plan is None:
-            # a platform-level market makes the run fault-injected even
-            # without an explicit plan (the price process is a fault)
-            ambient = getattr(platform, "market", None)
-            if ambient is not None:
-                fault_plan = FaultPlan(market=ambient)
-        self.fault_plan = fault_plan
-        self.market = fault_plan.market if fault_plan is not None else None
-        self._spot = fault_plan.spot_plan() if fault_plan is not None else None
-        self._default_purchase = (
-            self.market.purchase if self.market is not None else None
-        )
-        self.recovery: Optional[RecoveryPolicy] = (
-            recovery_policy(recovery) if fault_plan is not None else None
-        )
-        self.stats: Optional[FaultStats] = (
-            FaultStats() if fault_plan is not None else None
-        )
+        #: the fault/market/recovery layer; ``None`` on the zero-fault path
+        self.faults = FaultRuntime.for_run(fault_plan, platform, recovery)
         #: current attempt number per task (1-based)
         self._attempt: Dict[str, int] = {}
         self._completed: set = set()
@@ -162,13 +140,11 @@ class OnlineCloudExecutor:
         self._force_fresh: set = set()
         #: purchase override for a task's next fresh rental (rebids)
         self._force_purchase: Dict[str, object] = {}
-        #: seconds of work checkpointed at a reclamation warning
-        self._ckpt: Dict[str, float] = {}
-        if self.fault_plan is not None:
+        if self.faults is not None:
             # crash recovery goes through the manager so every run with
             # reservations on a crashed shared VM reclaims its own tasks
             self._fleet_mgr.add_crash_listener(self._reclaim_crash_victims)
-            if self.market is not None:
+            if self.faults.market is not None:
                 self._fleet_mgr.add_warning_listener(self._checkpoint_victims)
 
     @property
@@ -193,29 +169,26 @@ class OnlineCloudExecutor:
                 TraceEvent(vm.horizon(btu), "vm_stop", "", f"vm{vm.id}")
             )
 
-    def _alive(self) -> List[FleetVM]:
-        return self._fleet_mgr.alive()
-
     def _rent(self, purchase: object | None = None) -> FleetVM:
         # Cold starts: the VM is requested now but cannot execute until
         # it has booted (the paper pre-boots; online cannot).
-        plan = self.fault_plan
+        faults = self.faults
         nominal = 0.0 if self.platform.prebooted else self.platform.boot_seconds
         boot = nominal
         vm_id = len(self.fleet)
         boot_active = (
-            plan is not None
+            faults is not None
             and not self.platform.prebooted
             and (
                 nominal > 0
-                or plan.boot_cold_seconds > 0
-                or plan.boot_warm_pool > 0
+                or faults.plan.boot_cold_seconds > 0
+                or faults.plan.boot_warm_pool > 0
             )
         )
         warm = False
         if boot_active:
             # boot failures re-issue the request; the delays accumulate
-            assert self.recovery is not None and self.stats is not None
+            plan = faults.plan
             warm = self._fleet_mgr.take_warm(self.itype, plan.boot_warm_pool)
             total, attempt = 0.0, 0
             while True:
@@ -226,15 +199,13 @@ class OnlineCloudExecutor:
                 total += delay
                 if not fails:
                     break
-                self.stats.boot_failures += 1
                 self.events.append(
                     TraceEvent(self.sim.now + total, "vm_boot_fail", "", f"vm{vm_id}")
                 )
-                if attempt >= self.recovery.max_attempts:
-                    raise FaultError(f"vm{vm_id} failed to boot {attempt} times")
+                faults.boot_failed(f"vm{vm_id}", attempt)
             boot = total
-        if purchase is None:
-            purchase = self._default_purchase
+        if purchase is None and faults is not None:
+            purchase = faults.default_purchase
         vm = self._fleet_mgr.rent(
             self.itype,
             started_at=self.sim.now,
@@ -244,46 +215,34 @@ class OnlineCloudExecutor:
         )
         vm.booted_warm = warm
         self.events.append(TraceEvent(self.sim.now, "vm_start", "", f"vm{vm.id}"))
-        if self.fault_plan is not None:
-            uptime = self.fault_plan.vm_crash_uptime(f"vm{vm.id}")
-            if uptime != float("inf"):
-                self.sim.after(
-                    uptime, lambda v=vm: self._on_vm_crash(v), f"crash:vm{vm.id}"
-                )
-        if self._spot is not None and vm.purchase is not None:
-            warn, kill = self._spot.preemption(
-                self.itype, self.region, vm.purchase, self.sim.now
+        if faults is not None:
+            faults.arm(
+                self.sim,
+                f"vm{vm.id}",
+                self.itype,
+                self.region,
+                vm.purchase,
+                crash=lambda: self._on_vm_crash(vm),
+                warning=lambda: self._on_spot_warning(vm),
+                kill=lambda: self._on_vm_crash(vm, preempt=True),
+                at=self.sim.at,
             )
-            if kill != float("inf"):
-                if warn < kill:  # a zero-grace market kills unwarned
-                    self.sim.at(
-                        warn,
-                        lambda v=vm: self._on_spot_warning(v),
-                        f"spot_warn:vm{vm.id}",
-                    )
-                self.sim.at(
-                    kill,
-                    lambda v=vm: self._on_vm_crash(v, preempt=True),
-                    f"preempt:vm{vm.id}",
-                )
         return vm
 
-    def _fits_btu(self, vm: _OnlineVM, duration: float) -> bool:
+    def _fits_btu(self, vm: FleetVM, duration: float) -> bool:
         """Would the task finish within the VM's already-paid BTUs?"""
         start = max(self.sim.now, vm.free_at)
         return start + duration <= vm.horizon(self.platform.btu_seconds) + 1e-9
 
-    def _select_vm(self, task_id: str, duration: float) -> _OnlineVM:
+    def _select_vm(self, task_id: str, duration: float) -> FleetVM:
         """Pick the VM for *task_id* against the fleet state *now*.
 
-        On an indexed manager (the default) every query is served from
-        the fleet indexes — heap-peek reap, max-busy peek, idle-pool
-        scan — so a placement costs O(log fleet) instead of the
-        reference's O(fleet) roster walks.  Decision-identical to
-        :meth:`_select_vm_reference` (property-tested)."""
+        Every query is served from the fleet indexes — heap-peek reap,
+        max-busy peek, idle-pool scan — so a placement costs O(log
+        fleet) instead of a roster walk.  Decision-identical to the
+        full-scan oracle in ``tests/oracles/fleet_scan.py``
+        (property-tested)."""
         mgr = self._fleet_mgr
-        if not mgr.indexed:
-            return self._select_vm_reference(task_id, duration)
         self._reap()
         if self.policy == "OneVMperTask":
             return self._rent()
@@ -297,7 +256,12 @@ class OnlineCloudExecutor:
             ):
                 return target
             return target if self._fits_btu(target, duration) else self._rent()
-        # AllPar* (see _select_vm_reference for the policy reading)
+        # AllPar*: "each parallel task to its own VM" reads dynamically
+        # as *never queue a parallel task behind running work* — only
+        # VMs idle right now are reusable, anything else means renting.
+        # (The static scheduler excludes whole levels instead; online,
+        # a same-level task that already finished leaves its VM free
+        # with no parallelism lost.)
         now = self.sim.now
         fits = None
         if self.policy == "AllParNotExceed":
@@ -323,46 +287,7 @@ class OnlineCloudExecutor:
             return self._rent()
         return pred_vm
 
-    def _select_vm_reference(self, task_id: str, duration: float) -> _OnlineVM:
-        """The original O(alive)-scan selection — preserved as the
-        byte-identity oracle for the indexed path (use a
-        ``FleetManager(indexed=False)``)."""
-        self._reap()
-        alive = self._alive()
-        if self.policy == "OneVMperTask":
-            return self._rent()
-        if self.policy.startswith("StartPar"):
-            if not self.workflow.predecessors(task_id) or not alive:
-                return self._rent()
-            target = max(alive, key=lambda v: (v.busy_seconds, -v.id))
-            if self.policy.endswith("Exceed") and not self.policy.endswith(
-                "NotExceed"
-            ):
-                return target
-            return target if self._fits_btu(target, duration) else self._rent()
-        # AllPar*: "each parallel task to its own VM" reads dynamically
-        # as *never queue a parallel task behind running work* — only
-        # VMs idle right now are reusable, anything else means renting.
-        # (The static scheduler excludes whole levels instead; online,
-        # a same-level task that already finished leaves its VM free
-        # with no parallelism lost.)
-        lvl = self.levels[task_id]
-        now = self.sim.now
-        if self.level_sizes[lvl] > 1:
-            candidates = [vm for vm in alive if vm.free_at <= now + 1e-9]
-        else:
-            pred_vm = self._largest_pred_vm(task_id)
-            candidates = [pred_vm] if pred_vm is not None and not pred_vm.dead else []
-        if self.policy == "AllParNotExceed":
-            candidates = [vm for vm in candidates if self._fits_btu(vm, duration)]
-        if not candidates:
-            return self._rent()
-        pred_vm = self._largest_pred_vm(task_id)
-        if pred_vm is not None and pred_vm in candidates:
-            return pred_vm
-        return max(candidates, key=lambda v: (v.busy_seconds, -v.id))
-
-    def _largest_pred_vm(self, task_id: str) -> Optional[_OnlineVM]:
+    def _largest_pred_vm(self, task_id: str) -> Optional[FleetVM]:
         preds = [p for p in self.workflow.predecessors(task_id) if p in self.task_vm]
         if not preds:
             return None
@@ -397,23 +322,13 @@ class OnlineCloudExecutor:
             transfer = max(transfer, dt)
         self._execute(task_id, vm, now + transfer)
 
-    def _execute(self, task_id: str, vm: _OnlineVM, earliest: float) -> None:
+    def _execute(self, task_id: str, vm: FleetVM, earliest: float) -> None:
         """Reserve and run the next attempt of *task_id* on *vm*."""
         start = max(earliest, vm.free_at)
         duration = self.platform.runtime(self.workflow.task(task_id), vm.itype)
-        if self.runtime_fn is not None:
-            duration = self.runtime_fn(task_id, duration)
-            if duration < 0:
-                raise SimulationError("runtime_fn returned a negative duration")
-        if self._ckpt:
-            # resume from the state checkpointed at a reclamation
-            # warning: only the remainder runs, plus the restore cost
-            done = self._ckpt.pop(task_id, 0.0)
-            if done > 0:
-                assert self.recovery is not None
-                duration = (
-                    max(duration - done, 0.0) + self.recovery.restart_cost_seconds
-                )
+        faults = self.faults
+        if self.runtime_fn is not None or faults is not None:
+            duration = actual_duration(task_id, duration, self.runtime_fn, faults)
         finish = start + duration
         vm.free_at = finish
         vm.busy_seconds += duration
@@ -435,9 +350,7 @@ class OnlineCloudExecutor:
         self.events.append(TraceEvent(start, "task_start", task_id, f"vm{vm.id}"))
         attempt = self._attempt.get(task_id, 1)
         frac = (
-            self.fault_plan.task_attempt(task_id, attempt)
-            if self.fault_plan is not None
-            else None
+            faults.plan.task_attempt(task_id, attempt) if faults is not None else None
         )
         if frac is None:
             self.sim.at(
@@ -474,36 +387,26 @@ class OnlineCloudExecutor:
     # ------------------------------------------------------------------
     # fault handling
     # ------------------------------------------------------------------
-    def _recover(self, task_id: str, vm: _OnlineVM, reason: str) -> None:
+    def _recover(self, task_id: str, vm: FleetVM, reason: str) -> None:
         """Consult the recovery policy for one failed attempt and
         schedule the re-dispatch."""
-        assert self.recovery is not None and self.stats is not None
-        now = self.sim.now
+        faults = self.faults
+        assert faults is not None
         attempt = self._attempt.get(task_id, 1)
-        failure = FailureEvent(
-            task_id=task_id,
-            vm_id=vm.id,
-            attempt=attempt,
-            time=now,
-            reason=reason,
+        action = faults.decide(
+            task_id,
+            vm.id,
+            attempt,
+            self.sim.now,
+            reason,
             vm_alive=not vm.dead,
             purchase=vm.purchase,
         )
-        action = self.recovery.decide(failure)
-        line = f"{action.kind}:{task_id}@{now:.3f}"
-        if action.tag:
-            line += f"[{action.tag}]"
-            self.stats.rebids += 1
-        self.stats.decisions.append(line)
-        if action.kind == "abort":
-            raise FaultError(
-                f"task {task_id!r} failed {attempt} times; recovery gave up"
-            )
         self._attempt[task_id] = attempt + 1
         if action.kind == "retry" and not vm.dead:
             # same VM, inputs staged: wait out the backoff (the slot
             # reservation makes the start no earlier than vm.free_at)
-            self.stats.retries += 1
+            faults.stats.retries += 1
             self.sim.after(
                 action.delay,
                 lambda t=task_id, v=vm, a=attempt + 1: self._retry(t, v, a),
@@ -511,18 +414,18 @@ class OnlineCloudExecutor:
             )
             return
         if action.kind == "resubmit" or (action.kind == "retry" and vm.dead):
-            self.stats.resubmits += 1
+            faults.stats.resubmits += 1
             self._force_fresh.add(task_id)
             if action.purchase is not None:
                 # the bidding decision rides to the replacement rental
                 self._force_purchase[task_id] = action.purchase
         else:  # replan: the online policy re-places against the fleet
-            self.stats.replans += 1
+            faults.stats.replans += 1
         self.sim.after(
             action.delay, lambda t=task_id: self._on_ready(t), f"ready:{task_id}"
         )
 
-    def _retry(self, task_id: str, vm: _OnlineVM, attempt: int) -> None:
+    def _retry(self, task_id: str, vm: FleetVM, attempt: int) -> None:
         if attempt != self._attempt.get(task_id, 1):
             return  # a crash re-dispatched the task meanwhile
         if vm.dead:
@@ -532,12 +435,11 @@ class OnlineCloudExecutor:
     def _on_task_fail(self, task_id: str, attempt: int, wasted: float) -> None:
         if attempt != self._attempt.get(task_id, 1):
             return
-        assert self.stats is not None
+        assert self.faults is not None
         vm = self.fleet[self.task_vm[task_id]]
         if vm.crashed:
             return
-        self.stats.task_failures += 1
-        self.stats.wasted_task_seconds += wasted
+        self.faults.attempt_failed(wasted)
         self.events.append(
             TraceEvent(
                 self.sim.now, "task_fail", task_id, f"vm{vm.id}", f"attempt:{attempt}"
@@ -545,28 +447,25 @@ class OnlineCloudExecutor:
         )
         self._recover(task_id, vm, "task")
 
-    def _on_vm_crash(self, vm: _OnlineVM, preempt: bool = False) -> None:
+    def _on_vm_crash(self, vm: FleetVM, preempt: bool = False) -> None:
         if vm.dead or vm.crashed:
             return  # released before the crash would have hit
-        assert self.stats is not None
+        assert self.faults is not None
         now = self.sim.now
         self._fleet_mgr.mark_crashed(vm, now)
         vm.preempted = preempt
-        if preempt:
-            self.stats.preemptions += 1
-            self.events.append(TraceEvent(now, "vm_preempt", "", f"vm{vm.id}"))
-        else:
-            self.stats.vm_crashes += 1
-            self.events.append(TraceEvent(now, "vm_crash", "", f"vm{vm.id}"))
+        self.events.append(
+            TraceEvent(now, self.faults.vm_killed(preempt), "", f"vm{vm.id}")
+        )
         self._fleet_mgr.notify_crash(vm)
 
-    def _on_spot_warning(self, vm: _OnlineVM) -> None:
+    def _on_spot_warning(self, vm: FleetVM) -> None:
         """The provider's reclamation warning for a VM this run rented:
         count it and fan it out so every run checkpoints its work."""
         if vm.dead or vm.crashed:
             return
-        assert self.stats is not None
-        self.stats.grace_warnings += 1
+        assert self.faults is not None
+        self.faults.stats.grace_warnings += 1
         self.events.append(
             TraceEvent(self.sim.now, "spot_warning", "", f"vm{vm.id}")
         )
@@ -575,8 +474,9 @@ class OnlineCloudExecutor:
     def _checkpoint_victims(self, vm: FleetVM) -> None:
         """Checkpoint this run's attempts running on *vm* at a warning
         (when the recovery policy opts in)."""
-        assert self.recovery is not None
-        if not self.recovery.checkpoint_on_warning:
+        faults = self.faults
+        assert faults is not None
+        if not faults.recovery.checkpoint_on_warning:
             return
         now = self.sim.now
         for tid in self._own_reservations(vm):
@@ -585,7 +485,7 @@ class OnlineCloudExecutor:
                 continue  # reserved but not yet running
             done = min(now, self.task_finish[tid]) - started
             if done > 0:
-                self._ckpt[tid] = done
+                faults.ckpt[tid] = done
 
     def _own_reservations(self, vm: FleetVM) -> List[str]:
         """This run's unfinished reservations on *vm*, roster order."""
@@ -607,17 +507,14 @@ class OnlineCloudExecutor:
         """Fail and re-dispatch *this run's* unfinished reservations on
         a crashed VM (shared fleets host tasks of many runs — each
         attached executor reclaims only its own roster entries)."""
-        assert self.stats is not None
+        faults = self.faults
+        assert faults is not None
         now = self.sim.now
         reason = "spot_preempt" if vm.preempted else "vm_crash"
         for tid in self._own_reservations(vm):
             started = self.task_start.get(tid, now)
             wasted = max(min(now, self.task_finish[tid]) - started, 0.0)
-            if tid in self._ckpt:
-                # checkpointed progress is not lost to the reclamation
-                wasted = max(wasted - self._ckpt[tid], 0.0)
-            self.stats.task_failures += 1
-            self.stats.wasted_task_seconds += wasted
+            faults.attempt_failed(faults.unsaved(tid, wasted))
             # reclaim the voided reservation from the busy accounting
             vm.busy_seconds -= self.task_finish[tid] - started
             vm.busy_seconds += max(min(now, self.task_finish[tid]) - started, 0.0)
@@ -685,21 +582,8 @@ class OnlineCloudExecutor:
         self.metrics.inc(
             "sim.simulated_seconds", max(self.task_finish.values(), default=0.0)
         )
-        if self.stats is not None:
-            self.metrics.inc("faults.task_failures", self.stats.task_failures)
-            self.metrics.inc("faults.vm_crashes", self.stats.vm_crashes)
-            self.metrics.inc("faults.boot_failures", self.stats.boot_failures)
-            self.metrics.inc("recovery.tasks_retried", self.stats.retries)
-            self.metrics.inc("recovery.tasks_resubmitted", self.stats.resubmits)
-            self.metrics.inc("recovery.replans", self.stats.replans)
-            # market counters only when the processes actually fired, so
-            # zero-market runs keep their historical counter keys
-            if self.stats.preemptions:
-                self.metrics.inc("faults.preemptions", self.stats.preemptions)
-            if self.stats.grace_warnings:
-                self.metrics.inc("faults.grace_warnings", self.stats.grace_warnings)
-            if self.stats.rebids:
-                self.metrics.inc("recovery.rebids", self.stats.rebids)
+        if self.faults is not None:
+            self.faults.emit_metrics(self.metrics)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -726,33 +610,29 @@ class OnlineCloudExecutor:
         if missing:
             raise SimulationError(f"online run never completed: {missing}")
         billing = self.platform.billing
+        faults = self.faults
         rent = 0.0
         idle = 0.0
         for vm in self.fleet:
             # a crashed VM stops accruing rent at the crash, but the
-            # started BTU is still billed in full (the ceil below)
+            # started BTU is still billed in full
             end = vm.crashed_at if vm.crashed else vm.free_at
             uptime = end - vm.started_at
-            if self.market is not None and vm.purchase is not None:
-                assert self.fault_plan is not None
-                cost = self.market.vm_cost(
+            if faults is None:
+                cost = billing.vm_cost(uptime, vm.itype, self.region)
+                paid = billing.paid_seconds(uptime)
+            else:
+                cost, paid = faults.close_vm(
                     billing,
-                    self.fault_plan.seed,
                     vm.started_at,
                     uptime,
                     vm.itype,
                     self.region,
                     vm.purchase,
+                    vm.useful_seconds,
                 )
-            else:
-                cost = billing.vm_cost(uptime, vm.itype, self.region)
-            paid = billing.paid_seconds(uptime)
             rent += cost
             idle += paid - vm.busy_seconds
-            if self.stats is not None:
-                self.stats.paid_seconds += paid
-                self.stats.realized_cost += cost
-                self.stats.wasted_btu_seconds += paid - vm.useful_seconds
         if self.tracer.enabled:
             self._emit_trace()
         if self.metrics is not None:
@@ -768,7 +648,7 @@ class OnlineCloudExecutor:
             # vm_stop events carry their horizon time but are observed at
             # the next reap; sort so the trace reads chronologically
             events=sorted(self.events, key=lambda e: e.time),
-            faults=self.stats,
+            faults=faults.stats if faults is not None else None,
         )
 
 
@@ -818,7 +698,6 @@ def online_to_schedule(
     ).validate()
 
 
-@removed_kwargs(faults="fault_plan", recovery_policy="recovery")
 def run_online(
     workflow: Workflow,
     platform: CloudPlatform,

@@ -2,9 +2,9 @@
 
 The indexed :class:`~repro.service.fleet.FleetManager` (live-id set,
 stamp-guarded expiry/rank/idle heaps — DESIGN.md §14) must be
-observationally indistinguishable from the preserved full-scan
-reference (``FleetManager(indexed=False)``, ``reap_reference``,
-``_select_vm_reference``): same decision logs, same service rollups,
+observationally indistinguishable from the full-scan oracle in
+``tests/oracles/fleet_scan.py`` (``ScanFleetManager``,
+``ScanOnlineExecutor``): same decision logs, same service rollups,
 same metric counters, bit-equal floats.  These tests drive both paths
 over the DAG zoo x policies x admissions x seeds and compare entire
 results — the same trace-identity contract the static columnar kernels
@@ -25,6 +25,11 @@ from repro.service.loop import run_service
 from repro.simulator.faults import FaultPlan
 from repro.simulator.online import OnlineCloudExecutor
 from repro.workflows.generators import fork_join, mapreduce, random_layered
+from tests.oracles.fleet_scan import (
+    ScanFleetManager,
+    ScanOnlineExecutor,
+    scan_service_executors,
+)
 
 POLICIES = [
     "OneVMperTask",
@@ -64,9 +69,12 @@ def platform():
 def _online_pair(platform, workflow, policy, fault_plan=None, recovery=None):
     results = []
     registries = []
-    for fleet in (None, FleetManager(indexed=False)):
+    for executor, fleet in (
+        (OnlineCloudExecutor, None),
+        (ScanOnlineExecutor, ScanFleetManager()),
+    ):
         metrics = MetricsRegistry()
-        result = OnlineCloudExecutor(
+        result = executor(
             workflow,
             platform,
             policy=policy,
@@ -131,19 +139,20 @@ def _service_pair(platform, policy, admission, seed, budget=float("inf")):
         max_concurrent=4,
     )
     requests = build_requests(cell)
-    runs = []
-    for fleet in (None, FleetManager(indexed=False)):
-        runs.append(
-            run_service(
-                requests,
-                platform,
-                policy=policy,
-                admission=admission,
-                max_concurrent=cell.max_concurrent,
-                fleet=fleet,
-            )
+    def run(fleet=None):
+        return run_service(
+            requests,
+            platform,
+            policy=policy,
+            admission=admission,
+            max_concurrent=cell.max_concurrent,
+            fleet=fleet,
         )
-    return runs
+
+    indexed = run()
+    with scan_service_executors():
+        reference = run(ScanFleetManager())
+    return indexed, reference
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -183,7 +192,7 @@ def test_manager_random_ops_identical(platform, seed):
     btu = billing.btu_seconds
     rng = random.Random(seed)
     indexed = FleetManager(region=platform.default_region)
-    reference = FleetManager(region=platform.default_region, indexed=False)
+    reference = ScanFleetManager(region=platform.default_region)
     now = 0.0
     for _ in range(400):
         now += rng.expovariate(1 / 300.0)
@@ -236,10 +245,10 @@ def test_manager_random_ops_identical(platform, seed):
         assert (idle.id if idle else None) == (
             want_idle.id if want_idle else None
         )
-    # the single-pass rollup equals the three-pass accounting, floats
-    # bit-equal (same accumulation order)
+    # both fleets bill alike, and the single-pass utilization equals
+    # the roster scan, floats bit-equal (same accumulation order)
     roll_idx = indexed.finalize(billing)
-    assert roll_idx.bills == reference.bill(billing)
+    assert roll_idx == reference.finalize(billing)
     assert roll_idx.utilization == reference.utilization(billing)
 
 

@@ -119,7 +119,7 @@ def test_service_run_invariants(platform, policy, seed, captured):
         assert min(s for s, _, _ in intervals) >= vm.started_at - _TOL
         assert max(f for _, f, _ in intervals) <= vm.free_at + _TOL
 
-    service.fleet.check_conservation()
+    service.fleet.finalize(platform.billing)  # raises unless conserved
 
 
 @pytest.mark.parametrize("policy", ("StartParNotExceed", "AllParExceed"))
@@ -145,7 +145,7 @@ def test_billing_is_uptime_rounded_to_btu(platform, policy):
     assert result.rent_cost == pytest.approx(expect_cost)
 
     # the per-owner bills partition the fleet totals exactly
-    bills = service.fleet.bill(billing, region)
+    bills = service.fleet.finalize(billing, region).bills
     assert sum(b.vm_count for b in bills.values()) == len(service.fleet.vms)
     assert sum(b.btus for b in bills.values()) == expect_btus
     assert sum(b.rent_cost for b in bills.values()) == pytest.approx(expect_cost)
@@ -198,7 +198,7 @@ def test_budget_guard_never_exceeds_tenant_budget(platform, diamond):
         assert t.spent_estimate <= budget + 1e-9
         if t.submitted >= 3:
             assert t.admitted == 2  # identical estimates => floor(2.5)
-    service.fleet.check_conservation()
+    service.fleet.finalize(platform.billing)  # raises unless conserved
 
 
 def test_fleet_owners_are_tenants(platform, captured):
