@@ -14,9 +14,10 @@ the policy's ``select_vm`` exactly, including
 * the float operations (single additions, ``max`` folds over the same
   operands, the ``1e-9`` reuse/fit epsilons, BTU rounding via
   ``max(1, ceil(uptime/btu - 1e-9))``),
-* the heap/pool disciplines (stale-stamp entries dropped on pop,
-  rejected candidates deferred, the chosen level-pool entry consumed,
-  the chosen busy-heap entry kept),
+* the candidate orders (the busy heap drops stale-stamp entries on
+  pop and keeps the chosen one; the level pool is scanned first-fit in
+  the builder heap's ``(-busy, id)`` pop order, with the VMs already
+  hosting the level masked out),
 * and the ``MetricsRegistry`` counter semantics — one data-ready memo
   miss per task on its first generic evaluation, a hit per repeat, no
   counters on the exact predecessor-hosting path, totals flushed once
@@ -120,6 +121,41 @@ class _State:
         self.reuse_pool = 0
 
     # ------------------------------------------------------------------
+    def pred_vm_set(self, t: int) -> set:
+        """Ids of the VMs hosting *t*'s predecessors, memoized (fixed
+        once the predecessors are placed — allocation order is
+        topological)."""
+        pv = self.pred_vms[t]
+        if pv is None:
+            pp = self.pp
+            pi = self.pi
+            tvm = self.tvm
+            pv = self.pred_vms[t] = {tvm[pi[e]] for e in range(pp[t], pp[t + 1])}
+        return pv
+
+    def data_ready(self, t: int) -> float:
+        """Generic data-ready of *t* on a VM hosting none of its
+        predecessors (uncounted): every edge pays its remote transfer."""
+        pi = self.pi
+        tfin = self.tfin
+        rtr = self.rtr
+        best = 0.0
+        for e in range(self.pp[t], self.pp[t + 1]):
+            cand = tfin[pi[e]] + rtr[e]
+            if cand > best:
+                best = cand
+        return best
+
+    def count_generic(self, t: int, best: float, evals: int) -> None:
+        """Account *evals* generic data-ready evaluations of *t* the way
+        the builder's per-task memo does: the first is a miss that
+        stores *best*, every later one a hit."""
+        if self.dr_gen[t] is None:
+            self.dr_gen[t] = best
+            self.ctr[0] += 1
+            evals -= 1
+        self.ctr[1] += evals
+
     def es(self, t: int, v: int) -> float:
         """``ScheduleBuilder.earliest_start`` over the flat state —
         including the per-call data-ready counter semantics."""
@@ -128,15 +164,12 @@ class _State:
         hi = pp[t + 1]
         ready = self.vm_ready[v]
         if lo != hi:
-            pi = self.pi
-            tvm = self.tvm
-            tfin = self.tfin
-            pv = self.pred_vms[t]
-            if pv is None:
-                pv = self.pred_vms[t] = {tvm[pi[e]] for e in range(lo, hi)}
-            if v in pv:
+            if v in self.pred_vm_set(t):
                 # exact per-predecessor pass (same_vm transfers are 0.0;
                 # fin + 0.0 == fin for fin > 0), never counted
+                pi = self.pi
+                tvm = self.tvm
+                tfin = self.tfin
                 rtr = self.rtr
                 best = 0.0
                 for e in range(lo, hi):
@@ -149,16 +182,8 @@ class _State:
                 # builder's per-task memo collapses to a single slot
                 best = self.dr_gen[t]
                 if best is None:
-                    self.ctr[0] += 1
-                    rtr = self.rtr
-                    best = 0.0
-                    for e in range(lo, hi):
-                        cand = tfin[pi[e]] + rtr[e]
-                        if cand > best:
-                            best = cand
-                    self.dr_gen[t] = best
-                else:
-                    self.ctr[1] += 1
+                    best = self.data_ready(t)
+                self.count_generic(t, best, 1)
             if best > ready:
                 ready = best
         if self.cold and not self.vm_order[v]:
@@ -238,6 +263,108 @@ class _State:
 # ----------------------------------------------------------------------
 # AllPar[Not]Exceed over level order
 # ----------------------------------------------------------------------
+class _LevelPool:
+    """``best_level_candidate``'s pool of one level, as sorted arrays.
+
+    The candidates are the rented VMs not hosting the level.  None of
+    them changes while the level is placed — a VM only changes when a
+    task lands on it, and then it hosts the level — so the builder's
+    heap walk (pop in ``(-busy, id)`` order, drop claimed entries,
+    defer the rejected ones, consume the chosen one) is a first-fit
+    scan of one fixed sorted order under a shrinking ``live`` mask.
+    """
+
+    __slots__ = ("lvl", "vids", "ready", "lim", "live", "slot")
+
+    def __init__(self, st: _State, vm_lastlvl: List[int], lvl: int) -> None:
+        # every rented VM already hosts a task (it is rented for one),
+        # so the level test is the whole membership rule
+        nv = len(vm_lastlvl)
+        cand = np.flatnonzero(np.asarray(vm_lastlvl) != lvl)
+        busy = np.asarray(st.vm_busy[:nv])[cand]
+        # stable sort of ascending ids: busy ties keep the heap's id order
+        vids = cand[np.argsort(-busy, kind="stable")]
+        self.lvl = lvl
+        self.vids = vids.tolist()
+        self.ready = np.asarray(st.vm_ready[:nv])[vids]
+        #: the reuse limit ``paid + 1e-9``, added per VM as the scalar
+        #: test adds it
+        self.lim = np.asarray(st.vm_paid[:nv])[vids] + 1e-9
+        self.live = np.ones(len(self.vids), dtype=bool)
+        #: VM id -> position in the sorted order (-1: not a candidate)
+        self.slot = np.full(nv, -1, dtype=np.int64)
+        self.slot[vids] = np.arange(len(self.vids))
+
+    def claim(self, v: int) -> None:
+        """Drop *v* (rented before the pool was built): it now hosts
+        the level."""
+        s = self.slot[v]
+        if s >= 0:
+            self.live[s] = False
+
+    def first_fit(self, st: _State, t: int, require_fit: bool, fits) -> int:
+        """The first live VM in pool order that can host *t* (-1 if
+        none), with the builder's memo counters for the candidates the
+        heap walk would have evaluated."""
+        if not self.vids:
+            return -1
+        has_preds = st.pp[t] != st.pp[t + 1]
+        #: live candidates that host no predecessor of t
+        gen = self.live.copy()
+        exact = []
+        if has_preds:
+            # VMs hosting a predecessor need the exact per-edge
+            # data-ready: they leave the vector and are tried below.
+            # Predecessors sit on earlier levels, so their VMs were all
+            # rented before this pool was built.
+            pv = st.pred_vm_set(t)
+            pos = self.slot[np.fromiter(pv, dtype=np.int64, count=len(pv))]
+            pos = pos[pos >= 0]
+            pos = pos[gen[pos]]
+            if pos.size:
+                gen[pos] = False
+                exact = np.sort(pos).tolist()
+        k = 0
+        found = False
+        if gen.any():
+            if has_preds:
+                # es = max(ready, data-ready); max returns one of its
+                # operands, so each element is the float ``_State.es``
+                # computes
+                dr = st.data_ready(t)
+                es_v = np.maximum(self.ready, dr)
+            else:
+                es_v = self.ready
+            first = es_v <= self.lim
+            ok = gen & first
+            if require_fit:
+                ok &= es_v + st.runt[t] <= self.lim
+            k = int(ok.argmax())
+            found = bool(ok[k])
+        # the exact candidates the walk reaches before the vector's first
+        # fit, in pool order: each costs one O(preds) pass at most once
+        for s in exact:
+            if found and s > k:
+                break
+            if fits(t, self.vids[s]):
+                k = s
+                found = True
+                break
+        if has_preds:
+            # one generic evaluation per candidate walked, and under
+            # require_fit a second for each that passed is_reusable
+            end = k + 1 if found else len(gen)
+            evals = int(np.count_nonzero(gen[:end]))
+            if evals:
+                if require_fit:
+                    evals += int(np.count_nonzero(gen[:end] & first[:end]))
+                st.count_generic(t, dr, evals)
+        if not found:
+            return -1
+        self.live[k] = False
+        return self.vids[k]
+
+
 def fused_level_schedule(
     workflow,
     platform,
@@ -254,9 +381,7 @@ def fused_level_schedule(
     es = st.es
     place = st.place
     runt = st.runt
-    stamps = st.stamps
     vm_paid = st.vm_paid
-    vm_order = st.vm_order
     require_fit = not exceed
     order, lv_starts = cd.level_groups()
     neg_runt = -st.runt_v
@@ -264,8 +389,19 @@ def fused_level_schedule(
     #: per-VM last hosted level — levels are packed in ascending order,
     #: so "hosts the current level" is exactly ``vm_lastlvl == lvl``
     vm_lastlvl: List[int] = []
-    pool: list = []
-    pool_lvl = -1
+    pool = None
+
+    def fits(t: int, v: int) -> bool:
+        """is_reusable, then (NotExceed) fits_in_btu, on a rented VM."""
+        s = es(t, v)
+        lim = vm_paid[v] + 1e-9
+        return s <= lim and (not require_fit or s + runt[t] <= lim)
+
+    def rent(t: int, lvl: int) -> None:
+        st.rent += 1
+        v = st.new_vm()
+        vm_lastlvl.append(lvl)
+        place(t, v)
 
     for lvl in range(cd.n_levels):
         nodes = order[lv_starts[lvl] : lv_starts[lvl + 1]]
@@ -276,76 +412,33 @@ def fused_level_schedule(
         tasks = nodes[sel].tolist()
         parallel = len(tasks) > 1
         for t in tasks:
+            # qualifies_for_level on the largest predecessor's VM: level
+            # exclusion (always passed by a sequential task), then
+            # is_reusable, then the fit
             pv = st.largest_pred_vm(t)
-            if parallel:
-                # qualifies_for_level on the largest predecessor's VM:
-                # level exclusion, then is_reusable, then the fit —
-                # each with its own earliest-start evaluation
-                ok = False
-                if pv != -1 and vm_lastlvl[pv] != lvl:
-                    ok = es(t, pv) <= vm_paid[pv] + 1e-9
-                    if ok and require_fit:
-                        ok = es(t, pv) + runt[t] <= vm_paid[pv] + 1e-9
-                if ok:
-                    st.reuse_pred += 1
-                    place(t, pv)
-                    vm_lastlvl[pv] = lvl
-                    continue
-                # best_level_candidate: pool rebuilt on first query per
-                # level, stale/claimed entries dropped, task-specific
-                # rejections deferred, the chosen entry consumed
-                if pool_lvl != lvl:
-                    pool = [
-                        (-st.vm_busy[v], v, stamps[v])
-                        for v in range(len(vm_order))
-                        if vm_order[v] and vm_lastlvl[v] != lvl
-                    ]
-                    heapq.heapify(pool)
-                    pool_lvl = lvl
-                chosen = -1
-                deferred = []
-                while pool:
-                    entry = heapq.heappop(pool)
-                    vid = entry[1]
-                    if entry[2] != stamps[vid] or vm_lastlvl[vid] == lvl:
-                        continue
-                    ok = es(t, vid) <= vm_paid[vid] + 1e-9
-                    if ok and require_fit:
-                        ok = es(t, vid) + runt[t] <= vm_paid[vid] + 1e-9
-                    if ok:
-                        chosen = vid
-                        break
-                    deferred.append(entry)
-                for entry in deferred:
-                    heapq.heappush(pool, entry)
-                if chosen != -1:
-                    st.reuse_pool += 1
-                    place(t, chosen)
-                    vm_lastlvl[chosen] = lvl
-                else:
-                    st.rent += 1
-                    v = st.new_vm()
-                    vm_lastlvl.append(-1)
-                    place(t, v)
-                    vm_lastlvl[v] = lvl
+            if pv != -1 and vm_lastlvl[pv] != lvl and fits(t, pv):
+                st.reuse_pred += 1
+                place(t, pv)
+                vm_lastlvl[pv] = lvl
+                if pool is not None and pool.lvl == lvl:
+                    pool.claim(pv)
+                continue
+            if not parallel:
+                # a sequential task takes its largest predecessor's VM
+                # or a new one
+                rent(t, lvl)
+                continue
+            # best_level_candidate: the pool is built on the level's
+            # first query, as the builder builds its heap
+            if pool is None or pool.lvl != lvl:
+                pool = _LevelPool(st, vm_lastlvl, lvl)
+            v = pool.first_fit(st, t, require_fit, fits)
+            if v == -1:
+                rent(t, lvl)
             else:
-                # sequential task: largest predecessor's VM when it is
-                # still alive (and fits, for NotExceed), else rent
-                ok = False
-                if pv != -1:
-                    ok = es(t, pv) <= vm_paid[pv] + 1e-9
-                    if ok and require_fit:
-                        ok = es(t, pv) + runt[t] <= vm_paid[pv] + 1e-9
-                if ok:
-                    st.reuse_pred += 1
-                    place(t, pv)
-                    vm_lastlvl[pv] = lvl
-                else:
-                    st.rent += 1
-                    v = st.new_vm()
-                    vm_lastlvl.append(-1)
-                    place(t, v)
-                    vm_lastlvl[v] = lvl
+                st.reuse_pool += 1
+                place(t, v)
+                vm_lastlvl[v] = lvl
 
     st.flush_metrics()
     return _assemble(workflow, platform, itype, region, cd, st, algorithm, provisioning)
