@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint check coverage bench bench-scaling bench-service \
+.PHONY: install test test-slow lint check coverage bench bench-scaling bench-service \
   bench-pricing bench-tune bench-check profile profile-service report \
   artifacts examples faults-smoke service-smoke pricing-smoke tune-smoke clean
 
@@ -11,6 +11,11 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# The slow tier: large-workflow scale tests (marked ``slow``) that the
+# default run and `make check` deselect.
+test-slow:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m slow
 
 # Lint with ruff when it is installed (config in pyproject.toml); in
 # environments without it, fall back to a byte-compile pass so `make

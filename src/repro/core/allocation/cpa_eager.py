@@ -8,7 +8,8 @@ the critical-path task with the longest current execution time, and a
 candidate upgrade is committed only when the total rent stays within the
 budget — ``budget_factor`` times the HEFT + OneVMperTask-small reference
 cost (we read the paper's garbled budget sentence as 2x for CPA-Eager;
-see DESIGN.md).
+see DESIGN.md).  Each step re-prices only the upgraded task in a
+per-task rent ledger (:func:`~repro.core.allocation.upgrade.commit_within_budget`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from repro.cloud.instance import SMALL, InstanceType, next_faster
 from repro.cloud.platform import CloudPlatform
 from repro.cloud.region import Region
 from repro.core.allocation.base import SchedulingAlgorithm, register_algorithm
-from repro.core.allocation.upgrade import one_vm_schedule, total_rent_cost
+from repro.core.allocation.upgrade import (
+    commit_within_budget,
+    one_vm_schedule,
+    per_task_vm_cost,
+    task_rent,
+)
 from repro.core.schedule import Schedule
 from repro.errors import SchedulingError
 from repro.workflows.dag import Workflow
@@ -47,17 +53,14 @@ class CpaEagerScheduler(SchedulingAlgorithm):
         region: Region | None = None,
     ) -> Schedule:
         workflow.validate()
-        start_type = itype
         task_types: Dict[str, InstanceType] = {
-            tid: start_type for tid in workflow.task_ids
+            tid: itype for tid in workflow.task_ids
         }
-        budget = self.budget_factor * total_rent_cost(
-            workflow, platform, task_types, region
-        )
+        rent = per_task_vm_cost(workflow, platform, task_types, region)
+        budget = self.budget_factor * sum(rent.values())
         blocked: Set[str] = set()
 
         while True:
-            current = one_vm_schedule(workflow, platform, task_types, region)
             cp, _length = workflow.critical_path(
                 exec_time=lambda t: platform.runtime(
                     workflow.task(t), task_types[t]
@@ -79,16 +82,14 @@ class CpaEagerScheduler(SchedulingAlgorithm):
             )
             upgraded = next_faster(task_types[target])
             assert upgraded is not None
-            trial = dict(task_types)
-            trial[target] = upgraded
-            if total_rent_cost(workflow, platform, trial, region) <= budget + 1e-9:
-                task_types = trial
+            new_rent = task_rent(workflow, platform, target, upgraded, region)
+            if commit_within_budget(rent, target, new_rent, budget):
+                task_types[target] = upgraded
             else:
                 # Costs are additive per task under OneVMperTask and other
                 # upgrades only spend more, so an unaffordable task stays
                 # unaffordable: block it permanently.
                 blocked.add(target)
-            del current  # rebuilt next iteration
 
         return one_vm_schedule(
             workflow, platform, task_types, region, algorithm=self.name

@@ -13,7 +13,8 @@ cost loss inside [45, 100]%, which only a 2x cap reproduces (see
 DESIGN.md).  An upgrade
 that strictly saves money (``cost_new <= cost_current``, possible when a
 shorter runtime drops a whole BTU) is treated as infinite gain and taken
-first.
+first.  The loop caches each task's best cell and recomputes only the
+row of the task it just upgraded or blocked.
 """
 
 from __future__ import annotations
@@ -25,10 +26,59 @@ from repro.cloud.instance import SMALL, InstanceType, faster_types
 from repro.cloud.platform import CloudPlatform
 from repro.cloud.region import Region
 from repro.core.allocation.base import SchedulingAlgorithm, register_algorithm
-from repro.core.allocation.upgrade import one_vm_schedule, total_rent_cost
+from repro.core.allocation.upgrade import (
+    commit_within_budget,
+    one_vm_schedule,
+    per_task_vm_cost,
+)
 from repro.core.schedule import Schedule
 from repro.errors import SchedulingError
 from repro.workflows.dag import Workflow
+
+#: one gain-matrix cell: (gain, task id, new type, rent on the new type)
+_Cell = Tuple[float, str, InstanceType, float]
+
+
+def _better(cell: _Cell, best: _Cell) -> bool:
+    """Deterministic cell order: higher gain, then task id, then slower
+    new type (the cheapest sufficient upgrade)."""
+    return cell[0] > best[0] or (
+        cell[0] == best[0]
+        and (cell[1], cell[2].speedup) < (best[1], best[2].speedup)
+    )
+
+
+def _row_best(
+    workflow: Workflow,
+    platform: CloudPlatform,
+    region: Region,
+    tid: str,
+    cur: InstanceType,
+    cost_cur: float,
+    blocked: Set[Tuple[str, str]],
+) -> _Cell | None:
+    """The best cell of *tid*'s gain-matrix row, or None.
+
+    A row depends only on its own task's flavor, rent and blocked
+    cells, so the loop recomputes just the row it touched."""
+    billing = platform.billing
+    task = workflow.task(tid)
+    exec_cur = platform.runtime(task, cur)
+    best: _Cell | None = None
+    for new in faster_types(cur):
+        if (tid, new.name) in blocked:
+            continue
+        exec_new = platform.runtime(task, new)
+        cost_new = billing.vm_cost(exec_new, new, region)
+        dexec = exec_cur - exec_new
+        dcost = cost_new - cost_cur
+        gain = math.inf if dcost <= 1e-12 else dexec / dcost
+        if gain <= 0:
+            continue
+        cell = (gain, tid, new, cost_new)
+        if best is None or _better(cell, best):
+            best = cell
+    return best
 
 
 @register_algorithm
@@ -40,42 +90,6 @@ class GainScheduler(SchedulingAlgorithm):
         if budget_factor < 1.0:
             raise SchedulingError(f"budget_factor must be >= 1, got {budget_factor}")
         self.budget_factor = budget_factor
-
-    def _best_cell(
-        self,
-        workflow: Workflow,
-        platform: CloudPlatform,
-        region: Region,
-        task_types: Dict[str, InstanceType],
-        blocked: Set[Tuple[str, str]],
-    ) -> Tuple[str, InstanceType] | None:
-        """The (task, new type) upgrade with the largest gain, or None."""
-        billing = platform.billing
-        best: Tuple[float, str, InstanceType] | None = None
-        for tid, cur in task_types.items():
-            task = workflow.task(tid)
-            exec_cur = platform.runtime(task, cur)
-            cost_cur = billing.vm_cost(exec_cur, cur, region)
-            for new in faster_types(cur):
-                if (tid, new.name) in blocked:
-                    continue
-                exec_new = platform.runtime(task, new)
-                cost_new = billing.vm_cost(exec_new, new, region)
-                dexec = exec_cur - exec_new
-                dcost = cost_new - cost_cur
-                gain = math.inf if dcost <= 1e-12 else dexec / dcost
-                if gain <= 0:
-                    continue
-                # Deterministic tie-break: higher gain, then task id, then
-                # slower new type (cheapest sufficient upgrade).
-                key = (gain, tid, new)
-                if best is None or gain > best[0] or (
-                    gain == best[0] and (tid, new.speedup) < (best[1], best[2].speedup)
-                ):
-                    best = (gain, tid, new)
-        if best is None:
-            return None
-        return best[1], best[2]
 
     def schedule(
         self,
@@ -90,24 +104,30 @@ class GainScheduler(SchedulingAlgorithm):
         task_types: Dict[str, InstanceType] = {
             tid: itype for tid in workflow.task_ids
         }
-        budget = self.budget_factor * total_rent_cost(
-            workflow, platform, task_types, reg
-        )
+        rent = per_task_vm_cost(workflow, platform, task_types, reg)
+        budget = self.budget_factor * sum(rent.values())
         blocked: Set[Tuple[str, str]] = set()
+        rows = {
+            tid: _row_best(workflow, platform, reg, tid, itype, rent[tid], blocked)
+            for tid in task_types
+        }
 
         while True:
-            cell = self._best_cell(workflow, platform, reg, task_types, blocked)
-            if cell is None:
+            best: _Cell | None = None
+            for cell in rows.values():
+                if cell is not None and (best is None or _better(cell, best)):
+                    best = cell
+            if best is None:
                 break
-            tid, new_type = cell
-            trial = dict(task_types)
-            trial[tid] = new_type
-            if total_rent_cost(workflow, platform, trial, reg) <= budget + 1e-9:
-                task_types = trial
-                # Upgrading re-opens the task's previously-blocked faster
-                # cells? No: costs only grow, so keep them blocked.
+            _gain, tid, new_type, cost_new = best
+            if commit_within_budget(rent, tid, cost_new, budget):
+                # costs only grow, so the task's blocked cells stay blocked
+                task_types[tid] = new_type
             else:
                 blocked.add((tid, new_type.name))
+            rows[tid] = _row_best(
+                workflow, platform, reg, tid, task_types[tid], rent[tid], blocked
+            )
 
         return one_vm_schedule(
             workflow, platform, task_types, reg, algorithm=self.name

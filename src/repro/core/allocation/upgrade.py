@@ -4,7 +4,8 @@ CPA-Eager and Gain both start from HEFT + OneVMperTask on small
 instances and then raise individual tasks' VM flavors.  Under
 OneVMperTask every task owns its VM, so a configuration is fully
 described by a ``task id -> InstanceType`` map; this module rebuilds the
-concrete schedule and its cost for any such map.
+concrete schedule and its cost for any such map, and keeps the per-task
+rent ledger the upgrade loops re-price one task at a time.
 """
 
 from __future__ import annotations
@@ -52,12 +53,42 @@ def per_task_vm_cost(
     and the budget checks rely on.
     """
     reg = region or platform.default_region
-    billing = platform.billing
-    out: Dict[str, float] = {}
-    for tid, itype in task_types.items():
-        exec_s = platform.runtime(workflow.task(tid), itype)
-        out[tid] = billing.vm_cost(exec_s, itype, reg)
-    return out
+    return {
+        tid: task_rent(workflow, platform, tid, itype, reg)
+        for tid, itype in task_types.items()
+    }
+
+
+def task_rent(
+    workflow: Workflow,
+    platform: CloudPlatform,
+    task_id: str,
+    itype: InstanceType,
+    region: Region | None = None,
+) -> float:
+    """Rent of *task_id*'s dedicated VM when it runs on *itype*."""
+    exec_s = platform.runtime(workflow.task(task_id), itype)
+    return platform.billing.vm_cost(exec_s, itype, region or platform.default_region)
+
+
+def commit_within_budget(
+    rent: Dict[str, float], task_id: str, new_rent: float, budget: float
+) -> bool:
+    """Set *task_id*'s entry of the *rent* ledger to *new_rent* when the
+    configuration total stays within *budget*; leave it as it was
+    otherwise.  Returns whether the upgrade was committed.
+
+    The ledger is :func:`per_task_vm_cost` kept up to date one task at a
+    time.  Summing it adds the same addends in the same (task) order as
+    :func:`total_rent_cost` on the upgraded configuration, so the budget
+    test sees the same float without re-pricing every task.
+    """
+    old = rent[task_id]
+    rent[task_id] = new_rent
+    if sum(rent.values()) <= budget + 1e-9:
+        return True
+    rent[task_id] = old
+    return False
 
 
 def total_rent_cost(

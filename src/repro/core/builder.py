@@ -273,6 +273,13 @@ class ScheduleBuilder:
         billing = self.platform.billing
         return vm.start_time + billing.paid_seconds(vm.uptime_seconds)
 
+    def owns(self, vm: BuilderVM) -> bool:
+        """Is *vm* one of this builder's VMs?  Ghosts of crashed VMs
+        (:meth:`adopt_ghost`) and other builders' VMs are not: nothing
+        may be placed on them."""
+        vid = vm.id
+        return 0 <= vid < len(self.vms) and self.vms[vid] is vm
+
     def is_reusable(self, task_id: str, vm: BuilderVM) -> bool:
         """Can *task_id* still catch *vm* before it is released?"""
         if vm.empty:
@@ -389,13 +396,10 @@ class ScheduleBuilder:
         """Would *vm* be in the AllPar* candidate scan for *task_id*?
         (The O(1)-ish membership test behind the largest-predecessor
         fast path.)"""
-        if vm.empty:
-            return False  # covers ghost VMs of the replan path too
-        vid = vm.id
-        if vid < 0 or vid >= len(self.vms) or self.vms[vid] is not vm:
-            return False  # not a VM of this builder
+        if vm.empty or not self.owns(vm):
+            return False
         self._ensure_index()
-        if self._levels[task_id] in self._vm_levels.get(vid, ()):
+        if self._levels[task_id] in self._vm_levels.get(vm.id, ()):
             return False
         if not self.is_reusable(task_id, vm):
             return False

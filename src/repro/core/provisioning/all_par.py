@@ -52,10 +52,13 @@ class _AllParBase(ProvisioningPolicy):
             if metrics is not None:
                 metrics.inc("provision.rent")
             return builder.new_vm()
-        # Sequential task: its largest predecessor's VM or a rental.
+        # Sequential task: its largest predecessor's VM or a rental.  A
+        # replan's crashed VM survives only as a ghost (empty, so always
+        # "reusable"): rent instead of placing on it.
         pred_vm = builder.vm_of_largest_predecessor(task_id)
         if (
             pred_vm is not None
+            and builder.owns(pred_vm)
             and builder.is_reusable(task_id, pred_vm)
             and (not require_fit or builder.fits_in_btu(task_id, pred_vm))
         ):

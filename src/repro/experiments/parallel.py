@@ -50,7 +50,9 @@ from repro.experiments.config import StrategySpec
 from repro.experiments.scenarios import Scenario
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.simulator.executor import simulate_schedule
+# module attribute kept for callers that time or patch the DES verify
+# by name here; run_cell verifies through runner.verify_schedule
+from repro.simulator.executor import simulate_schedule  # noqa: F401
 from repro.util.suggest import unknown_name_message
 from repro.workflows.dag import Workflow
 
@@ -443,7 +445,7 @@ def run_cell(cell: SweepCell) -> CellResult:
     counter snapshot and/or its trace events; both are plain data, so
     the same cell is observable identically from every backend.
     """
-    from repro.experiments.runner import run_strategy
+    from repro.experiments.runner import run_strategy, verify_schedule
 
     registry = MetricsRegistry() if cell.collect else None
     tracer = Tracer() if cell.trace else NULL_TRACER
@@ -454,7 +456,7 @@ def run_cell(cell: SweepCell) -> CellResult:
         concrete = cell.scenario.apply(cell.shape, rng)
         ref = reference_schedule(concrete, cell.platform)
         if cell.verify:
-            simulate_schedule(ref, check=True)
+            verify_schedule(ref)
         reference = compare_to_reference(ref, ref, label=REFERENCE_LABEL)
         row: Dict[str, ScheduleMetrics] = {}
         for spec in cell.strategies:

@@ -36,6 +36,22 @@ from repro.util.rng import spawn_seeds
 from repro.workflows.dag import Workflow
 
 
+def verify_schedule(sched: Schedule, tracer: Tracer | None = None) -> None:
+    """Check that executing *sched* reproduces its planned timings.
+
+    Homogeneous no-fault plans of any size verify by recurrence replay:
+    the same observed timings the DES would produce, minus the event
+    machinery.  Anything the replay does not model (tracing, metrics,
+    cold boots, markets, mixed fleets, non-stock models) takes the real
+    simulator.  Raises :class:`~repro.errors.SimulationError` on
+    divergence either way.
+    """
+    from repro.kernels.replay import replay_verify
+
+    if not replay_verify(sched, tracer=tracer):
+        simulate_schedule(sched, check=True, tracer=tracer)
+
+
 def run_strategy(
     spec: StrategySpec,
     workflow: Workflow,
@@ -46,21 +62,15 @@ def run_strategy(
 ) -> ScheduleMetrics:
     """Run one strategy on one concrete workflow instance.
 
-    With *verify*, the schedule is also replayed through the DES and its
-    timings checked against the static plan (the replay feeds *tracer*
-    with its simulated-time task/VM spans when one is given).
+    With *verify*, the schedule's timings are also checked against an
+    execution of it (:func:`verify_schedule`: the recurrence replay, or
+    the DES, which feeds *tracer* with its simulated-time task/VM spans
+    when one is given).
     """
     sched = spec.run(workflow, platform)
     sched.validate()
     if verify:
-        # Large homogeneous no-fault plans verify by recurrence replay —
-        # the same observed timings the DES would produce, minus the
-        # event machinery.  Anything the replay does not model (tracing,
-        # metrics, cold boots, mixed fleets) takes the real simulator.
-        from repro.kernels.replay import replay_verify
-
-        if not replay_verify(sched, tracer=tracer):
-            simulate_schedule(sched, check=True, tracer=tracer)
+        verify_schedule(sched, tracer=tracer)
     ref = reference if reference is not None else reference_schedule(workflow, platform)
     return compare_to_reference(sched, ref, label=spec.label)
 

@@ -96,6 +96,18 @@ class TestCpaEager:
         c_speed = sched.vm_of("C").itype.speedup
         assert b_speed >= c_speed
 
+    def test_builds_one_schedule(self, platform):
+        """Only the final configuration is ever built: the upgrade loop
+        re-prices tasks without placing any of them."""
+        from repro.obs.metrics import MetricsRegistry
+
+        wf = montage()
+        registry = MetricsRegistry()
+        with registry.activate():
+            sched = CpaEagerScheduler().schedule(wf, platform)
+        assert any(vm.itype.name != "small" for vm in sched.vms)
+        assert registry.get("builder.tasks_placed") == len(wf)
+
 
 class TestGain:
     def test_monotone_budget_use(self, platform):

@@ -308,7 +308,9 @@ def test_replay_verify_catches_divergence(platform):
 
 def test_replay_verify_defers_ineligible_cases(platform):
     """Anything outside the recurrence's model returns False (real DES
-    takes over) instead of guessing."""
+    takes over) instead of guessing; workflow size is not one of them."""
+    from repro.core.allocation.cpa_eager import CpaEagerScheduler
+    from repro.errors import SimulationError
     from repro.kernels.dispatch import force_columnar
     from repro.kernels.replay import replay_verify
     from repro.obs.metrics import MetricsRegistry
@@ -318,5 +320,21 @@ def test_replay_verify_defers_ineligible_cases(platform):
         with MetricsRegistry().activate():
             # an active registry expects the DES's sim.* counters
             assert not replay_verify(s)
-    # below the columnar threshold (no force): the DES is cheap anyway
-    assert not replay_verify(s)
+    # far below the columnar threshold, unforced: still the replay
+    small = HeftScheduler("StartParExceed").schedule(_wide(2), platform)
+    assert len(small.workflow) < 100
+    assert replay_verify(small)
+    victim = next(
+        p
+        for vm in small.vms
+        for p in vm.placements
+        if small.workflow.predecessors(p.task_id)
+    )
+    object.__setattr__(victim, "start", victim.start + 123.0)
+    object.__setattr__(victim, "end", victim.end + 123.0)
+    with pytest.raises(SimulationError):
+        replay_verify(small)
+    # CPA-Eager upgrades some tasks: a mixed-flavor fleet needs the DES
+    mixed = CpaEagerScheduler().schedule(_wide(1), platform)
+    assert len({vm.itype.name for vm in mixed.vms}) > 1
+    assert not replay_verify(mixed)

@@ -257,6 +257,23 @@ class TestRecoveryMechanics:
         assert result.faults.replans > 0
         assert set(result.task_finish) == set(sched.workflow.task_ids)
 
+    @pytest.mark.parametrize("exceed", [True, False])
+    def test_allpar_replan_never_places_on_a_ghost(self, platform, exceed):
+        """Regression: a sequential task whose largest predecessor ran on
+        a crashed VM was placed on that VM's ghost and the replan raised
+        "vm-7 does not belong to this builder"; it now rents instead."""
+        from tests.conftest import assert_schedule_invariants
+
+        wf = montage(25)
+        sched = AllParScheduler(exceed=exceed).schedule(wf, platform)
+        plan = FaultPlan(
+            seed=1, task_fail_prob=0.2, vm_crash_rate=1 / 7200, boot_fail_prob=0.1
+        )
+        result = run_with_faults(sched, plan, recovery="replan")
+        assert result.faults.vm_crashes > 0
+        assert result.faults.replans > 0
+        assert_schedule_invariants(result, wf)
+
     def test_boot_faults_delay_cold_starts(self, platform):
         cold = dataclasses.replace(platform, prebooted=False, boot_seconds=97.0)
         sched = HeftScheduler("StartParNotExceed").schedule(montage(), cold)
