@@ -33,8 +33,10 @@ class BillingModel:
     transfer_band_ceiling_gb: float = TRANSFER_BAND_CEILING_GB
 
     def __post_init__(self) -> None:
-        if self.btu_seconds <= 0:
-            raise BillingError(f"BTU must be positive, got {self.btu_seconds}")
+        if not (0 < self.btu_seconds < math.inf):  # also rejects NaN
+            raise BillingError(
+                f"BTU must be a positive finite number, got {self.btu_seconds}"
+            )
         if not (0 <= self.transfer_free_gb <= self.transfer_band_ceiling_gb):
             raise BillingError("invalid transfer band bounds")
 

@@ -47,6 +47,8 @@ class CloudPlatform:
     market: "object | None" = None
 
     def __post_init__(self) -> None:
+        if not self.catalog:
+            raise PlatformError("instance catalog must not be empty")
         if self.default_region.name not in self.regions:
             raise PlatformError(
                 f"default region {self.default_region.name!r} not in regions"

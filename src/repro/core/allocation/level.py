@@ -99,16 +99,7 @@ class AllParScheduler(LevelScheduler):
         region: Region | None = None,
     ) -> Schedule:
         out = super().schedule(workflow, platform, itype=itype, region=region)
-        # Report under the provisioning name, matching the paper's plots.
-        relabeled = Schedule(
-            workflow=out.workflow,
-            platform=out.platform,
-            vms=out.vms,
-            algorithm=self.provisioning.name,
-            provisioning=self.provisioning.name,
-        )
-        if out._checked:
-            # same workflow/platform/vms, only labels changed: the
-            # feasibility verdict carries over
-            object.__setattr__(relabeled, "_checked", True)
-        return relabeled
+        # Report under the provisioning name, matching the paper's plots;
+        # only the labels change, so the relabeled plan shares the
+        # columns and the feasibility verdict.
+        return out.relabeled(self.provisioning.name, self.provisioning.name)

@@ -1,85 +1,248 @@
 """The immutable product of a scheduling run, with validation and cost
 accounting.
 
-A :class:`Schedule` is a set of :class:`~repro.cloud.vm.VM` objects whose
-placements cover every workflow task exactly once.  It knows how to
-check its own feasibility (dependencies, transfers, per-VM serialization)
-and how to price itself (BTU rent + banded cross-region egress).
+A :class:`Schedule` maps every workflow task to a VM with concrete
+times.  It is stored as columns over the workflow's task index — per
+task the hosting VM, start and end; per VM its task order, id, flavor,
+region and boot time — and every metric reads only those columns.  The
+:class:`~repro.cloud.vm.VM` and :class:`~repro.cloud.vm.Placement`
+objects are views: a schedule built from VMs keeps the ones it was
+given, a column-built one (the fused kernels) makes them once, on the
+first object-level query.  It knows how to check its own feasibility
+(dependencies, transfers, per-VM serialization) and how to price itself
+(BTU rent + banded cross-region egress).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
+from itertools import repeat
+from operator import attrgetter, eq, mul, sub
 from typing import Dict, List, Tuple
 
 from repro.cloud.platform import CloudPlatform
-from repro.cloud.vm import VM
+from repro.cloud.region import Region
+from repro.cloud.vm import VM, Placement
 from repro.errors import InvalidScheduleError
 from repro.workflows.dag import Workflow
 
 _EPS = 1e-6
 
+_NAME = attrgetter("name")
 
-@dataclass(frozen=True)
+#: the columns that define a schedule, over the workflow's task index:
+#: per task its VM position, start and end; per VM its task order as
+#: CSR (``_vm_seq[_vm_ptr[v]:_vm_ptr[v + 1]]``), id, flavor, region and
+#: boot time
+_COLUMNS = (
+    "_tvm",
+    "_start",
+    "_end",
+    "_vm_ptr",
+    "_vm_seq",
+    "_vm_id",
+    "_vm_itype",
+    "_vm_region",
+    "_vm_boot",
+)
+
+
 class Schedule:
-    """A complete task-to-VM mapping with concrete times."""
+    """A complete task-to-VM mapping with concrete times.
 
-    workflow: Workflow
-    platform: CloudPlatform
-    vms: List[VM]
-    algorithm: str = ""
-    provisioning: str = ""
-    _task_vm: Dict[str, VM] = field(default_factory=dict, repr=False)
-    _task_placement: Dict[str, object] = field(default_factory=dict, repr=False)
-    #: feasibility memo — placements are immutable, so one successful
-    #: :meth:`validate` holds for the schedule's lifetime
-    _checked: bool = field(default=False, repr=False, compare=False)
+    ``Schedule(workflow, platform, vms, algorithm, provisioning)`` walks
+    the VMs once, checking exactly-once coverage, fills the columns and
+    keeps *vms* as its views; the fused kernels hand their columns over
+    directly (:meth:`_from_columns`).
+    """
 
-    def __post_init__(self) -> None:
-        if self._task_vm and self._task_placement:
-            # pre-indexed by a fused kernel, which guarantees
-            # exactly-once coverage by construction — skip the walk
-            return
-        mapping: Dict[str, VM] = {}
-        placement: Dict[str, object] = {}
-        for vm in self.vms:
+    def __init__(
+        self,
+        workflow: Workflow,
+        platform: CloudPlatform,
+        vms: List[VM],
+        algorithm: str = "",
+        provisioning: str = "",
+    ) -> None:
+        ids, index = workflow._task_index()
+        n = len(ids)
+        tvm = [-1] * n
+        start = [0.0] * n
+        end = [0.0] * n
+        ptr = [0]
+        seq: List[int] = []
+        extra: Dict[str, VM] = {}
+        for v, vm in enumerate(vms):
             for p in vm.placements:
-                if p.task_id in mapping:
-                    raise InvalidScheduleError(
-                        f"task {p.task_id!r} placed on both "
-                        f"{mapping[p.task_id].name} and {vm.name}"
-                    )
-                mapping[p.task_id] = vm
-                placement[p.task_id] = p
-        missing = set(self.workflow.task_ids) - set(mapping)
-        if missing:
-            raise InvalidScheduleError(f"tasks never scheduled: {sorted(missing)}")
-        extra = set(mapping) - set(self.workflow.task_ids)
+                t = index.get(p.task_id)
+                if t is None:
+                    other = extra.get(p.task_id)
+                    if other is None:
+                        extra[p.task_id] = vm
+                        continue
+                elif tvm[t] == -1:
+                    tvm[t] = v
+                    start[t] = p.start
+                    end[t] = p.end
+                    seq.append(t)
+                    continue
+                else:
+                    other = vms[tvm[t]]
+                raise InvalidScheduleError(
+                    f"task {p.task_id!r} placed on both "
+                    f"{other.name} and {vm.name}"
+                )
+            ptr.append(len(seq))
+        if len(seq) != n:
+            missing = sorted(ids[t] for t in range(n) if tvm[t] == -1)
+            raise InvalidScheduleError(f"tasks never scheduled: {missing}")
         if extra:
-            raise InvalidScheduleError(f"placements for unknown tasks: {sorted(extra)}")
-        object.__setattr__(self, "_task_vm", mapping)
-        object.__setattr__(self, "_task_placement", placement)
+            raise InvalidScheduleError(
+                f"placements for unknown tasks: {sorted(extra)}"
+            )
+        columns = (
+            tvm,
+            start,
+            end,
+            ptr,
+            seq,
+            [vm.id for vm in vms],
+            [vm.itype for vm in vms],
+            [vm.region for vm in vms],
+            [vm.boot_seconds for vm in vms],
+        )
+        self._fill(workflow, platform, algorithm, provisioning, columns, False)
+        self.__dict__["_vms"] = vms
+
+    @classmethod
+    def _from_columns(
+        cls,
+        workflow: Workflow,
+        platform: CloudPlatform,
+        columns: tuple,
+        algorithm: str = "",
+        provisioning: str = "",
+        checked: bool = False,
+    ) -> "Schedule":
+        """A schedule straight from its columns (ordered as
+        :data:`_COLUMNS`, laid out on ``workflow``'s task index); the
+        caller guarantees exactly-once coverage."""
+        self = cls.__new__(cls)
+        self._fill(workflow, platform, algorithm, provisioning, columns, checked)
+        return self
+
+    def _fill(self, workflow, platform, algorithm, provisioning, columns, checked):
+        d = self.__dict__
+        d["workflow"] = workflow
+        d["platform"] = platform
+        d["algorithm"] = algorithm
+        d["provisioning"] = provisioning
+        d["_ids"], d["_index"] = workflow._task_index()
+        (
+            d["_tvm"],
+            d["_start"],
+            d["_end"],
+            d["_vm_ptr"],
+            d["_vm_seq"],
+            d["_vm_id"],
+            d["_vm_itype"],
+            d["_vm_region"],
+            d["_vm_boot"],
+        ) = columns
+        # made on demand: the VM views and the per-VM BTUs
+        d["_vms"] = None
+        d["_btus"] = None
+        #: feasibility memo — the schedule is immutable, so one
+        #: successful :meth:`validate` holds for its lifetime
+        d["_checked"] = checked
+
+    def relabeled(self, algorithm: str, provisioning: str) -> "Schedule":
+        """The same plan under other labels, sharing the columns, the
+        views and the feasibility verdict."""
+        out = Schedule.__new__(Schedule)
+        out.__dict__.update(self.__dict__, algorithm=algorithm, provisioning=provisioning)
+        return out
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, k) == getattr(other, k)
+            for k in ("workflow", "platform", "algorithm", "provisioning", *_COLUMNS)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
-    # lookups
+    # views and lookups
     # ------------------------------------------------------------------
+    @property
+    def vms(self) -> List[VM]:
+        """The VMs as :class:`VM` objects (made once, then cached)."""
+        vms = self._vms
+        if vms is None:
+            vms = self.__dict__["_vms"] = self._make_views()
+        return vms
+
+    def _make_views(self) -> List[VM]:
+        ids = self._ids
+        start = self._start
+        end = self._end
+        seq = self._vm_seq
+        ptr = self._vm_ptr
+        new_vm = VM.__new__
+        new_p = Placement.__new__
+        vms: List[VM] = []
+        for v, (a, b) in enumerate(zip(ptr, ptr[1:])):
+            # direct dict fill skips the frozen-dataclass init; the
+            # ``__post_init__`` invariants held when the columns were made
+            placements = []
+            add = placements.append
+            for t in seq[a:b]:
+                p = new_p(Placement)
+                d = p.__dict__
+                d["task_id"] = ids[t]
+                d["start"] = start[t]
+                d["end"] = end[t]
+                add(p)
+            vm = new_vm(VM)
+            vm.id = self._vm_id[v]
+            vm.itype = self._vm_itype[v]
+            vm.region = self._vm_region[v]
+            vm.boot_seconds = self._vm_boot[v]
+            vm.placements = placements
+            vm._max_end = max((p.end for p in placements), default=float("-inf"))
+            vms.append(vm)
+        return vms
+
     def vm_of(self, task_id: str) -> VM:
         try:
-            return self._task_vm[task_id]
+            v = self._tvm[self._index[task_id]]
         except KeyError:
             raise InvalidScheduleError(f"unknown task {task_id!r}") from None
+        return (self._vms or self.vms)[v]
 
     def start(self, task_id: str) -> float:
         try:
-            return self._task_placement[task_id].start
+            return self._start[self._index[task_id]]
         except KeyError:
             raise InvalidScheduleError(f"unknown task {task_id!r}") from None
 
     def finish(self, task_id: str) -> float:
         try:
-            return self._task_placement[task_id].end
+            return self._end[self._index[task_id]]
         except KeyError:
             raise InvalidScheduleError(f"unknown task {task_id!r}") from None
+
+    def _vm_name(self, v: int) -> str:
+        """``VM.name`` of the VM at position *v*."""
+        return f"vm{self._vm_id[v]}-{self._vm_itype[v].short}"
 
     @property
     def label(self) -> str:
@@ -88,26 +251,52 @@ class Schedule:
         return self.algorithm or self.provisioning or "schedule"
 
     # ------------------------------------------------------------------
-    # metrics
+    # metrics (columns only)
     # ------------------------------------------------------------------
     @property
     def makespan(self) -> float:
         """Finish of the last task (workflows are released at t=0)."""
-        return max(p.end for vm in self.vms for p in vm.placements)
+        return max(self._end)
 
     @property
     def vm_count(self) -> int:
-        return len(self.vms)
+        return len(self._vm_id)
+
+    def _vm_btus(self) -> List[int]:
+        """Per-VM BTUs, in VM order (memoized): the billing model's
+        rounding of ``VM.uptime_seconds``, the last end minus (the first
+        start - boot)."""
+        btus = self._btus
+        if btus is None:
+            ptr = self._vm_ptr
+            if any(map(eq, ptr, ptr[1:])):
+                v = next(v for v in range(len(ptr) - 1) if ptr[v] == ptr[v + 1])
+                raise InvalidScheduleError(f"{self._vm_name(v)} hosted no task")
+            seq = self._vm_seq
+            start = self._start
+            end = self._end
+            up = [
+                end[seq[b - 1]] - (start[seq[a]] - boot)
+                for a, b, boot in zip(ptr, ptr[1:], self._vm_boot)
+            ]
+            btus = self.__dict__["_btus"] = list(map(self.platform.billing.btus, up))
+        return btus
 
     @property
     def total_btus(self) -> int:
-        billing = self.platform.billing
-        return sum(billing.btus(vm.uptime_seconds) for vm in self.vms)
+        return sum(self._vm_btus())
 
     @property
     def rent_cost(self) -> float:
-        billing = self.platform.billing
-        return sum(vm.cost(billing) for vm in self.vms)
+        """Sum over VMs of ``btus * price`` (the paper's fixed-price BTU
+        arithmetic, ``BillingModel.vm_cost``)."""
+        regions = self._vm_region
+        itypes = self._vm_itype
+        if len(set(map(id, regions))) == 1 == len(set(map(id, itypes))):
+            prices = repeat(regions[0].price(itypes[0]))  # a uniform fleet
+        else:
+            prices = map(Region.price, regions, itypes)
+        return sum(map(mul, self._vm_btus(), prices))
 
     def check_constraints(self, constraints) -> tuple:
         """Violations of *constraints* (a
@@ -125,11 +314,16 @@ class Schedule:
     def transfer_volumes(self) -> List[Tuple[str, str, float]]:
         """Cross-region edges as ``(src_region, dst_region, gb)``, in
         deterministic (parent, child) order."""
+        regions = self._vm_region
+        if len(set(map(_NAME, regions))) < 2:
+            return []  # a single-region plan ships nothing across regions
+        index = self._index
+        tvm = self._tvm
         out = []
         for u, v, gb in sorted(self.workflow.edges()):
-            src, dst = self.vm_of(u), self.vm_of(v)
-            if src is not dst and src.region.name != dst.region.name and gb > 0:
-                out.append((src.region.name, dst.region.name, gb))
+            a, b = tvm[index[u]], tvm[index[v]]
+            if a != b and regions[a].name != regions[b].name and gb > 0:
+                out.append((regions[a].name, regions[b].name, gb))
         return out
 
     @property
@@ -156,9 +350,17 @@ class Schedule:
 
     @property
     def total_idle_seconds(self) -> float:
-        """Paid-but-unused VM time summed over all VMs (paper Fig. 5)."""
-        billing = self.platform.billing
-        return sum(vm.idle_seconds(billing) for vm in self.vms)
+        """Paid-but-unused VM time summed over all VMs (paper Fig. 5):
+        per VM the paid time (``btus * btu_seconds``) minus the busy
+        time, a sequential sum of its task durations in placement order."""
+        seq = self._vm_seq
+        start = self._start
+        end = self._end
+        durs = [end[t] - start[t] for t in seq]
+        ptr = self._vm_ptr
+        busy = [sum(durs[a:b]) for a, b in zip(ptr, ptr[1:])]
+        btu = self.platform.billing.btu_seconds
+        return sum(map(sub, [k * btu for k in self._vm_btus()], busy))
 
     # ------------------------------------------------------------------
     # validation
@@ -177,37 +379,53 @@ class Schedule:
         """
         if self._checked:
             return self
-        for vm in self.vms:
-            ordered = sorted(vm.placements, key=lambda p: p.start)
-            for a, b in zip(ordered, ordered[1:]):
-                if a.end > b.start + _EPS:
+        ids = self._ids
+        start = self._start
+        end = self._end
+        seq = self._vm_seq
+        ptr = self._vm_ptr
+        itypes = self._vm_itype
+        regions = self._vm_region
+        runtime = self.platform.runtime
+        task = self.workflow.task
+        for v, (a, b) in enumerate(zip(ptr, ptr[1:])):
+            row = seq[a:b]
+            itype = itypes[v]
+            ordered = sorted(row, key=start.__getitem__)
+            for x, y in zip(ordered, ordered[1:]):
+                if end[x] > start[y] + _EPS:
                     raise InvalidScheduleError(
-                        f"{vm.name}: {a.task_id!r} and {b.task_id!r} overlap"
+                        f"{self._vm_name(v)}: {ids[x]!r} and {ids[y]!r} overlap"
                     )
-            for p in vm.placements:
-                expect = self.platform.runtime(self.workflow.task(p.task_id), vm.itype)
-                if abs(p.duration - expect) > _EPS * max(1.0, expect):
+            for t in row:
+                expect = runtime(task(ids[t]), itype)
+                duration = end[t] - start[t]
+                if abs(duration - expect) > _EPS * max(1.0, expect):
                     raise InvalidScheduleError(
-                        f"{vm.name}: {p.task_id!r} runs {p.duration:.6f}s, "
-                        f"expected {expect:.6f}s on {vm.itype.name}"
+                        f"{self._vm_name(v)}: {ids[t]!r} runs {duration:.6f}s, "
+                        f"expected {expect:.6f}s on {itype.name}"
                     )
+        index = self._index
+        tvm = self._tvm
+        transfer_time = self.platform.transfer_time
         for u, v, gb in self.workflow.edges():
-            src, dst = self.vm_of(u), self.vm_of(v)
-            dt = self.platform.transfer_time(
+            a, b = index[u], index[v]
+            src, dst = tvm[a], tvm[b]
+            dt = transfer_time(
                 gb,
-                src.itype,
-                dst.itype,
-                same_vm=src is dst,
-                src_region=src.region,
-                dst_region=dst.region,
+                itypes[src],
+                itypes[dst],
+                same_vm=src == dst,
+                src_region=regions[src],
+                dst_region=regions[dst],
             )
-            if self.start(v) + _EPS < self.finish(u) + dt:
+            if start[b] + _EPS < end[a] + dt:
                 raise InvalidScheduleError(
-                    f"dependency violated: {v!r} starts at {self.start(v):.3f} "
-                    f"but {u!r} finishes at {self.finish(u):.3f} + "
+                    f"dependency violated: {v!r} starts at {start[b]:.3f} "
+                    f"but {u!r} finishes at {end[a]:.3f} + "
                     f"transfer {dt:.3f}"
                 )
-        object.__setattr__(self, "_checked", True)
+        self.__dict__["_checked"] = True
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -6,6 +6,9 @@ predecessor/successor adjacency with per-edge data volumes, a work
 vector, lexicographic id ranks for string tie-breaks, and longest-path
 levels — and is memoized in the workflow's structural cache, so every
 kernel and every policy run over the same workflow shares one build.
+A large generated workflow is built straight into this form
+(:meth:`ColumnarDAG.from_edges`, via ``Workflow.from_arrays``) and
+has no object form until something asks for it.
 
 The sweeps (:func:`level_values`, :func:`upward_rank_values`,
 :func:`critical_path_columnar`) are level-synchronous: tasks are
@@ -37,7 +40,7 @@ __all__ = [
 
 
 class ColumnarDAG:
-    """Array view of a validated workflow (read-only once built)."""
+    """Array form of a validated workflow (read-only once built)."""
 
     __slots__ = (
         "ids",
@@ -56,41 +59,63 @@ class ColumnarDAG:
     )
 
     def __init__(self, workflow) -> None:
-        graph = workflow._graph
+        """Graph-walk build from a workflow's object form."""
         #: task index <-> id, in workflow insertion order
-        self.ids: List[str] = list(workflow._tasks)
-        n = len(self.ids)
-        self.index: Dict[str, int] = {t: i for i, t in enumerate(self.ids)}
-        self.works = np.fromiter(
+        ids: List[str] = list(workflow._tasks)
+        n = len(ids)
+        index = {t: i for i, t in enumerate(ids)}
+        works = np.fromiter(
             (t.work for t in workflow._tasks.values()), dtype=np.float64, count=n
         )
+        # Predecessor CSR in *edge-insertion* order per task (the
+        # ``nx.DiGraph.predecessors`` order critical_path tie-breaks on).
+        pred_ptr, pred_idx, pred_gb = _csr(ids, index, workflow._graph._pred, n)
+        self._build(workflow.name, ids, index, works, pred_ptr, pred_idx, pred_gb)
+
+    @classmethod
+    def from_edges(cls, name, ids, index, works, src, dst, gb) -> "ColumnarDAG":
+        """Array build from integer-indexed edges ``src[k] -> dst[k]``
+        (duplicate-free, in insertion order) — the same arrays the graph
+        walk produces for a workflow that added those edges in that
+        order, without the object form."""
+        n = len(ids)
+        # a stable sort by child keeps each predecessor row in edge-
+        # insertion order, as the graph walk reads it from ``_pred``
+        by_dst = np.argsort(dst, kind="stable")
+        pred_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=n), out=pred_ptr[1:])
+        self = cls.__new__(cls)
+        self._build(name, ids, index, works, pred_ptr, src[by_dst], gb[by_dst])
+        return self
+
+    def _build(self, name, ids, index, works, pred_ptr, pred_idx, pred_gb) -> None:
+        """Derive every other field from the ids, works and predecessor
+        CSR; the cycle check is the level peel's count."""
+        n = len(ids)
+        self.ids = ids
+        self.index: Dict[str, int] = index
+        self.works = works
         # Lexicographic rank of each id: order-isomorphic to the id
         # string, so integer comparisons reproduce string tie-breaks.
-        by_id = sorted(range(n), key=self.ids.__getitem__)
+        by_id = sorted(range(n), key=ids.__getitem__)
         str_rank = np.empty(n, dtype=np.int64)
         str_rank[by_id] = np.arange(n, dtype=np.int64)
         self.str_rank = str_rank
-
-        # Predecessor CSR in *edge-insertion* order per task (the
-        # ``nx.DiGraph.predecessors`` order critical_path tie-breaks on).
-        index = self.index
-        self.pred_ptr, self.pred_idx, self.pred_gb = _csr(
-            self.ids, index, graph._pred, n
-        )
+        self.pred_ptr = pred_ptr
+        self.pred_idx = pred_idx
+        self.pred_gb = pred_gb
         # Successor CSR derived by transposition — rows are ordered by
         # child index rather than ``_succ`` insertion order, which no
         # consumer observes: every successor sweep is a max/indegree
         # fold, and each (child, gb) pairing is preserved per edge.
-        dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.pred_ptr))
-        by_src = np.argsort(self.pred_idx, kind="stable")
+        dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(pred_ptr))
+        by_src = np.argsort(pred_idx, kind="stable")
         self.succ_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.pred_idx, minlength=n), out=self.succ_ptr[1:])
+        np.cumsum(np.bincount(pred_idx, minlength=n), out=self.succ_ptr[1:])
         self.succ_idx = dst[by_src]
-        self.succ_gb = self.pred_gb[by_src]
+        self.succ_gb = pred_gb[by_src]
 
-        self.levels = _peel_levels(
-            n, self.pred_ptr, self.succ_ptr, self.succ_idx, workflow.name
-        )
+        self.levels = _peel_levels(n, pred_ptr, self.succ_ptr, self.succ_idx, name)
         self.n_levels = int(self.levels.max()) + 1 if n else 0
         self.level_sizes = np.bincount(self.levels, minlength=self.n_levels)
 
@@ -170,7 +195,7 @@ def _peel_levels(n, pred_ptr, succ_ptr, succ_idx, name) -> np.ndarray:
             indeg -= np.bincount(targets, minlength=n)
         frontier = np.flatnonzero((indeg == 0) & (levels == -1))
         lvl += 1
-    if done != n:  # pragma: no cover - guarded by Workflow.validate()
+    if done != n:  # the acyclicity check of both builds
         raise WorkflowError(f"workflow {name!r} has a cycle")
     return levels
 

@@ -38,7 +38,6 @@ from typing import List
 
 import numpy as np
 
-from repro.cloud.vm import VM, Placement
 from repro.core.schedule import Schedule
 from repro.errors import InvalidScheduleError
 from repro.kernels.columnar import (
@@ -69,8 +68,10 @@ class _State:
         "tfin",
         "tvm",
         "dr_gen",
-        "pred_vms",
-        "vm_order",
+        "pv_task",
+        "pv_set",
+        "nv",
+        "log",
         "vm_busy",
         "vm_ready",
         "vm_startt",
@@ -99,17 +100,23 @@ class _State:
         self.tvm = [-1] * n
         #: per-task memoized generic (non-predecessor-hosting) data-ready
         self.dr_gen: List = [None] * n
-        #: per-task memoized set of predecessor-hosting VM ids (fixed
-        #: once the predecessors are placed — allocation order is
-        #: topological); keeps ``es`` O(1) on wide fan-in tasks
-        self.pred_vms: List = [None] * n
-        # preallocated to the VM-count ceiling (one per task); only the
-        # first ``len(vm_order)`` slots are live
-        self.vm_order: List[List[int]] = []
+        #: the task being placed and the set of VM ids hosting its
+        #: predecessors (fixed once they are placed — allocation order is
+        #: topological); keeps ``es`` O(1) on wide fan-in tasks.  One
+        #: slot, not one set per task: a set per task would outlive its
+        #: task and leave the collector 50k+ containers to rescan.
+        self.pv_task = -1
+        self.pv_set: set = set()
+        #: rented VMs; per-VM slots are preallocated to the VM-count
+        #: ceiling (one per task) and the first ``nv`` are live
+        self.nv = 0
+        #: tasks in placement order (grouped per VM at assembly)
+        self.log: List[int] = []
         self.vm_busy: List[float] = [0.0] * n
         self.vm_ready: List[float] = [0.0] * n
         self.vm_startt: List[float] = [0.0] * n
         self.vm_paid: List[float] = [_INF] * n
+        #: per-VM placement count (also the busy heap's staleness stamp)
         self.stamps: List[int] = [0] * n
         #: [memo misses, memo hits]
         self.ctr = [0, 0]
@@ -122,16 +129,15 @@ class _State:
 
     # ------------------------------------------------------------------
     def pred_vm_set(self, t: int) -> set:
-        """Ids of the VMs hosting *t*'s predecessors, memoized (fixed
-        once the predecessors are placed — allocation order is
-        topological)."""
-        pv = self.pred_vms[t]
-        if pv is None:
+        """Ids of the VMs hosting *t*'s predecessors, memoized for the
+        task being placed."""
+        if self.pv_task != t:
             pp = self.pp
             pi = self.pi
             tvm = self.tvm
-            pv = self.pred_vms[t] = {tvm[pi[e]] for e in range(pp[t], pp[t + 1])}
-        return pv
+            self.pv_set = {tvm[pi[e]] for e in range(pp[t], pp[t + 1])}
+            self.pv_task = t
+        return self.pv_set
 
     def data_ready(self, t: int) -> float:
         """Generic data-ready of *t* on a VM hosting none of its
@@ -186,15 +192,15 @@ class _State:
                 self.count_generic(t, best, 1)
             if best > ready:
                 ready = best
-        if self.cold and not self.vm_order[v]:
+        if self.cold and not self.stamps[v]:
             ready += self.boot
         return ready
 
     def new_vm(self) -> int:
         # slots are preallocated with fresh-VM defaults and never
-        # recycled, so claiming one is just growing the order list
-        v = len(self.vm_order)
-        self.vm_order.append([])
+        # recycled, so claiming one is just counting it
+        v = self.nv
+        self.nv = v + 1
         return v
 
     def place(self, t: int, v: int) -> None:
@@ -202,10 +208,9 @@ class _State:
         s = self.es(t, v)
         d = self.runt[t]
         f = s + d
-        order = self.vm_order[v]
-        if not order:
+        if not self.stamps[v]:
             self.vm_startt[v] = s
-        order.append(t)
+        self.log.append(t)
         self.tvm[t] = v
         self.tstart[t] = s
         self.tfin[t] = f
@@ -246,7 +251,7 @@ class _State:
         metrics = current_metrics()
         if metrics is None:
             return
-        metrics.inc("builder.vms_rented", len(self.vm_order))
+        metrics.inc("builder.vms_rented", self.nv)
         metrics.inc("builder.tasks_placed", self.n)
         if self.ctr[0]:
             metrics.inc("builder.data_ready_memo_misses", self.ctr[0])
@@ -472,7 +477,6 @@ def fused_heft_schedule(
     pp = st.pp
     stamps = st.stamps
     vm_paid = st.vm_paid
-    vm_order = st.vm_order
     ranks = upward_rank_values(workflow, platform, itype, include_transfers)
     order = np.lexsort((cd.str_rank, -ranks)).tolist()
 
@@ -502,9 +506,7 @@ def fused_heft_schedule(
         # entry is kept (deferred) whether or not it is chosen
         if not heap_live:
             busy_heap = [
-                (-st.vm_busy[v], v, stamps[v])
-                for v in range(len(vm_order))
-                if vm_order[v]
+                (-st.vm_busy[v], v, stamps[v]) for v in range(st.nv) if stamps[v]
             ]
             heapq.heapify(busy_heap)
             heap_live = True
@@ -543,13 +545,15 @@ def fused_heft_schedule(
 def _assemble(
     workflow, platform, itype, region, cd, st: _State, algorithm: str, provisioning: str
 ) -> Schedule:
-    """Freeze the flat state into a validated :class:`Schedule`.
+    """Freeze the flat state into a validated column-backed
+    :class:`Schedule`.
 
     Mirrors ``ScheduleBuilder.build`` (placement end is
     ``start + (finish - start)``, the exact IEEE ops of the indexed
     freeze) and ``Schedule.validate`` (durations, per-VM serialization,
     dependency + transfer feasibility), then marks the schedule checked
-    so the object-walking ``validate()`` short-circuits.
+    so ``validate()`` short-circuits.  No VM or Placement object is
+    made.
     """
     n = st.n
     starts = np.asarray(st.tstart)
@@ -574,15 +578,17 @@ def _assemble(
         )
     # (a) per-VM non-overlap: placements are appended in start order, so
     # adjacent rows of the per-VM sequences are the sorted pairs
+    nv = st.nv
+    tvm_v = np.asarray(st.tvm)
+    log = np.asarray(st.log, dtype=np.int64)
+    # a stable sort of the placement log by VM: each VM's tasks in the
+    # order they were placed on it
+    seq = log[np.argsort(tvm_v[log], kind="stable")]
+    ptr = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tvm_v, minlength=nv), out=ptr[1:])
     if n > 1:
-        seq = np.fromiter(
-            (t for o in st.vm_order for t in o), dtype=np.int64, count=n
-        )
-        lens = np.fromiter(
-            (len(o) for o in st.vm_order), dtype=np.int64, count=len(st.vm_order)
-        )
         inner = np.ones(n - 1, dtype=bool)
-        inner[np.cumsum(lens)[:-1] - 1] = False
+        inner[ptr[1:-1] - 1] = False
         a = seq[:-1]
         b = seq[1:]
         viol = inner & (ends[a] > starts[b] + _EPS)
@@ -596,7 +602,6 @@ def _assemble(
     if cd.n_edges:
         u = np.repeat(np.arange(n, dtype=np.int64), np.diff(cd.succ_ptr))
         v = cd.succ_idx
-        tvm_v = np.asarray(st.tvm)
         dt = np.where(
             tvm_v[u] == tvm_v[v],
             0.0,
@@ -611,54 +616,24 @@ def _assemble(
                 f"{float(ends[u[i]]):.3f} + transfer {float(dt[i]):.3f}"
             )
 
-    starts_l = starts.tolist()
-    ends_l = ends.tolist()
-    boot = platform.boot_seconds
-    vms: List[VM] = []
-    task_vm: dict = {}
-    task_placement: dict = {}
-    new_vm = VM.__new__
-    new_p = Placement.__new__
-    for o in st.vm_order:
-        # direct dict fill skips the frozen-dataclass init; the
-        # ``__post_init__`` range invariant (0 <= start <= end) holds by
-        # construction — starts are chained ``max`` folds over values
-        # >= 0 and the duration check above pinned ``end - start`` to
-        # the non-negative runtime
-        placements = []
-        addp = placements.append
-        for t in o:
-            p = new_p(Placement)
-            d = p.__dict__
-            d["task_id"] = ids[t]
-            d["start"] = starts_l[t]
-            d["end"] = ends_l[t]
-            addp(p)
-        # direct construction: same state ``VM(...)`` would produce
-        # (placements appended in start order, so ``_max_end`` is the
-        # last end), without 50k dataclass-init walks
-        vm = new_vm(VM)
-        vm.id = len(vms)
-        vm.itype = itype
-        vm.region = region
-        vm.boot_seconds = boot
-        vm.placements = placements
-        vm._max_end = placements[-1].end if placements else float("-inf")
-        vms.append(vm)
-        for t, p in zip(o, placements):
-            tid = ids[t]
-            task_vm[tid] = vm
-            task_placement[tid] = p
-    # the pre-built maps cover every task exactly once by construction,
-    # so ``__post_init__`` skips its indexing walk
-    sched = Schedule(
-        workflow=workflow,
-        platform=platform,
-        vms=vms,
-        algorithm=algorithm,
-        provisioning=provisioning,
-        _task_vm=task_vm,
-        _task_placement=task_placement,
+    # the checks above are ``Schedule.validate``'s, so the plan is handed
+    # over as columns, pre-checked; VM/Placement views are made only if
+    # something asks for them
+    return Schedule._from_columns(
+        workflow,
+        platform,
+        (
+            st.tvm,
+            starts.tolist(),
+            ends.tolist(),
+            ptr.tolist(),
+            seq.tolist(),
+            list(range(nv)),
+            [itype] * nv,
+            [region] * nv,
+            [platform.boot_seconds] * nv,
+        ),
+        algorithm,
+        provisioning,
+        checked=True,
     )
-    object.__setattr__(sched, "_checked", True)
-    return sched

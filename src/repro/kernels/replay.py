@@ -31,6 +31,8 @@ fraction of one DES run even on the paper's 20-task workflows.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cloud.instance import InstanceType
 from repro.core.schedule import Schedule
 from repro.errors import SimulationError
@@ -48,11 +50,11 @@ def _eligible(schedule: Schedule, tracer) -> bool:
         return False
     if current_metrics() is not None:
         return False
-    vms = schedule.vms
-    if not vms:
+    itypes = schedule._vm_itype
+    if not itypes:
         return False
     platform = schedule.platform
-    it = vms[0].itype
+    it = itypes[0]
     if not platform_eligible(platform, it):
         return False
     if not platform.prebooted and platform.boot_seconds > 0:
@@ -61,13 +63,12 @@ def _eligible(schedule: Schedule, tracer) -> bool:
         # market runs are priced/interrupted through the DES fault
         # machinery; the columnar recurrence cannot replay them
         return False
-    region_name = vms[0].region.name
-    for vm in vms:
-        if type(vm.itype) is not InstanceType:
+    # one flavor and one region: judged once per distinct object
+    for other in {id(x): x for x in itypes}.values():
+        if type(other) is not InstanceType or other != it:
             return False
-        if vm.itype != it or vm.region.name != region_name:
-            return False
-    return True
+    regions = {id(r): r for r in schedule._vm_region}.values()
+    return len({r.name for r in regions}) == 1
 
 
 def replay_verify(schedule: Schedule, tracer=None) -> bool:
@@ -78,15 +79,15 @@ def replay_verify(schedule: Schedule, tracer=None) -> bool:
     folds, checked against the plan with ``check_against``'s
     tolerances), ``False`` when the schedule needs the real DES.
     Raises :class:`SimulationError` on divergence, like the DES path.
+    Reads only the schedule's columns, never its VM/Placement views.
     """
     if not _eligible(schedule, tracer):
         return False
     wf = schedule.workflow
     platform = schedule.platform
-    it = schedule.vms[0].itype
+    it = schedule._vm_itype[0]
     cd = get_columnar(wf)
     n = cd.n
-    index = cd.index
     runt = (cd.works / it.speedup).tolist()
     rtr = remote_transfer_seconds(cd.pred_gb, platform, it).tolist()
     pp = cd.pred_ptr.tolist()
@@ -96,24 +97,19 @@ def replay_verify(schedule: Schedule, tracer=None) -> bool:
 
     # VM queues in placement order — the DES executes each VM's queue
     # front-to-back, so a task also waits on its queue predecessor
-    tvm = [-1] * n
+    tvm = schedule._tvm
+    seq = schedule._vm_seq
+    vm_ptr = schedule._vm_ptr
     qprev = [-1] * n
     qnext = [-1] * n
-    planned_s = [0.0] * n
-    planned_f = [0.0] * n
-    for v, vm in enumerate(schedule.vms):
-        prev = -1
-        for p in vm.placements:
-            t = index[p.task_id]
-            tvm[t] = v
-            planned_s[t] = p.start
-            planned_f[t] = p.end
-            if prev != -1:
-                qnext[prev] = t
-            qprev[t] = prev
-            prev = t
+    for a, b in zip(vm_ptr, vm_ptr[1:]):
+        if b - a > 1:
+            row = seq[a:b]
+            for before, after in zip(row, row[1:]):
+                qprev[after] = before
+                qnext[before] = after
 
-    indeg = [pp[t + 1] - pp[t] + (1 if qprev[t] != -1 else 0) for t in range(n)]
+    indeg = [pp[t + 1] - pp[t] + (qprev[t] != -1) for t in range(n)]
     stack = [t for t in range(n) if indeg[t] == 0]
     got_s = [0.0] * n
     got_f = [0.0] * n
@@ -142,26 +138,31 @@ def replay_verify(schedule: Schedule, tracer=None) -> bool:
             indeg[s] -= 1
             if indeg[s] == 0:
                 stack.append(s)
+    ids = cd.ids
     if done != n:  # queue order conflicts with the DAG: deadlock
-        ids = cd.ids
-        missing = next(
-            tid for tid in wf.task_ids if indeg[index[tid]] > 0
-        )
+        missing = ids[next(t for t in range(n) if indeg[t] > 0)]
         raise SimulationError(f"task {missing!r} never completed in simulation")
 
-    ids = cd.ids
-    for tid in wf.task_ids:
-        t = index[tid]
-        ps = planned_s[t]
-        pf = planned_f[t]
-        gs = got_s[t]
-        gf = got_f[t]
-        if abs(gs - ps) > _EPS * max(1.0, ps):
+    if got_s == schedule._start and got_f == schedule._end:
+        return True  # the usual case: the plan, to the bit
+    # the DES's ``check_against`` tolerances, elementwise; the first
+    # offender in task order is reported, its start before its finish
+    planned_s = np.asarray(schedule._start)
+    planned_f = np.asarray(schedule._end)
+    gs = np.asarray(got_s)
+    gf = np.asarray(got_f)
+    bad_s = np.abs(gs - planned_s) > _EPS * np.maximum(1.0, planned_s)
+    bad_f = np.abs(gf - planned_f) > _EPS * np.maximum(1.0, planned_f)
+    bad = np.flatnonzero(bad_s | bad_f)
+    if bad.size:
+        t = int(bad[0])
+        if bad_s[t]:
             raise SimulationError(
-                f"{tid!r}: simulated start {gs:.6f} != planned {ps:.6f}"
+                f"{ids[t]!r}: simulated start {got_s[t]:.6f} != "
+                f"planned {schedule._start[t]:.6f}"
             )
-        if abs(gf - pf) > _EPS * max(1.0, pf):
-            raise SimulationError(
-                f"{tid!r}: simulated finish {gf:.6f} != planned {pf:.6f}"
-            )
+        raise SimulationError(
+            f"{ids[t]!r}: simulated finish {got_f[t]:.6f} != "
+            f"planned {schedule._end[t]:.6f}"
+        )
     return True

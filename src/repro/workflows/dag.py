@@ -12,14 +12,19 @@ each is computed once and served from a cache that ``add_task`` and
 ``add_dependency`` invalidate (the *cached-DAG contract*, see
 DESIGN.md).  Cached collections are copied on the way out, so callers
 may mutate the returned lists freely.
+
+Large generated workflows are built straight into their columnar form
+(:meth:`Workflow.from_arrays`); their :class:`Task` objects and
+networkx graph are made once, on the first query that needs them.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, Iterator, List, Mapping, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import WorkflowError
 from repro.workflows.task import Task
@@ -53,6 +58,100 @@ class Workflow:
         self._validated = False
         #: memoized structural queries; cleared on any mutation
         self._cache: Dict[str, object] = {}
+
+    @classmethod
+    def from_arrays(
+        cls,
+        name: str,
+        ids: Sequence[str],
+        works: Sequence[float],
+        categories: Sequence[str],
+        src: Sequence[int],
+        dst: Sequence[int],
+        gb: Sequence[float],
+    ) -> "Workflow":
+        """A validated workflow from columns: per task its id, reference
+        work and category; per dependency the *positions* of its parent
+        and child in *ids* and the GB it ships, in insertion order.
+
+        The result equals building the same tasks and edges with
+        :meth:`add_tasks` and :meth:`add_dependencies`, with every check
+        they make (a duplicate edge keeps its first position and its
+        last volume).  Below the columnar threshold that is how it is
+        built; at or above it only the :class:`ColumnarDAG` is, and the
+        :class:`Task` objects and networkx graph are made on the first
+        object-level query (:meth:`task`, iteration, :meth:`edges`,
+        :meth:`pred_map`, :meth:`with_works`, ...).
+        """
+        wf = cls(name)
+        ids = list(ids)
+        n = len(ids)
+        if not n:
+            raise WorkflowError(f"workflow {name!r} has no tasks")
+        if not all(isinstance(t, str) and t for t in ids):
+            bad = next(t for t in ids if not t or not isinstance(t, str))
+            raise WorkflowError(f"task id must be a non-empty string, got {bad!r}")
+        index = dict(zip(ids, range(n)))
+        if len(index) != n:
+            seen: set = set()
+            dup = next(t for t in ids if t in seen or seen.add(t))
+            raise WorkflowError(f"duplicate task id {dup!r} in {name!r}")
+        works = np.asarray(works, dtype=np.float64)
+        categories = list(categories)
+        if works.shape != (n,) or len(categories) != n:
+            raise WorkflowError("ids, works and categories must have one entry per task")
+        bad = np.flatnonzero(~((works > 0) & (works < np.inf)))
+        if bad.size:
+            t = int(bad[0])
+            raise WorkflowError(
+                f"task {ids[t]!r}: work must be a positive finite number, "
+                f"got {float(works[t])!r}"
+            )
+        src = _positions(src)
+        dst = _positions(dst)
+        gb = np.asarray(gb, dtype=np.float64)
+        if not (src.shape == dst.shape == gb.shape):
+            raise WorkflowError("src, dst and gb must have one entry per dependency")
+        for end in (src, dst):
+            out = np.flatnonzero((end < 0) | (end >= n))
+            if out.size:
+                raise WorkflowError(
+                    f"unknown task {int(end[out[0]])!r} in dependency"
+                )
+        loops = np.flatnonzero(src == dst)
+        if loops.size:
+            raise WorkflowError(f"self-dependency on {ids[int(src[loops[0]])]!r}")
+        neg = np.flatnonzero(gb < 0)
+        if neg.size:
+            k = int(neg[0])
+            raise WorkflowError(
+                f"negative data size on {ids[int(src[k])]!r}->{ids[int(dst[k])]!r}"
+            )
+        if not _columnar_active(n):
+            wf._add_columns(ids, works, categories, src, dst, gb)
+            return wf.validate()
+        from repro.kernels.columnar import ColumnarDAG
+
+        src, dst, gb = _dedupe_edges(src, dst, gb, n)
+        cd = ColumnarDAG.from_edges(name, ids, index, works, src, dst, gb)
+        del wf._tasks, wf._graph  # made on first use, see _ArrayWorkflow
+        wf.__class__ = _ArrayWorkflow
+        wf._lazy = (cd, categories, (src, dst, gb))
+        wf._cache["columnar_dag"] = cd
+        wf._validated = True
+        return wf
+
+    def _add_columns(self, ids, works, categories, src, dst, gb) -> None:
+        """:meth:`add_tasks` and :meth:`add_dependencies` over columns
+        (edge endpoints as positions in *ids*)."""
+        self.add_tasks(map(Task, ids, works.tolist(), categories))
+        self.add_dependencies(
+            zip(
+                map(ids.__getitem__, src.tolist()),
+                map(ids.__getitem__, dst.tolist()),
+                gb.tolist(),
+            )
+        )
 
     # ------------------------------------------------------------------
     # construction
@@ -161,7 +260,7 @@ class Workflow:
             return self
         if not self._tasks:
             raise WorkflowError(f"workflow {self.name!r} has no tasks")
-        if _columnar_active(len(self._tasks)):
+        if _columnar_active(len(self)):
             # One Kahn peel doubles as the acyclicity check *and* seeds
             # the columnar cache every downstream kernel reuses, so the
             # networkx DAG walk is paid only by small workflows.
@@ -216,6 +315,20 @@ class Workflow:
     @property
     def task_ids(self) -> List[str]:
         return list(self._tasks)
+
+    def _task_index(self) -> Tuple[List[str], Dict[str, int]]:
+        """Memoized ``(ids, {id: position})`` in insertion order — the
+        task index every columnar structure (and :class:`Schedule`'s
+        columns) is laid out on; read-only, uncopied."""
+        cd = self._cache.get("columnar_dag")
+        if cd is not None:
+            return cd.ids, cd.index
+
+        def build():
+            ids = list(self._tasks)
+            return ids, dict(zip(ids, range(len(ids))))
+
+        return self._memo("task_index", build)  # type: ignore[return-value]
 
     @property
     def tasks(self) -> List[Task]:
@@ -359,7 +472,7 @@ class Workflow:
         self._require_valid()
 
         def build():
-            if _columnar_active(len(self._tasks)):
+            if _columnar_active(len(self)):
                 # Kahn wave peel over the CSR arrays (one bincount pass
                 # per level).  Values are identical — depth is
                 # order-independent — and every consumer (lookups,
@@ -417,7 +530,7 @@ class Workflow:
         if (
             exec_time is None
             and transfer_time is None
-            and _columnar_active(len(self._tasks))
+            and _columnar_active(len(self))
         ):
             # default weights: the vectorized level sweep reproduces the
             # scalar first-maximum tie-breaks (property-tested)
@@ -519,3 +632,82 @@ class Workflow:
             f"Workflow({self.name!r}, tasks={len(self)}, "
             f"edges={self._graph.number_of_edges()})"
         )
+
+
+class _ArrayWorkflow(Workflow):
+    """A workflow built by :meth:`Workflow.from_arrays` whose object
+    form is not made yet.
+
+    Size and id queries read the :class:`ColumnarDAG`.  The first access
+    to ``_tasks`` or ``_graph`` (any object-level query) makes the
+    object form and turns the instance back into a plain
+    :class:`Workflow` — so the attribute hook below never slows the
+    object path's attribute lookups.
+    """
+
+    #: ``(ColumnarDAG, categories, (src, dst, gb))``, edges deduplicated
+    _lazy: tuple
+
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails
+        if name in ("_tasks", "_graph"):
+            _ArrayWorkflow._materialize(self)
+            return self.__dict__[name]
+        raise AttributeError(f"'Workflow' object has no attribute {name!r}")
+
+    def _materialize(self) -> None:
+        """Make the :class:`Task` objects and networkx graph by the
+        object build itself, so insertion orders match.  The structure
+        is unchanged, so every memo stays valid."""
+        lazy = self.__dict__.get("_lazy")
+        if lazy is None:  # made meanwhile (another thread's query)
+            return
+        cd, categories, edges = lazy
+        twin = Workflow(self.name)
+        twin._add_columns(cd.ids, cd.works, categories, *edges)
+        self._tasks = twin._tasks
+        self._graph = twin._graph
+        self.__class__ = Workflow
+        self.__dict__.pop("_lazy", None)
+
+    def __len__(self) -> int:
+        return self._lazy[0].n
+
+    def __contains__(self, task_id: str) -> bool:
+        return task_id in self._lazy[0].index
+
+    @property
+    def task_ids(self) -> List[str]:
+        return list(self._lazy[0].ids)
+
+    def total_work(self) -> float:
+        return sum(self._lazy[0].works.tolist())
+
+
+def _positions(values) -> np.ndarray:
+    """*values* as an int64 array of task positions; a non-integer
+    array is refused rather than truncated."""
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return np.zeros(arr.shape, dtype=np.int64)
+    if arr.dtype.kind not in "iu":
+        raise WorkflowError(f"dependency endpoints must be task positions, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _dedupe_edges(src, dst, gb, n):
+    """Drop repeated ``(src, dst)`` pairs the way repeated dict stores
+    do: each edge keeps its first position and its last volume."""
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")
+    sk = key[order]
+    head = np.ones(sk.shape, dtype=bool)
+    head[1:] = sk[1:] != sk[:-1]
+    if head.all():
+        return src, dst, gb
+    starts = np.flatnonzero(head)
+    last = order[np.append(starts[1:], sk.size) - 1]
+    first = order[starts]
+    keep = np.argsort(first, kind="stable")
+    first = first[keep]
+    return src[first], dst[first], gb[last[keep]]

@@ -11,6 +11,7 @@ zero data (the CPU-intensive assumption).
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from pathlib import Path
@@ -58,6 +59,10 @@ def parse_dax_string(text: str, name: str = "dax") -> Workflow:
             raise WorkflowParseError(
                 f"job {jid!r} has non-numeric runtime {runtime!r}"
             ) from None
+        if not math.isfinite(work):
+            raise WorkflowParseError(
+                f"job {jid!r} has non-finite runtime {runtime!r}"
+            )
         if work <= 0:
             # Traces occasionally record zero-length bookkeeping jobs;
             # clamp to a tiny epsilon so the Task invariant holds.

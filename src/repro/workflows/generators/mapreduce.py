@@ -9,9 +9,10 @@ phase mapper (the shuffle), and a final merge joins the reducers.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import WorkflowError
 from repro.workflows.dag import Workflow
-from repro.workflows.task import Task
 
 _SPLIT_GB = 0.5  # per-mapper input chunk
 _MAP_GB = 0.3  # map1 -> map2 intermediate
@@ -27,25 +28,36 @@ def mapreduce(mappers: int = 10, reducers: int = 2, name: str = "mapreduce") -> 
     """
     if mappers < 1 or reducers < 1:
         raise WorkflowError("mapreduce needs >= 1 mapper and >= 1 reducer")
-    wf = Workflow(name)
-
-    split = wf.add_task(Task("split", 300.0, "split"))
-    map1 = [
-        wf.add_task(Task(f"map1_{i}", 1000.0, "map")) for i in range(mappers)
-    ]
-    map2 = [
-        wf.add_task(Task(f"map2_{i}", 800.0, "map")) for i in range(mappers)
-    ]
-    reduces = [
-        wf.add_task(Task(f"reduce_{j}", 1200.0, "reduce")) for j in range(reducers)
-    ]
-    merge = wf.add_task(Task("merge", 400.0, "merge"))
-
-    for i in range(mappers):
-        wf.add_dependency(split.id, map1[i].id, _SPLIT_GB)
-        wf.add_dependency(map1[i].id, map2[i].id, _MAP_GB)
-        for j in range(reducers):
-            wf.add_dependency(map2[i].id, reduces[j].id, _SHUFFLE_GB)
-    for j in range(reducers):
-        wf.add_dependency(reduces[j].id, merge.id, _REDUCE_GB)
-    return wf.validate()
+    m, r = mappers, reducers
+    ids = (
+        ["split"]
+        + [f"map1_{i}" for i in range(m)]
+        + [f"map2_{i}" for i in range(m)]
+        + [f"reduce_{j}" for j in range(r)]
+        + ["merge"]
+    )
+    works = [300.0] + [1000.0] * m + [800.0] * m + [1200.0] * r + [400.0]
+    cats = ["split"] + ["map"] * (2 * m) + ["reduce"] * r + ["merge"]
+    # task positions, in insertion order (scheduler tie-breaks read it)
+    map1 = 1 + np.arange(m, dtype=np.int64)
+    map2 = map1 + m
+    reduces = 1 + 2 * m + np.arange(r, dtype=np.int64)
+    merge = 1 + 2 * m + r
+    # per mapper i: split -> map1_i, map1_i -> map2_i, then map2_i -> every
+    # reducer (the shuffle); finally every reducer -> merge
+    per_map = 2 + r
+    src = np.empty((m, per_map), dtype=np.int64)
+    dst = np.empty((m, per_map), dtype=np.int64)
+    src[:, 0], dst[:, 0] = 0, map1
+    src[:, 1], dst[:, 1] = map1, map2
+    src[:, 2:], dst[:, 2:] = map2[:, None], reduces[None, :]
+    gb = np.tile([_SPLIT_GB, _MAP_GB] + [_SHUFFLE_GB] * r, m)
+    return Workflow.from_arrays(
+        name,
+        ids,
+        works,
+        cats,
+        np.concatenate([src.ravel(), reduces]),
+        np.concatenate([dst.ravel(), np.full(r, merge)]),
+        np.concatenate([gb, np.full(r, _REDUCE_GB)]),
+    )

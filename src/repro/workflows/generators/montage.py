@@ -14,9 +14,10 @@ instance is ``p = 6``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import WorkflowError
 from repro.workflows.dag import Workflow
-from repro.workflows.task import Task
 
 # Nominal reference runtimes (seconds on a small instance) per phase,
 # loosely scaled from published Montage task profiles; experiment
@@ -56,55 +57,67 @@ def montage(projections: int = 6, name: str = "montage") -> Workflow:
     if projections < 2:
         raise WorkflowError("montage needs at least 2 projections")
     p = projections
-    wf = Workflow(name)
+    i = np.arange(p, dtype=np.int64)
+    # task positions, in insertion order (scheduler tie-breaks read it)
+    diff0 = p
+    concat = 2 * p
+    bgmodel = concat + 1
+    bg0 = bgmodel + 1
+    imgtbl = bg0 + p
+    madd, shrink, jpeg = imgtbl + 1, imgtbl + 2, imgtbl + 3
 
-    # batch construction: task and edge insertion order matches the
-    # historical per-call build exactly, at a fraction of the cost on
-    # the 50k-1M benchmark instances
-    projects = wf.add_tasks(
-        Task(f"mProject_{i}", _DEFAULT_WORK["mProject"], "mProject")
-        for i in range(p)
-    )
-    diffs = wf.add_tasks(
-        Task(f"mDiffFit_{i}", _DEFAULT_WORK["mDiffFit"], "mDiffFit")
-        for i in range(p)
-    )
-    concat = wf.add_task(Task("mConcatFit", _DEFAULT_WORK["mConcatFit"], "mConcatFit"))
-    bgmodel = wf.add_task(Task("mBgModel", _DEFAULT_WORK["mBgModel"], "mBgModel"))
-    backgrounds = wf.add_tasks(
-        Task(f"mBackground_{i}", _DEFAULT_WORK["mBackground"], "mBackground")
-        for i in range(p)
-    )
-    imgtbl = wf.add_task(Task("mImgtbl", _DEFAULT_WORK["mImgtbl"], "mImgtbl"))
-    madd = wf.add_task(Task("mAdd", _DEFAULT_WORK["mAdd"], "mAdd"))
-    shrink = wf.add_task(Task("mShrink", _DEFAULT_WORK["mShrink"], "mShrink"))
-    jpeg = wf.add_task(Task("mJPEG", _DEFAULT_WORK["mJPEG"], "mJPEG"))
+    def phase(cat: str, count: int | None = None):
+        """ids, works and categories of one phase (``count`` parallel
+        tasks ``cat_0..``, or the single task ``cat``)."""
+        ids = [cat] if count is None else [f"{cat}_{k}" for k in range(count)]
+        return ids, [_DEFAULT_WORK[cat]] * len(ids), [cat] * len(ids)
 
-    deps = []
-    # mDiffFit_i overlaps projections i and (i+1) mod p: cross-level,
-    # intermingled dependencies.
-    for i in range(p):
-        deps.append((projects[i].id, diffs[i].id, _DEFAULT_DATA["project->diff"]))
-        deps.append(
-            (projects[(i + 1) % p].id, diffs[i].id, _DEFAULT_DATA["project->diff"])
-        )
-        deps.append((diffs[i].id, concat.id, _DEFAULT_DATA["diff->concat"]))
-    deps.append((concat.id, bgmodel.id, _DEFAULT_DATA["concat->bgmodel"]))
-    for i in range(p):
+    phases = [
+        phase("mProject", p),
+        phase("mDiffFit", p),
+        phase("mConcatFit"),
+        phase("mBgModel"),
+        phase("mBackground", p),
+        phase("mImgtbl"),
+        phase("mAdd"),
+        phase("mShrink"),
+        phase("mJPEG"),
+    ]
+    ids = [t for ph in phases for t in ph[0]]
+    works = [w for ph in phases for w in ph[1]]
+    cats = [c for ph in phases for c in ph[2]]
+
+    def block(*edges):
+        """Interleave per-projection edge classes: edge k of projection
+        i lands at ``i * len(edges) + k``, the per-call loop's order."""
+        src = np.column_stack([np.broadcast_to(u, p) for u, _, _ in edges])
+        dst = np.column_stack([np.broadcast_to(v, p) for _, v, _ in edges])
+        gb = np.tile([_DEFAULT_DATA[c] for _, _, c in edges], p)
+        return src.ravel(), dst.ravel(), gb
+
+    def single(u: int, v: int, cls: str):
+        return np.array([u]), np.array([v]), np.array([_DEFAULT_DATA[cls]])
+
+    parts = [
+        # mDiffFit_i overlaps projections i and (i+1) mod p: cross-level,
+        # intermingled dependencies.
+        block(
+            (i, diff0 + i, "project->diff"),
+            ((i + 1) % p, diff0 + i, "project->diff"),
+            (diff0 + i, concat, "diff->concat"),
+        ),
+        single(concat, bgmodel, "concat->bgmodel"),
         # mBackground needs its own projection (skipping a level) plus the
         # global background model.
-        deps.append(
-            (projects[i].id, backgrounds[i].id, _DEFAULT_DATA["project->background"])
-        )
-        deps.append(
-            (bgmodel.id, backgrounds[i].id, _DEFAULT_DATA["bgmodel->background"])
-        )
-        deps.append(
-            (backgrounds[i].id, imgtbl.id, _DEFAULT_DATA["background->imgtbl"])
-        )
-        deps.append((backgrounds[i].id, madd.id, _DEFAULT_DATA["background->add"]))
-    deps.append((imgtbl.id, madd.id, _DEFAULT_DATA["imgtbl->add"]))
-    deps.append((madd.id, shrink.id, _DEFAULT_DATA["add->shrink"]))
-    deps.append((shrink.id, jpeg.id, _DEFAULT_DATA["shrink->jpeg"]))
-    wf.add_dependencies(deps)
-    return wf.validate()
+        block(
+            (i, bg0 + i, "project->background"),
+            (bgmodel, bg0 + i, "bgmodel->background"),
+            (bg0 + i, imgtbl, "background->imgtbl"),
+            (bg0 + i, madd, "background->add"),
+        ),
+        single(imgtbl, madd, "imgtbl->add"),
+        single(madd, shrink, "add->shrink"),
+        single(shrink, jpeg, "shrink->jpeg"),
+    ]
+    src, dst, gb = (np.concatenate(col) for col in zip(*parts))
+    return Workflow.from_arrays(name, ids, works, cats, src, dst, gb)

@@ -10,6 +10,7 @@ different files to different children.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -26,8 +27,9 @@ class Task:
         Unique (within a workflow) non-empty identifier.
     work:
         Execution time in seconds on the reference (small, speed-up 1.0)
-        instance. Must be positive: zero-length tasks make BTU/idle
-        accounting degenerate and the paper's models never produce them.
+        instance. Must be positive and finite: zero-length tasks make
+        BTU/idle accounting degenerate, infinite ones overflow the BTU
+        rounding, and the paper's models never produce either.
     category:
         Optional transformation name (``mProject``, ``map``...); used by
         generators and the DAX writer, never by the schedulers.
@@ -43,9 +45,10 @@ class Task:
     def __post_init__(self) -> None:
         if not self.id or not isinstance(self.id, str):
             raise WorkflowError(f"task id must be a non-empty string, got {self.id!r}")
-        if not (self.work > 0) or self.work != self.work:  # also rejects NaN
+        if not (0 < self.work < math.inf):  # also rejects NaN
             raise WorkflowError(
-                f"task {self.id!r}: work must be a positive number, got {self.work!r}"
+                f"task {self.id!r}: work must be a positive finite number, "
+                f"got {self.work!r}"
             )
 
     def with_work(self, work: float) -> "Task":

@@ -108,6 +108,11 @@ class TestValidation:
         with pytest.raises(BillingError):
             BillingModel(btu_seconds=0)
 
+    @pytest.mark.parametrize("btu", [float("nan"), float("inf")])
+    def test_non_finite_btu(self, btu):
+        with pytest.raises(BillingError):
+            BillingModel(btu_seconds=btu)
+
     def test_bad_band(self):
         with pytest.raises(BillingError):
             BillingModel(transfer_free_gb=100.0, transfer_band_ceiling_gb=1.0)

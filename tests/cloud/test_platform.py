@@ -26,6 +26,10 @@ class TestConstruction:
         with pytest.raises(PlatformError):
             CloudPlatform(regions={"eu-dublin": EC2_REGIONS["eu-dublin"]})
 
+    def test_empty_catalog_rejected(self):
+        with pytest.raises(PlatformError, match="catalog"):
+            CloudPlatform(catalog={})
+
     def test_negative_boot_rejected(self):
         with pytest.raises(PlatformError):
             CloudPlatform.ec2(boot_seconds=-1.0)

@@ -5,6 +5,9 @@ can apply to a simulated result."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.cloud.platform import CloudPlatform
@@ -13,6 +16,15 @@ from repro.workflows.generators import cstem, mapreduce, montage, sequential
 from repro.workflows.task import Task
 
 _TOL = 1e-6
+
+# pytest puts ``src`` on this process's path (``pythonpath`` in
+# pyproject.toml); the Python child processes some tests start (the
+# examples, the cross-process hash checks) need it in their environment.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+    )
 
 
 def assert_schedule_invariants(result, workflow=None, complete=True, tol=_TOL):

@@ -25,7 +25,7 @@ from repro.core.allocation.ranking import upward_rank, upward_rank_reference
 from repro.core.provisioning import PROVISIONING_POLICIES, REFERENCE_POLICIES
 from repro.workflows.dag import Workflow
 from repro.workflows.generators import fork_join, mapreduce, random_layered
-from repro.workflows.reference import critical_path_reference, level_of_reference
+from tests.oracles.dag_passes import critical_path_reference, level_of_reference
 from repro.workflows.task import Task
 
 
@@ -283,6 +283,37 @@ def test_replay_verify_matches_des(shape, seed, platform):
     simulate_schedule(s, check=True)
 
 
+def _shifted(schedule, by: float = 123.0):
+    """*schedule* rebuilt through the public constructor with its first
+    non-entry task's planned window moved *by* seconds later."""
+    from repro.cloud.vm import VM, Placement
+    from repro.core.schedule import Schedule
+
+    wf = schedule.workflow
+    victim = next(
+        p.task_id
+        for vm in schedule.vms
+        for p in vm.placements
+        if wf.predecessors(p.task_id)
+    )
+    vms = [
+        VM(
+            id=vm.id,
+            itype=vm.itype,
+            region=vm.region,
+            boot_seconds=vm.boot_seconds,
+            placements=[
+                Placement(p.task_id, p.start + by, p.end + by)
+                if p.task_id == victim
+                else p
+                for p in vm.placements
+            ],
+        )
+        for vm in schedule.vms
+    ]
+    return Schedule(wf, schedule.platform, vms)
+
+
 def test_replay_verify_catches_divergence(platform):
     """A plan whose timings cannot be realized must raise with the
     DES-identical message shape, not silently pass."""
@@ -294,16 +325,8 @@ def test_replay_verify_catches_divergence(platform):
         s = HeftScheduler("StartParExceed").schedule(_wide(7), platform)
         # push one non-entry task's planned window later than its
         # dependencies allow: the replayed start diverges from the plan
-        victim = next(
-            p
-            for vm in s.vms
-            for p in vm.placements
-            if s.workflow.predecessors(p.task_id)
-        )
-        object.__setattr__(victim, "start", victim.start + 123.0)
-        object.__setattr__(victim, "end", victim.end + 123.0)
         with pytest.raises(SimulationError, match="simulated start"):
-            replay_verify(s)
+            replay_verify(_shifted(s))
 
 
 def test_replay_verify_defers_ineligible_cases(platform):
@@ -324,16 +347,8 @@ def test_replay_verify_defers_ineligible_cases(platform):
     small = HeftScheduler("StartParExceed").schedule(_wide(2), platform)
     assert len(small.workflow) < 100
     assert replay_verify(small)
-    victim = next(
-        p
-        for vm in small.vms
-        for p in vm.placements
-        if small.workflow.predecessors(p.task_id)
-    )
-    object.__setattr__(victim, "start", victim.start + 123.0)
-    object.__setattr__(victim, "end", victim.end + 123.0)
     with pytest.raises(SimulationError):
-        replay_verify(small)
+        replay_verify(_shifted(small))
     # CPA-Eager upgrades some tasks: a mixed-flavor fleet needs the DES
     mixed = CpaEagerScheduler().schedule(_wide(1), platform)
     assert len({vm.itype.name for vm in mixed.vms}) > 1

@@ -53,6 +53,12 @@ class TestParse:
         wf = parse_dax_string(text)
         assert wf.task("a").work > 0
 
+    @pytest.mark.parametrize("runtime", ["inf", "-inf", "nan"])
+    def test_non_finite_runtime_names_the_job(self, runtime):
+        text = f'<adag><job id="j7" runtime="{runtime}"/></adag>'
+        with pytest.raises(WorkflowParseError, match="'j7'.*non-finite"):
+            parse_dax_string(text)
+
     def test_malformed_xml(self):
         with pytest.raises(WorkflowParseError):
             parse_dax_string("<adag><job id=")

@@ -1,0 +1,167 @@
+"""Array-built workflows against their object-built twins.
+
+:meth:`Workflow.from_arrays` builds the object form below the columnar
+threshold and only the :class:`ColumnarDAG` at or above it, making the
+Task objects and networkx graph on first use.  Built under
+``force_columnar()`` (array side) and ``columnar_disabled()`` (object
+side), the two must be indistinguishable: the same columnar fields, the
+same materialized tasks and edges, the same structural queries, the
+same behaviour after later mutation and a pickle round-trip, and the
+same error class on every bad input.
+"""
+
+from __future__ import annotations
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import WorkflowError
+from repro.kernels.columnar import ColumnarDAG, get_columnar
+from repro.kernels.dispatch import columnar_disabled, force_columnar
+from repro.workflows.dag import Workflow
+from repro.workflows.generators import mapreduce, montage
+from repro.workflows.task import Task
+
+
+def _twins(build):
+    with force_columnar():
+        arrays = build()
+    with columnar_disabled():
+        objects = build()
+    return arrays, objects
+
+
+def _assert_same_columns(a: ColumnarDAG, b: ColumnarDAG) -> None:
+    for name in ColumnarDAG.__slots__:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, name
+            assert np.array_equal(x, y), name
+        else:
+            assert x == y, name
+
+
+def _assert_twins(arrays: Workflow, objects: Workflow) -> None:
+    _assert_same_columns(get_columnar(arrays), get_columnar(objects))
+    assert len(arrays) == len(objects)
+    assert arrays.task_ids == objects.task_ids
+    assert list(arrays) == list(objects)
+    assert arrays.edges() == objects.edges()
+    assert dict(arrays.pred_map()) == dict(objects.pred_map())
+    assert arrays._pred_insertion() == objects._pred_insertion()
+    assert arrays.levels() == objects.levels()
+    assert arrays.critical_path() == objects.critical_path()
+    assert arrays.total_work() == objects.total_work()
+
+
+def _check_generator(build) -> None:
+    arrays, objects = _twins(build)
+    assert "_tasks" not in vars(arrays)  # array-built, not yet made
+    assert "_tasks" in vars(objects)
+    clone = pickle.loads(pickle.dumps(arrays))
+    assert "_tasks" not in vars(clone)
+    _assert_twins(clone, objects)
+    _assert_twins(arrays, objects)
+    # mutation after generation: the array side makes its object form,
+    # then both invalidate and re-derive alike
+    for wf in (arrays, objects):
+        exit_id = wf.exit_tasks()[0]
+        wf.add_task(Task("extra", 42.0, "late"))
+        wf.add_dependency(exit_id, "extra", 0.5)
+        wf.add_dependencies([(wf.entry_tasks()[0], "extra", 0.25)])
+        wf.validate()
+    _assert_twins(arrays, objects)
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+def test_montage_array_build_matches_object_build(p):
+    _check_generator(lambda: montage(p))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 60))
+def test_montage_array_build_matches_object_build_drawn(p):
+    _check_generator(lambda: montage(p))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6))
+def test_mapreduce_array_build_matches_object_build(m, r):
+    _check_generator(lambda: mapreduce(m, r))
+
+
+def test_large_montage_is_array_built_by_default():
+    wf = montage(1400)  # 4,206 tasks: above the columnar threshold
+    assert "_tasks" not in vars(wf)
+    with columnar_disabled():
+        twin = montage(1400)
+    _assert_twins(wf, twin)
+
+
+def _object_build(name, ids, works, cats, src, dst, gb) -> Workflow:
+    """The per-call object build the array constructor must agree with."""
+    wf = Workflow(name)
+    for tid, w, c in zip(ids, works, cats):
+        wf.add_task(Task(tid, w, c))
+    name_of = dict(enumerate(ids))
+    for u, v, g in zip(src, dst, gb):
+        # a position with no task names no task
+        wf.add_dependency(name_of.get(u, f"#{u}"), name_of.get(v, f"#{v}"), g)
+    return wf.validate()
+
+
+_GOOD = dict(
+    ids=["a", "b", "c", "d"],
+    works=[10.0, 20.0, 30.0, 40.0],
+    cats=["x", "y", "y", "z"],
+    src=[0, 0, 1, 2],
+    dst=[1, 2, 3, 3],
+    gb=[0.1, 0.2, 0.3, 0.4],
+)
+
+
+def _build(kind, **overrides):
+    args = {**_GOOD, **overrides}
+    if kind == "object":
+        return _object_build("bad", *args.values())
+    ctx = force_columnar() if kind == "arrays" else columnar_disabled()
+    with ctx:
+        return Workflow.from_arrays("bad", *args.values())
+
+
+def test_duplicate_edges_keep_first_position_and_last_volume():
+    dup = dict(src=[0, 0, 1, 0, 2], dst=[1, 2, 3, 1, 3], gb=[0.1, 0.2, 0.3, 9.0, 0.4])
+    arrays = _build("arrays", **dup)
+    objects = _build("objects", **dup)
+    _assert_twins(arrays, objects)
+    assert arrays.edges()[0] == ("a", "b", 9.0)
+    _assert_twins(_build("object", **dup), objects)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param(dict(ids=["a", "", "c", "d"]), id="empty-id"),
+        pytest.param(dict(ids=["a", "b", "a", "d"]), id="duplicate-id"),
+        pytest.param(dict(works=[10.0, math.nan, 30.0, 40.0]), id="nan-work"),
+        pytest.param(dict(works=[10.0, math.inf, 30.0, 40.0]), id="inf-work"),
+        pytest.param(dict(works=[10.0, 0.0, 30.0, 40.0]), id="zero-work"),
+        pytest.param(dict(works=[10.0, -5.0, 30.0, 40.0]), id="negative-work"),
+        pytest.param(dict(dst=[1, 2, 4, 3]), id="unknown-endpoint"),
+        pytest.param(dict(src=[0, 0, 1, 2], dst=[1, 2, 3, 2]), id="self-edge"),
+        pytest.param(dict(gb=[0.1, -0.2, 0.3, 0.4]), id="negative-gb"),
+        pytest.param(dict(src=[0, 1, 3, 2], dst=[1, 3, 0, 3]), id="cycle"),
+        pytest.param(
+            dict(ids=[], works=[], cats=[], src=[], dst=[], gb=[]), id="empty"
+        ),
+    ],
+)
+@pytest.mark.parametrize("kind", ["arrays", "objects", "object"])
+def test_bad_input_raises_the_same_error_class(kind, overrides):
+    with pytest.raises(WorkflowError):
+        _build(kind, **overrides)

@@ -26,6 +26,11 @@ class TestTaskValidation:
         with pytest.raises(WorkflowError):
             Task("t", work)
 
+    @pytest.mark.parametrize("work", [math.inf, -math.inf])
+    def test_non_finite_work_rejected(self, work):
+        with pytest.raises(WorkflowError, match="finite"):
+            Task("t", work)
+
     def test_frozen(self):
         t = Task("t", 1.0)
         with pytest.raises(AttributeError):
