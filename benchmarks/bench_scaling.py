@@ -35,11 +35,15 @@ from pathlib import Path
 
 from repro.cloud.platform import CloudPlatform
 from repro.core.allocation import HeftScheduler, LevelScheduler
-from repro.core.provisioning import PROVISIONING_POLICIES, REFERENCE_POLICIES
+from repro.core.provisioning import PROVISIONING_POLICIES
 from repro.kernels.dispatch import columnar_disabled
 from repro.workflows.generators import mapreduce, montage
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# the quadratic reference kernels live with the tests, outside the package
+sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles.provisioning_scan import REFERENCE_POLICIES  # noqa: E402
+
 DEFAULT_OUT = REPO_ROOT / "BENCH_scaling.json"
 HISTORY = REPO_ROOT / "BENCH_history.jsonl"
 

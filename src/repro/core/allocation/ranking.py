@@ -46,7 +46,8 @@ def upward_rank(
     # Single iterative O(V+E) sweep over the cached reversed-topo order,
     # against the uncopied adjacency/edge maps.  ``max`` over the same
     # operands is grouping-independent, so the ranks are byte-identical
-    # to :func:`upward_rank_reference` (property-tested).
+    # to the straightforward oracle in tests/oracles/upward_rank.py
+    # (property-tested).
     succ_map = workflow.succ_map()
     tasks = workflow._tasks
     runtime = platform.runtime
@@ -70,35 +71,6 @@ def upward_rank(
                 if ranks[succ] > best:
                     best = ranks[succ]
             ranks[tid] = runtime(tasks[tid], itype) + best
-    return ranks
-
-
-def upward_rank_reference(
-    workflow: Workflow,
-    platform: CloudPlatform,
-    itype: InstanceType,
-    include_transfers: bool = True,
-) -> Dict[str, float]:
-    """The straightforward :func:`upward_rank`, kept as the oracle for
-    the kernel-equivalence property tests (see DESIGN.md §9).
-
-    Goes through the copying public accessors on every visit; identical
-    output, none of the indexing.
-    """
-    if not workflow.validated:
-        workflow.validate()
-    ranks: Dict[str, float] = {}
-    for tid in reversed(workflow.topological_order()):
-        w = platform.runtime(workflow.task(tid), itype)
-        best = 0.0
-        for succ in workflow.successors(tid):
-            c = 0.0
-            if include_transfers:
-                c = platform.transfer_time(
-                    workflow.data_gb(tid, succ), itype, itype, same_vm=False
-                )
-            best = max(best, c + ranks[succ])
-        ranks[tid] = w + best
     return ranks
 
 

@@ -72,13 +72,14 @@ class Constraints:
     max_vms: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.deadline is not None and self.deadline <= 0:
+        # "not (ok)" also refuses NaN, which fails every comparison
+        if self.deadline is not None and not (self.deadline > 0):
             raise ExperimentError(
                 f"deadline must be positive seconds, got {self.deadline}"
             )
-        if self.budget is not None and self.budget <= 0:
+        if self.budget is not None and not (self.budget > 0):
             raise ExperimentError(f"budget must be positive USD, got {self.budget}")
-        if self.max_vms is not None and self.max_vms < 1:
+        if self.max_vms is not None and not (self.max_vms >= 1):
             raise ExperimentError(f"max_vms must be >= 1, got {self.max_vms}")
 
     # ------------------------------------------------------------------

@@ -8,14 +8,6 @@ from repro.core.provisioning.base import (
 from repro.core.provisioning.one_vm_per_task import OneVMperTask
 from repro.core.provisioning.start_par import StartParNotExceed, StartParExceed
 from repro.core.provisioning.all_par import AllParNotExceed, AllParExceed
-from repro.core.provisioning.reference import (
-    REFERENCE_POLICIES,
-    AllParExceedReference,
-    AllParNotExceedReference,
-    OneVMperTaskReference,
-    StartParExceedReference,
-    StartParNotExceedReference,
-)
 
 __all__ = [
     "ProvisioningPolicy",
@@ -26,11 +18,4 @@ __all__ = [
     "StartParExceed",
     "AllParNotExceed",
     "AllParExceed",
-    # unregistered full-scan oracles for the equivalence tests
-    "REFERENCE_POLICIES",
-    "OneVMperTaskReference",
-    "StartParNotExceedReference",
-    "StartParExceedReference",
-    "AllParNotExceedReference",
-    "AllParExceedReference",
 ]

@@ -13,9 +13,8 @@ multi-core VM is cost-neutral under EC2's cost-per-core pricing; only
 global idle time differs.
 
 Implementation: the historical kernel rescanned every VM's full task
-list per placement (O(V·tasks) — see
-:class:`~repro.core.provisioning.reference.AllParExceedReference`, the
-preserved oracle).  This version runs against the
+list per placement (O(V·tasks) — see ``AllParExceedReference`` in
+``tests/oracles/provisioning_scan.py``, the preserved oracle).  This version runs against the
 :class:`~repro.core.builder.ScheduleBuilder` indexes — the per-level
 candidate pool and per-VM level sets — for O(log V) amortized
 placements; the property tests assert the schedules are byte-identical.

@@ -7,7 +7,7 @@ and — because every VM pays at least one full BTU — the largest total
 idle time.
 
 Already O(1) per placement, so unlike its siblings it needed no index
-rewrite; :class:`~repro.core.provisioning.reference.OneVMperTaskReference`
+rewrite; ``OneVMperTaskReference`` in ``tests/oracles/provisioning_scan.py``
 exists only so every policy has a same-shaped equivalence oracle.
 """
 

@@ -12,9 +12,8 @@ entirely serialized on one VM (the paper's CSTEM remark).
 remaining VMs in decreasing execution time before renting.
 
 Implementation: the historical kernel re-filtered and re-sorted the
-whole fleet per task (see
-:class:`~repro.core.provisioning.reference.StartParExceedReference`,
-the preserved oracle); this version reads the builder's busy-seconds
+whole fleet per task (see ``StartParExceedReference`` in
+``tests/oracles/provisioning_scan.py``, the preserved oracle); this version reads the builder's busy-seconds
 heap — O(log V) amortized per placement, byte-identical schedules
 (property-tested).
 """

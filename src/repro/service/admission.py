@@ -7,8 +7,11 @@ concurrency slot frees up), an admission policy answers two questions:
   ``False`` is a *reject*: the workflow never executes (the
   hard-constraint framing of Thai et al., arXiv:1507.05470 — constrained
   services refuse work rather than kill it mid-flight).
-* :meth:`AdmissionPolicy.select_next` — which queued request starts
-  when a slot opens?
+* :meth:`AdmissionPolicy.take_next` — which queued request starts
+  when a slot opens?  The service keeps its queue as a
+  :class:`RequestQueue`: arrival order overall and per tenant.  The
+  default answers through :meth:`AdmissionPolicy.select_next`, an index
+  into the arrival-ordered queue.
 
 Policies are deterministic functions of service state, so a seeded
 service run admits, queues and rejects identically on every backend.
@@ -17,12 +20,97 @@ service run admits, queues and rejects identically on every backend.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Optional, Sequence
+from collections import deque
+from collections.abc import Sequence
+from typing import Callable, Deque, Dict, Iterator, Optional, Tuple
 
 from repro.core.constraints import Constraints
 from repro.errors import ExperimentError
 from repro.service.arrivals import WorkflowRequest
 from repro.util.suggest import unknown_name_message
+
+
+class RequestQueue(Sequence):
+    """Admitted requests waiting for a slot, in arrival order.
+
+    Besides the arrival-ordered sequence view (what
+    :meth:`AdmissionPolicy.select_next` indexes), the queue keeps one
+    arrival-ordered deque per tenant with queued work, so a FIFO pick
+    costs O(1) and a per-tenant pick O(tenants with queued work),
+    however long the queue grows.  A request taken out of turn stays in
+    the global order as a tombstone until it reaches the head.
+    """
+
+    def __init__(self) -> None:
+        self._next_seq = 0
+        #: queued entries (and tombstones) as (arrival seq, request)
+        self._order: Deque[Tuple[int, WorkflowRequest]] = deque()
+        #: tenant -> its queued entries; tenants with none are dropped
+        self._tenants: Dict[str, Deque[Tuple[int, WorkflowRequest]]] = {}
+        #: seqs of tombstones in ``_order``
+        self._taken: set = set()
+
+    def push(self, request: WorkflowRequest) -> None:
+        entry = (self._next_seq, request)
+        self._next_seq += 1
+        self._order.append(entry)
+        queued = self._tenants.get(request.tenant)
+        if queued is None:
+            queued = self._tenants[request.tenant] = deque()
+        queued.append(entry)
+
+    def __len__(self) -> int:
+        return len(self._order) - len(self._taken)
+
+    def __iter__(self) -> Iterator[WorkflowRequest]:
+        taken = self._taken
+        return (request for seq, request in self._order if seq not in taken)
+
+    def __getitem__(self, index):
+        if index == 0:
+            self._trim()
+            if self._order:
+                return self._order[0][1]
+        return list(self)[index]
+
+    def heads(self) -> Iterator[Tuple[int, WorkflowRequest]]:
+        """Each queued tenant's earliest ``(arrival seq, request)``."""
+        return (queued[0] for queued in self._tenants.values())
+
+    def pop(self, index: int = 0) -> WorkflowRequest:
+        """Remove and return the *index*-th request in arrival order."""
+        self._trim()
+        if index == 0:
+            seq, request = self._order.popleft()
+        else:
+            taken = self._taken
+            seq, request = [e for e in self._order if e[0] not in taken][index]
+            taken.add(seq)
+        self._unlink(seq, request.tenant)
+        return request
+
+    def pop_tenant(self, tenant: str) -> WorkflowRequest:
+        """Remove and return *tenant*'s earliest queued request."""
+        seq, request = self._tenants[tenant][0]
+        self._unlink(seq, tenant)
+        self._taken.add(seq)
+        self._trim()
+        return request
+
+    def _unlink(self, seq: int, tenant: str) -> None:
+        queued = self._tenants[tenant]
+        for i, entry in enumerate(queued):
+            if entry[0] == seq:
+                del queued[i]
+                break
+        if not queued:
+            del self._tenants[tenant]
+
+    def _trim(self) -> None:
+        """Drop tombstones from the head of the global order."""
+        order, taken = self._order, self._taken
+        while order and order[0][0] in taken:
+            taken.discard(order.popleft()[0])
 
 
 class AdmissionPolicy(abc.ABC):
@@ -42,6 +130,12 @@ class AdmissionPolicy(abc.ABC):
         """Index of the queued request to start next (queue is in
         arrival order).  Default: FIFO."""
         return 0
+
+    def take_next(self, queue: RequestQueue, service) -> WorkflowRequest:
+        """Remove and return the request to start next.  The default
+        pops the :meth:`select_next` index; a policy may override this
+        to use the queue's per-tenant view instead."""
+        return queue.pop(self.select_next(queue, service))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"
@@ -87,35 +181,81 @@ class FairShareAdmission(AdmissionPolicy):
                 best_key, best_i = key, i
         return best_i
 
+    def take_next(self, queue: RequestQueue, service) -> WorkflowRequest:
+        # The same argmin read off the per-tenant heads: arrival seqs
+        # order like queue indices, so (running, admitted, seq) picks
+        # exactly the request select_next would, in O(queued tenants).
+        best_key = None
+        best_tenant = ""
+        for seq, request in queue.heads():
+            acct = service.account(request.tenant)
+            key = (acct.running, acct.admitted, seq)
+            if best_key is None or key < best_key:
+                best_key, best_tenant = key, request.tenant
+        return queue.pop_tenant(best_tenant)
+
 
 def default_estimator(request: WorkflowRequest, service) -> float:
     """Conservative-by-construction rent estimate for one request.
 
-    Builds the request's workflow through a static
-    :class:`~repro.core.builder.ScheduleBuilder` under the
-    ``OneVMperTask`` provisioning policy — on the *service's* instance
-    type, with the builder's rentals recorded in the shared
-    :class:`~repro.service.fleet.FleetManager` ledger — and prices the
-    result.  With no cross-VM transfers this equals the realized online
-    cost of the workflow exactly (each task pays its own BTUs); with
-    transfers the realized cost can exceed it, because online staging
-    happens after placement.
-    """
-    from repro.core.builder import ScheduleBuilder
-    from repro.core.provisioning.base import provisioning_policy
+    The price of the request's workflow under the ``OneVMperTask``
+    provisioning policy on the *service's* instance type and region,
+    with each rental recorded per tenant in the shared
+    :class:`~repro.service.fleet.FleetManager` ledger
+    (``static_rents``).  With no cross-VM transfers this equals the
+    realized online cost of the workflow exactly (each task pays its own
+    BTUs); with transfers the realized cost can exceed it, because
+    online staging happens after placement.
 
-    builder = ScheduleBuilder(
-        request.workflow,
-        service.platform,
-        service.itype,
-        region=service.region,
-        fleet=service.fleet,
-    )
-    policy = provisioning_policy("OneVMperTask")
-    for tid in request.workflow.topological_order():
-        builder.begin_task(tid)
-        builder.place(tid, policy.select_vm(tid, builder))
-    return builder.build("estimate", "OneVMperTask").rent_cost
+    Every task owns its VM, so the plan has a closed form, computed in
+    one topological pass: a task is ready at its latest ``predecessor
+    finish + cross-VM transfer`` (0.0 for an entry task), plus the boot
+    time on a platform that is not prebooted, and its VM bills
+    ``btus(end - (start - boot_seconds))``.  These are the float
+    operations of a static ``ScheduleBuilder`` run frozen into a
+    ``Schedule`` and priced by ``Schedule.rent_cost``, in the same
+    order, so the estimate equals that price bit for bit (the builder
+    version is the oracle of ``tests/service/test_estimate_oracle.py``).
+    """
+    workflow = request.workflow
+    workflow.validate()
+    platform = service.platform
+    itype, region = service.itype, service.region
+    runtime = platform.runtime
+    transfer = platform.transfer_time
+    btus = platform.billing.btus
+    boot = platform.boot_seconds
+    cold = not platform.prebooted
+    preds = workflow.pred_map()
+    edge_gb = workflow.edge_data_map()
+    task = workflow.task
+    finish: Dict[str, float] = {}
+    paid = []
+    for tid in workflow.topological_order():
+        start = 0.0
+        for pred in preds[tid]:
+            cand = finish[pred] + transfer(
+                edge_gb[pred, tid],
+                itype,
+                itype,
+                same_vm=False,
+                src_region=region,
+                dst_region=region,
+            )
+            if cand > start:
+                start = cand
+        if cold:
+            start += boot
+        end = finish[tid] = start + runtime(task(tid), itype)
+        # a frozen Schedule records the placement end as
+        # start + (finish - start)
+        end = start + (end - start)
+        paid.append(btus(end - (start - boot)))
+    fleet = service.fleet
+    owner = fleet.active_owner
+    fleet.static_rents[owner] = fleet.static_rents.get(owner, 0) + len(paid)
+    price = region.price(itype)
+    return sum([b * price for b in paid])
 
 
 class BudgetGuardAdmission(AdmissionPolicy):

@@ -11,6 +11,7 @@ tests rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -37,11 +38,15 @@ class WorkflowRequest:
     deadline: float = float("inf")
 
     def __post_init__(self) -> None:
+        # non-finite input is refused here, not deep inside the event
+        # loop; NaN fails every comparison, hence the "not (ok)" forms
+        if not math.isfinite(self.arrival):
+            raise ExperimentError(f"arrival time must be finite, got {self.arrival}")
         if self.arrival < 0:
             raise ExperimentError(f"negative arrival time {self.arrival}")
-        if self.budget <= 0:
+        if not (self.budget > 0):
             raise ExperimentError(f"budget must be positive, got {self.budget}")
-        if self.deadline <= 0:
+        if not (self.deadline > 0):
             raise ExperimentError(f"deadline must be positive, got {self.deadline}")
         if not self.tenant:
             raise ExperimentError("request needs a tenant id")
@@ -86,6 +91,10 @@ def poisson_arrivals(
         raise ExperimentError("count must be >= 1")
     if tenants < 1:
         raise ExperimentError("tenants must be >= 1")
+    if not math.isfinite(mean_interarrival):
+        raise ExperimentError(
+            f"mean_interarrival must be finite, got {mean_interarrival}"
+        )
     if mean_interarrival < 0:
         raise ExperimentError("mean_interarrival must be >= 0")
     if isinstance(workflows, Workflow):

@@ -39,8 +39,13 @@ PR 4 stamp-guarded lazy-heap pattern applied to the live fleet:
   "most utilized *idle* VM (that fits)" query without scanning.
 
 Every mutation bumps the VM's stamp (``note_use`` after a placement,
-death at reap/crash), invalidating old heap entries lazily.  The
-original full scans live on as the property-test oracle in
+death at reap/crash), invalidating old heap entries lazily.  A rental
+is indexed by the ``note_use`` of its first reservation, so a fresh
+VM costs one push per heap; a VM rented but never used is indexed at
+the next query instead.  The busy-rank heap and the free-pool are
+built from the live set on their first query: a StartPar* run never
+fills the AllPar* pool, and an AllPar* run never fills the rank heap.
+The original full scans live on as the property-test oracle in
 ``tests/oracles/fleet_scan.py``: decision logs, service rollups and
 metric counters are byte-identical between the two paths.
 """
@@ -61,7 +66,7 @@ from repro.errors import SimulationError
 _EPS = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class FleetVM:
     """One VM of a live (simulated) fleet.
 
@@ -77,7 +82,6 @@ class FleetVM:
     free_at: float
     busy_seconds: float = 0.0
     tasks: List[str] = field(default_factory=list)
-    levels: set = field(default_factory=set)
     finished_at: float = 0.0
     dead: bool = False
     crashed: bool = False
@@ -131,12 +135,19 @@ class FleetManager:
     or a whole service loop, where per-workflow executors rent from and
     reuse the same live fleet.
 
-    The manager also acts as the rental *ledger* for static
-    :class:`~repro.core.builder.ScheduleBuilder` runs: a builder
-    constructed with ``fleet=manager`` reports every ``new_vm`` through
-    :meth:`on_builder_rent`, so static planning (e.g. the budget-guard
-    admission estimate) is accounted per owner without the builder
-    giving up its local VM indexing.
+    Index upkeep is one push per heap per reservation: :meth:`rent`
+    only records the VM, and the executor's :meth:`note_use` for the
+    first reservation indexes it.  The StartPar* rank heap and the
+    AllPar* free-pool are built on their first query, so a run pays only
+    for the index its policy reads.
+
+    The manager also acts as the rental *ledger* for static planning:
+    ``static_rents`` counts rentals per owner.  A
+    :class:`~repro.core.builder.ScheduleBuilder` constructed with
+    ``fleet=manager`` reports every ``new_vm`` through
+    :meth:`on_builder_rent`; the budget-guard admission estimate, which
+    prices ``OneVMperTask`` in closed form, adds one rental per task
+    directly.
     """
 
     def __init__(self, region: Region | None = None) -> None:
@@ -160,12 +171,17 @@ class FleetManager:
         #: per-VM entry stamp; heap entries with an older stamp are
         #: dropped lazily on pop (the PR 4 busy-heap pattern)
         self._stamp: List[int] = []
+        #: ids rented since the last query; the ones still at stamp 0
+        #: (never noted) are indexed by _index_fresh()
+        self._fresh: List[int] = []
         #: min-heap of (lower-bound horizon, id, stamp) — see reap()
         self._expiry: List[Tuple[float, int, int]] = []
-        #: max-heap (negated) of (busy_seconds, -id) over live VMs
-        self._rank: List[Tuple[float, int, int]] = []
-        #: min-heap by free_at of live VMs not yet promoted to idle
-        self._free_pool: List[Tuple[float, int, int]] = []
+        #: max-heap (negated) of (busy_seconds, -id) over live VMs;
+        #: ``None`` until the first max_busy_alive()
+        self._rank: Optional[List[Tuple[float, int, int]]] = None
+        #: min-heap by free_at of live VMs not yet promoted to idle;
+        #: ``None`` until the first best_idle()
+        self._free_pool: Optional[List[Tuple[float, int, int]]] = None
         #: max-heap (negated busy rank) of live VMs known idle
         self._idle_rank: List[Tuple[float, int, int]] = []
         # --- incremental tallies (counters()) -----------------------
@@ -196,9 +212,7 @@ class FleetManager:
         self.vms.append(vm)
         self._live.add(vm.id)
         self._stamp.append(0)
-        heapq.heappush(self._expiry, (vm.free_at, vm.id, 0))
-        heapq.heappush(self._rank, (-vm.busy_seconds, vm.id, 0))
-        heapq.heappush(self._free_pool, (vm.free_at, vm.id, 0))
+        self._fresh.append(vm.id)
         return vm
 
     def note_use(self, vm: FleetVM) -> None:
@@ -210,11 +224,26 @@ class FleetManager:
             return
         stamp = self._stamp[vm.id] + 1
         self._stamp[vm.id] = stamp
-        # free_at never exceeds the BTU horizon, so it is a valid
-        # expiry lower bound; reap() re-arms at the true horizon
+        self._push(vm, stamp)
+
+    def _push(self, vm: FleetVM, stamp: int) -> None:
+        """Index *vm*'s current state under *stamp* in every heap that
+        exists yet.  ``free_at`` never exceeds the BTU horizon, so it is
+        a valid expiry lower bound; reap() re-arms at the true horizon."""
         heapq.heappush(self._expiry, (vm.free_at, vm.id, stamp))
-        heapq.heappush(self._rank, (-vm.busy_seconds, vm.id, stamp))
-        heapq.heappush(self._free_pool, (vm.free_at, vm.id, stamp))
+        if self._rank is not None:
+            heapq.heappush(self._rank, (-vm.busy_seconds, vm.id, stamp))
+        if self._free_pool is not None:
+            heapq.heappush(self._free_pool, (vm.free_at, vm.id, stamp))
+
+    def _index_fresh(self) -> None:
+        """Index the rentals no reservation has noted yet and that are
+        still alive (stamp 0), as the first ``note_use`` would have."""
+        stamps = self._stamp
+        for vid in self._fresh:
+            if stamps[vid] == 0:
+                self._push(self.vms[vid], 0)
+        self._fresh.clear()
 
     def take_warm(self, itype: InstanceType, pool: int) -> bool:
         """Claim one warm-pool slot for a new *itype* acquisition.
@@ -268,6 +297,8 @@ class FleetManager:
         O(k log n) for k expired + stale entries, instead of an O(fleet)
         roster scan.
         """
+        if self._fresh:
+            self._index_fresh()
         reaped: List[FleetVM] = []
         heap = self._expiry
         stamps = self._stamp
@@ -296,7 +327,13 @@ class FleetManager:
     def max_busy_alive(self) -> Optional[FleetVM]:
         """The live VM maximizing ``(busy_seconds, -id)`` — the
         StartPar* reuse target — as a stale-skipping heap peek."""
+        if self._fresh:
+            self._index_fresh()
         heap = self._rank
+        if heap is None:
+            heap = self._rank = self._live_entries(
+                lambda vm: -vm.busy_seconds
+            )
         stamps = self._stamp
         while heap:
             _, vid, stamp = heap[0]
@@ -317,7 +354,11 @@ class FleetManager:
         reuse bumps the stamp, so a reused VM's idle entry dies lazily.
         Entries rejected by *fits* stay idle and are pushed back.
         """
+        if self._fresh:
+            self._index_fresh()
         pool, stamps = self._free_pool, self._stamp
+        if pool is None:
+            pool = self._free_pool = self._live_entries(lambda vm: vm.free_at)
         idle = self._idle_rank
         while pool and pool[0][0] <= now + _EPS:
             _, vid, stamp = heapq.heappop(pool)
@@ -342,6 +383,17 @@ class FleetManager:
         for entry in rejected:
             heapq.heappush(idle, entry)
         return found
+
+    def _live_entries(
+        self, key: Callable[[FleetVM], float]
+    ) -> List[Tuple[float, int, int]]:
+        """A heap holding the current entry of every live VM — what a
+        heap fed by every ``note_use`` since the start would hold, minus
+        the stale entries."""
+        vms, stamps = self.vms, self._stamp
+        heap = [(key(vms[vid]), vid, stamps[vid]) for vid in self._live]
+        heapq.heapify(heap)
+        return heap
 
     def mark_crashed(self, vm: FleetVM, now: float) -> None:
         """Void a VM at *now*; reservations are reclaimed by listeners."""

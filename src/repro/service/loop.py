@@ -44,6 +44,7 @@ from repro.obs.tracer import Tracer, ensure_tracer
 from repro.service.admission import (
     AdmissionPolicy,
     BudgetGuardAdmission,
+    RequestQueue,
     admission_policy,
 )
 from repro.service.arrivals import WorkflowRequest
@@ -235,7 +236,9 @@ class WorkflowService:
         #: to run against the scan oracle of the property tests
         self.fleet = fleet if fleet is not None else FleetManager(region=self.region)
         self.accounts: Dict[str, TenantAccount] = {}
-        self.queue: List[WorkflowRequest] = []
+        #: admitted requests waiting for a slot (arrival order, and
+        #: per tenant for the fair-share pick)
+        self.queue = RequestQueue()
         self.running = 0
         self.rejected_requests: List[WorkflowRequest] = []
         self.reports: List[WorkflowReport] = []
@@ -295,16 +298,14 @@ class WorkflowService:
         # jointly overshoot the budget
         acct.committed += estimate
         self._commit[id(request)] = estimate
-        self.queue.append(request)
+        self.queue.push(request)
         self._drain_queue()
 
     def _drain_queue(self) -> None:
         while self.queue and (
             self.max_concurrent is None or self.running < self.max_concurrent
         ):
-            idx = self.admission.select_next(self.queue, self)
-            request = self.queue.pop(idx)
-            self._start(request)
+            self._start(self.admission.take_next(self.queue, self))
 
     def _start(self, request: WorkflowRequest) -> None:
         acct = self.account(request.tenant)

@@ -77,6 +77,9 @@ class OnlineCloudExecutor:
     different submissions cannot collide on a shared VM roster) and
     drives :meth:`start` itself; :meth:`finish` stays private-fleet
     only — fleet-wide billing of a shared fleet is the service's job.
+    The trace log (``events``) is kept only by an executor that drives
+    its own simulator: :meth:`finish` is its only reader, so on a shared
+    simulator it stays empty.
     """
 
     def __init__(
@@ -124,13 +127,18 @@ class OnlineCloudExecutor:
         self.level_sizes: Dict[int, int] = {}
         for lvl in self.levels.values():
             self.level_sizes[lvl] = self.level_sizes.get(lvl, 0) + 1
-        self._pending = {
-            tid: len(workflow.predecessors(tid)) for tid in workflow.task_ids
-        }
+        #: uncopied adjacency and edge-size maps (read-only)
+        self._preds = workflow.pred_map()
+        self._succs = workflow.succ_map()
+        self._edge_gb = workflow.edge_data_map()
+        self._pending = {tid: len(preds) for tid, preds in self._preds.items()}
         self.task_start: Dict[str, float] = {}
         self.task_finish: Dict[str, float] = {}
         self.task_vm: Dict[str, int] = {}
         self.events: List[TraceEvent] = []
+        #: whether to append to ``events``; no caller of a shared
+        #: simulator reaches finish(), the log's only reader
+        self._log = sim is None
         #: the fault/market/recovery layer; ``None`` on the zero-fault path
         self.faults = FaultRuntime.for_run(fault_plan, platform, recovery)
         #: current attempt number per task (1-based)
@@ -158,16 +166,23 @@ class OnlineCloudExecutor:
         same DAG shape), so entries are qualified by the run name."""
         return f"{self.run_name}:{task_id}" if self.run_name else task_id
 
+    def _record(
+        self, time: float, kind: str, task_id: str, vm_id: int, detail: str = ""
+    ) -> None:
+        """Append one trace event, if this executor keeps the log."""
+        if self._log:
+            self.events.append(TraceEvent(time, kind, task_id, f"vm{vm_id}", detail))
+
     # ------------------------------------------------------------------
     # fleet queries at current simulation time
     # ------------------------------------------------------------------
     def _reap(self) -> None:
         """Deprovision VMs idle past their BTU horizon."""
         btu = self.platform.btu_seconds
-        for vm in self._fleet_mgr.reap(self.sim.now, btu):
-            self.events.append(
-                TraceEvent(vm.horizon(btu), "vm_stop", "", f"vm{vm.id}")
-            )
+        reaped = self._fleet_mgr.reap(self.sim.now, btu)
+        if self._log:
+            for vm in reaped:
+                self._record(vm.horizon(btu), "vm_stop", "", vm.id)
 
     def _rent(self, purchase: object | None = None) -> FleetVM:
         # Cold starts: the VM is requested now but cannot execute until
@@ -199,9 +214,7 @@ class OnlineCloudExecutor:
                 total += delay
                 if not fails:
                     break
-                self.events.append(
-                    TraceEvent(self.sim.now + total, "vm_boot_fail", "", f"vm{vm_id}")
-                )
+                self._record(self.sim.now + total, "vm_boot_fail", "", vm_id)
                 faults.boot_failed(f"vm{vm_id}", attempt)
             boot = total
         if purchase is None and faults is not None:
@@ -214,7 +227,7 @@ class OnlineCloudExecutor:
             purchase=purchase,
         )
         vm.booted_warm = warm
-        self.events.append(TraceEvent(self.sim.now, "vm_start", "", f"vm{vm.id}"))
+        self._record(self.sim.now, "vm_start", "", vm.id)
         if faults is not None:
             faults.arm(
                 self.sim,
@@ -247,7 +260,7 @@ class OnlineCloudExecutor:
         if self.policy == "OneVMperTask":
             return self._rent()
         if self.policy.startswith("StartPar"):
-            if not self.workflow.predecessors(task_id) or not mgr.live_count:
+            if not self._preds[task_id] or not mgr.live_count:
                 return self._rent()
             target = mgr.max_busy_alive()
             assert target is not None
@@ -288,7 +301,7 @@ class OnlineCloudExecutor:
         return pred_vm
 
     def _largest_pred_vm(self, task_id: str) -> Optional[FleetVM]:
-        preds = [p for p in self.workflow.predecessors(task_id) if p in self.task_vm]
+        preds = [p for p in self._preds[task_id] if p in self.task_vm]
         if not preds:
             return None
         largest = max(
@@ -307,19 +320,20 @@ class OnlineCloudExecutor:
             vm = self._rent(self._force_purchase.pop(task_id, None))
         else:
             vm = self._select_vm(task_id, planned)
-        vm.levels.add(self.levels[task_id])
         # input staging: the largest predecessor transfer, paid after
         # placement (destination only now known)
         transfer = 0.0
-        for pred in self.workflow.predecessors(task_id):
-            same = self.task_vm[pred] == vm.id
+        vms = self.fleet
+        for pred in self._preds[task_id]:
+            pred_vm = self.task_vm[pred]
             dt = self.platform.transfer_time(
-                self.workflow.data_gb(pred, task_id),
-                self.fleet[self.task_vm[pred]].itype,
+                self._edge_gb[pred, task_id],
+                vms[pred_vm].itype,
                 vm.itype,
-                same_vm=same,
+                same_vm=pred_vm == vm.id,
             )
-            transfer = max(transfer, dt)
+            if dt > transfer:
+                transfer = dt
         self._execute(task_id, vm, now + transfer)
 
     def _execute(self, task_id: str, vm: FleetVM, earliest: float) -> None:
@@ -347,7 +361,7 @@ class OnlineCloudExecutor:
         self.task_vm[task_id] = vm.id
         self.task_start[task_id] = start
         self.task_finish[task_id] = finish
-        self.events.append(TraceEvent(start, "task_start", task_id, f"vm{vm.id}"))
+        self._record(start, "task_start", task_id, vm.id)
         attempt = self._attempt.get(task_id, 1)
         frac = (
             faults.plan.task_attempt(task_id, attempt) if faults is not None else None
@@ -374,10 +388,8 @@ class OnlineCloudExecutor:
             return  # the crash already failed this attempt
         self._completed.add(task_id)
         vm.useful_seconds += self.task_finish[task_id] - self.task_start[task_id]
-        self.events.append(
-            TraceEvent(self.sim.now, "task_end", task_id, f"vm{self.task_vm[task_id]}")
-        )
-        for succ in self.workflow.successors(task_id):
+        self._record(self.sim.now, "task_end", task_id, vm.id)
+        for succ in self._succs[task_id]:
             self._pending[succ] -= 1
             if self._pending[succ] == 0:
                 self.sim.at(self.sim.now, lambda s=succ: self._on_ready(s), f"ready:{succ}")
@@ -440,11 +452,7 @@ class OnlineCloudExecutor:
         if vm.crashed:
             return
         self.faults.attempt_failed(wasted)
-        self.events.append(
-            TraceEvent(
-                self.sim.now, "task_fail", task_id, f"vm{vm.id}", f"attempt:{attempt}"
-            )
-        )
+        self._record(self.sim.now, "task_fail", task_id, vm.id, f"attempt:{attempt}")
         self._recover(task_id, vm, "task")
 
     def _on_vm_crash(self, vm: FleetVM, preempt: bool = False) -> None:
@@ -454,9 +462,7 @@ class OnlineCloudExecutor:
         now = self.sim.now
         self._fleet_mgr.mark_crashed(vm, now)
         vm.preempted = preempt
-        self.events.append(
-            TraceEvent(now, self.faults.vm_killed(preempt), "", f"vm{vm.id}")
-        )
+        self._record(now, self.faults.vm_killed(preempt), "", vm.id)
         self._fleet_mgr.notify_crash(vm)
 
     def _on_spot_warning(self, vm: FleetVM) -> None:
@@ -466,9 +472,7 @@ class OnlineCloudExecutor:
             return
         assert self.faults is not None
         self.faults.stats.grace_warnings += 1
-        self.events.append(
-            TraceEvent(self.sim.now, "spot_warning", "", f"vm{vm.id}")
-        )
+        self._record(self.sim.now, "spot_warning", "", vm.id)
         self._fleet_mgr.notify_warning(vm)
 
     def _checkpoint_victims(self, vm: FleetVM) -> None:
@@ -518,9 +522,7 @@ class OnlineCloudExecutor:
             # reclaim the voided reservation from the busy accounting
             vm.busy_seconds -= self.task_finish[tid] - started
             vm.busy_seconds += max(min(now, self.task_finish[tid]) - started, 0.0)
-            self.events.append(
-                TraceEvent(now, "task_fail", tid, f"vm{vm.id}", reason)
-            )
+            self._record(now, "task_fail", tid, vm.id, reason)
             self._recover(tid, vm, reason)
 
     # ------------------------------------------------------------------

@@ -24,6 +24,11 @@ class TestValidation:
         with pytest.raises(ExperimentError):
             Constraints(**kwargs)
 
+    @pytest.mark.parametrize("axis", ["deadline", "budget", "max_vms"])
+    def test_nan_bounds_rejected(self, axis):
+        with pytest.raises(ExperimentError, match=axis):
+            Constraints(**{axis: float("nan")})
+
     def test_from_json_unknown_key_suggests(self):
         with pytest.raises(ExperimentError, match="deadline"):
             Constraints.from_json({"deadlin": 100})

@@ -21,12 +21,14 @@ import pytest
 from repro.cloud.instance import SMALL
 from repro.cloud.platform import CloudPlatform
 from repro.core.allocation import HeftScheduler, LevelScheduler
-from repro.core.allocation.ranking import upward_rank, upward_rank_reference
-from repro.core.provisioning import PROVISIONING_POLICIES, REFERENCE_POLICIES
+from repro.core.allocation.ranking import upward_rank
+from repro.core.provisioning import PROVISIONING_POLICIES
 from repro.workflows.dag import Workflow
 from repro.workflows.generators import fork_join, mapreduce, random_layered
-from tests.oracles.dag_passes import critical_path_reference, level_of_reference
 from repro.workflows.task import Task
+from tests.oracles.dag_passes import critical_path_reference, level_of_reference
+from tests.oracles.provisioning_scan import REFERENCE_POLICIES
+from tests.oracles.upward_rank import upward_rank_reference
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 
 from repro.cloud.platform import CloudPlatform
 from repro.core.allocation import HeftScheduler, LevelScheduler
-from repro.core.provisioning import PROVISIONING_POLICIES, REFERENCE_POLICIES
+from repro.core.provisioning import PROVISIONING_POLICIES
 from repro.workflows.generators import mapreduce, montage
+from tests.oracles.provisioning_scan import REFERENCE_POLICIES
 
 pytestmark = pytest.mark.slow
 

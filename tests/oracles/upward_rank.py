@@ -1,0 +1,41 @@
+"""The straightforward HEFT upward rank, kept as the oracle.
+
+:func:`repro.core.allocation.ranking.upward_rank` sweeps the cached
+reversed-topological order over uncopied adjacency maps (or the
+columnar kernel above the threshold).  This version goes through the
+copying public accessors on every visit: identical output, none of the
+indexing.  The kernel-equivalence property tests compare the two (see
+``tests/core/test_kernel_equivalence.py`` and DESIGN.md §9).
+"""
+
+from __future__ import annotations
+
+from typing import Dict
+
+from repro.cloud.instance import InstanceType
+from repro.cloud.platform import CloudPlatform
+from repro.workflows.dag import Workflow
+
+
+def upward_rank_reference(
+    workflow: Workflow,
+    platform: CloudPlatform,
+    itype: InstanceType,
+    include_transfers: bool = True,
+) -> Dict[str, float]:
+    """HEFT upward rank of every task, the plain way."""
+    if not workflow.validated:
+        workflow.validate()
+    ranks: Dict[str, float] = {}
+    for tid in reversed(workflow.topological_order()):
+        w = platform.runtime(workflow.task(tid), itype)
+        best = 0.0
+        for succ in workflow.successors(tid):
+            c = 0.0
+            if include_transfers:
+                c = platform.transfer_time(
+                    workflow.data_gb(tid, succ), itype, itype, same_vm=False
+                )
+            best = max(best, c + ranks[succ])
+        ranks[tid] = w + best
+    return ranks

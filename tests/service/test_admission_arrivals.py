@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -10,6 +12,7 @@ from repro.service.admission import (
     BudgetGuardAdmission,
     FairShareAdmission,
     FifoAdmission,
+    RequestQueue,
     admission_policy,
 )
 from repro.service.arrivals import (
@@ -78,6 +81,32 @@ class TestArrivals:
         with pytest.raises(ExperimentError, match="tenant"):
             WorkflowRequest(tenant="", workflow=diamond, arrival=0.0)
 
+    # non-finite inputs are refused at construction, not mid-run
+    def test_request_rejects_nan_arrival(self, diamond):
+        with pytest.raises(ExperimentError, match="arrival time must be finite"):
+            WorkflowRequest(tenant="t", workflow=diamond, arrival=float("nan"))
+
+    def test_request_rejects_infinite_arrival(self, diamond):
+        with pytest.raises(ExperimentError, match="arrival time must be finite"):
+            WorkflowRequest(tenant="t", workflow=diamond, arrival=float("inf"))
+
+    def test_request_rejects_nan_budget(self, diamond):
+        with pytest.raises(ExperimentError, match="budget"):
+            WorkflowRequest(
+                tenant="t", workflow=diamond, arrival=0.0, budget=float("nan")
+            )
+
+    def test_request_rejects_nan_deadline(self, diamond):
+        with pytest.raises(ExperimentError, match="deadline"):
+            WorkflowRequest(
+                tenant="t", workflow=diamond, arrival=0.0, deadline=float("nan")
+            )
+
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
+    def test_poisson_rejects_non_finite_interarrival(self, diamond, gap):
+        with pytest.raises(ExperimentError, match="mean_interarrival"):
+            poisson_arrivals(diamond, count=3, tenants=1, mean_interarrival=gap)
+
 
 class TestAdmissionResolver:
     def test_registry_and_resolver(self):
@@ -112,6 +141,55 @@ class TestFairShare:
             WorkflowRequest(tenant="b", workflow=diamond, arrival=1.0),
         ]
         assert service.admission.select_next(queue, service) == 0
+
+
+class TestRequestQueue:
+    """The service queue: arrival order overall and per tenant."""
+
+    def _requests(self, diamond, tenants):
+        return [
+            WorkflowRequest(tenant=t, workflow=diamond, arrival=float(i), name=f"r{i}")
+            for i, t in enumerate(tenants)
+        ]
+
+    def test_sequence_view_and_out_of_turn_pops(self, diamond):
+        queue = RequestQueue()
+        reqs = self._requests(diamond, "abacbca")
+        for r in reqs:
+            queue.push(r)
+        assert list(queue) == reqs and len(queue) == 7
+        assert queue.pop_tenant("c") is reqs[3]
+        assert queue.pop(2) is reqs[2]  # r2 (tenant a), counting past r3
+        assert queue[0] is reqs[0] and queue[2] is reqs[4]
+        assert [req for _, req in queue.heads()] == [reqs[0], reqs[1], reqs[5]]
+        assert queue.pop() is reqs[0]
+        assert list(queue) == [reqs[1], reqs[4], reqs[5], reqs[6]]
+        while queue:
+            queue.pop()
+        assert len(queue) == 0 and list(queue.heads()) == []
+
+    @pytest.mark.parametrize("seed", [1, 7, 2013])
+    def test_fair_take_next_matches_select_next(self, platform, diamond, seed):
+        """The per-tenant pick equals the argmin over the whole queue,
+        through random arrivals, starts and account changes."""
+        rng = random.Random(seed)
+        service = WorkflowService(platform, admission="fair")
+        policy = service.admission
+        queue, shadow = RequestQueue(), []
+        for i in range(400):
+            if rng.random() < 0.55 or not shadow:
+                tenant = f"t{rng.randrange(6)}"
+                acct = service.account(tenant)
+                acct.admitted += 1
+                r = WorkflowRequest(tenant=tenant, workflow=diamond, arrival=float(i))
+                queue.push(r)
+                shadow.append(r)
+            else:
+                for acct in service.accounts.values():
+                    acct.running = rng.randrange(3)
+                want = shadow.pop(policy.select_next(shadow, service))
+                assert policy.take_next(queue, service) is want
+            assert list(queue) == shadow
 
 
 class TestBudgetGuard:

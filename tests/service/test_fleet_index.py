@@ -20,10 +20,11 @@ import pytest
 from repro.cloud.platform import CloudPlatform
 from repro.experiments.service import ServiceCell, build_requests
 from repro.obs.metrics import MetricsRegistry
+from repro.service import loop as service_loop
 from repro.service.fleet import FleetManager
-from repro.service.loop import run_service
+from repro.service.loop import WorkflowService, run_service
 from repro.simulator.faults import FaultPlan
-from repro.simulator.online import OnlineCloudExecutor
+from repro.simulator.online import OnlineCloudExecutor, run_online
 from repro.workflows.generators import fork_join, mapreduce, random_layered
 from tests.oracles.fleet_scan import (
     ScanFleetManager,
@@ -186,27 +187,38 @@ def test_service_rollup_identical_budget_admission(platform, seed):
 def test_manager_random_ops_identical(platform, seed):
     """Drive an indexed and a reference manager through one random
     rent/use/crash/reap sequence; liveness, reap order, selection
-    queries and counters must stay equal at every step."""
+    queries and counters must stay equal at every step.
+
+    Some rentals are never noted (a VM rented and left unused must
+    still reap and rank), and the two selection queries start at
+    random steps, so the lazily built rank heap and idle pool are
+    first filled from a populated fleet."""
     itype = platform.itype("small")
     billing = platform.billing
     btu = billing.btu_seconds
     rng = random.Random(seed)
     indexed = FleetManager(region=platform.default_region)
     reference = ScanFleetManager(region=platform.default_region)
+    rank_from, idle_from = rng.randrange(200), rng.randrange(200)
     now = 0.0
-    for _ in range(400):
+    for step in range(400):
         now += rng.expovariate(1 / 300.0)
         roll = rng.random()
         if roll < 0.45 or not indexed.live_count:
             boot = 30.0 + 60.0 * rng.random()
-            dur = 100.0 + 2000.0 * rng.random()
             owner = f"t{rng.randrange(4)}"
-            va = indexed.rent(itype, now, now + boot + dur, owner=owner)
-            vb = reference.rent(itype, now, now + boot + dur, owner=owner)
-            va.busy_seconds += dur
-            vb.busy_seconds += dur
-            indexed.note_use(va)
-            reference.note_use(vb)
+            if roll < 0.12:
+                # rented, never noted: idle from its boot on
+                indexed.rent(itype, now, now + boot, owner=owner)
+                reference.rent(itype, now, now + boot, owner=owner)
+            else:
+                dur = 100.0 + 2000.0 * rng.random()
+                va = indexed.rent(itype, now, now + boot + dur, owner=owner)
+                vb = reference.rent(itype, now, now + boot + dur, owner=owner)
+                va.busy_seconds += dur
+                vb.busy_seconds += dur
+                indexed.note_use(va)
+                reference.note_use(vb)
         elif roll < 0.80:
             live = indexed.alive()
             vm = live[rng.randrange(len(live))]
@@ -230,26 +242,114 @@ def test_manager_random_ops_identical(platform, seed):
             vm.id for vm in reference.alive()
         ]
         assert indexed.counters() == reference.counters()
-        best = indexed.max_busy_alive()
         live = reference.alive()
-        want_best = max(live, key=lambda v: (v.busy_seconds, -v.id), default=None)
-        assert (best.id if best else None) == (
-            want_best.id if want_best else None
-        )
-        idle = indexed.best_idle(now)
-        want_idle = max(
-            (v for v in live if v.free_at <= now + 1e-9),
-            key=lambda v: (v.busy_seconds, -v.id),
-            default=None,
-        )
-        assert (idle.id if idle else None) == (
-            want_idle.id if want_idle else None
-        )
+        if step >= rank_from:
+            best = indexed.max_busy_alive()
+            want_best = max(live, key=lambda v: (v.busy_seconds, -v.id), default=None)
+            assert (best.id if best else None) == (
+                want_best.id if want_best else None
+            )
+        if step >= idle_from:
+            idle = indexed.best_idle(now)
+            want_idle = max(
+                (v for v in live if v.free_at <= now + 1e-9),
+                key=lambda v: (v.busy_seconds, -v.id),
+                default=None,
+            )
+            assert (idle.id if idle else None) == (
+                want_idle.id if want_idle else None
+            )
     # both fleets bill alike, and the single-pass utilization equals
     # the roster scan, floats bit-equal (same accumulation order)
     roll_idx = indexed.finalize(billing)
     assert roll_idx == reference.finalize(billing)
     assert roll_idx.utilization == reference.utilization(billing)
+
+
+def test_unnoted_rental_reaps_and_ranks(platform):
+    """A VM rented and never used is indexed lazily, yet reaps at its
+    horizon and ranks exactly as the scan oracle says — with only reap
+    calls in between."""
+    itype = platform.itype("small")
+    btu = platform.billing.btu_seconds
+    fleets = (FleetManager(), ScanFleetManager())
+    for fleet in fleets:
+        fleet.rent(itype, 0.0, 60.0, owner="idle")  # never noted
+        used = fleet.rent(itype, 0.0, 60.0, owner="busy")
+        used.free_at += 5000.0
+        used.busy_seconds += 5000.0
+        fleet.note_use(used)
+    for now in (100.0, btu - 1.0, btu + 1.0, 2 * btu + 1.0):
+        assert [v.id for v in fleets[0].reap(now, btu)] == [
+            v.id for v in fleets[1].reap(now, btu)
+        ]
+        assert [v.id for v in fleets[0].alive()] == [
+            v.id for v in fleets[1].alive()
+        ]
+    assert [v.dead for v in fleets[0].vms] == [True, True]
+    fresh = FleetManager()
+    idle = fresh.rent(itype, 0.0, 60.0)
+    assert fresh.max_busy_alive() is idle
+    assert fresh.best_idle(30.0) is None
+    assert fresh.best_idle(60.0) is idle
+
+
+# ----------------------------------------------------------------------
+# per-policy index upkeep and the shared-executor trace log
+# ----------------------------------------------------------------------
+def _captured_service(platform, monkeypatch, policy):
+    """Run a small fair-share service, returning (service, executors)."""
+    executors = []
+
+    def factory(*args, **kwargs):
+        executor = OnlineCloudExecutor(*args, **kwargs)
+        executors.append(executor)
+        return executor
+
+    monkeypatch.setattr(service_loop, "OnlineCloudExecutor", factory)
+    cell = ServiceCell(
+        platform=platform, policy=policy, admission="fair", count=14,
+        tenants=4, mean_interarrival=180.0, seed=2013, max_concurrent=4,
+    )
+    service = WorkflowService(
+        platform, policy=policy, admission="fair", max_concurrent=4
+    )
+    result = service.run(build_requests(cell))
+    assert result.completed == 14
+    return service, executors
+
+
+@pytest.mark.parametrize("policy", ["StartParExceed", "StartParNotExceed"])
+def test_startpar_service_never_fills_idle_pool(platform, monkeypatch, policy):
+    """StartPar* never asks for an idle VM, so the AllPar* free-pool and
+    idle heap stay empty for the whole run."""
+    service, _ = _captured_service(platform, monkeypatch, policy)
+    fleet = service.fleet
+    assert len(fleet.vms) > 0
+    assert not fleet._free_pool
+    assert not fleet._idle_rank
+
+
+def test_allpar_service_never_fills_rank_heap(platform, monkeypatch):
+    """Conversely AllPar* never asks for the busiest live VM."""
+    service, _ = _captured_service(platform, monkeypatch, "AllParNotExceed")
+    assert not service.fleet._rank
+    assert service.fleet._idle_rank
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_service_executors_keep_no_trace_log(platform, monkeypatch, policy):
+    """Executors on the service's shared simulator append nothing to
+    ``events``; a solo run_online still logs every VM and task event."""
+    _, executors = _captured_service(platform, monkeypatch, policy)
+    assert executors
+    assert all(ex.events == [] for ex in executors)
+    workflow = SHAPES["wide"](1)
+    solo = run_online(workflow, platform, policy=policy)
+    kinds = [ev.kind for ev in solo.events]
+    assert kinds.count("task_start") == kinds.count("task_end") == len(workflow)
+    assert kinds.count("vm_start") == solo.vm_count
+    assert solo.events == sorted(solo.events, key=lambda e: e.time)
 
 
 # ----------------------------------------------------------------------
