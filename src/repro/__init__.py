@@ -7,6 +7,9 @@ CPA-Eager / Gain / AllPar1LnS[Dyn] allocation strategies, an EC2-style
 platform model with BTU billing, and a discrete-event simulator with an
 experiment harness regenerating every figure and table of the paper.
 
+The top level re-exports :mod:`repro.api`, the one curated public
+surface; everything else is imported from its subpackage.
+
 Quickstart::
 
     from repro import montage, CloudPlatform, HeftScheduler, simulate_schedule
@@ -19,238 +22,10 @@ Quickstart::
     simulate_schedule(sched)           # DES cross-check
 """
 
-from repro.errors import (
-    ReproError,
-    WorkflowError,
-    WorkflowParseError,
-    PlatformError,
-    BillingError,
-    SchedulingError,
-    InvalidScheduleError,
-    BudgetExceededError,
-    SimulationError,
-    ExperimentError,
-)
-from repro.workflows import (
-    Task,
-    Workflow,
-    WorkflowProfile,
-    profile,
-    montage,
-    cstem,
-    mapreduce,
-    sequential,
-    fork_join,
-    random_layered,
-    epigenomics,
-    cybershake,
-    ligo,
-    sipht,
-    bag_of_tasks,
-    parse_dax,
-    parse_dax_string,
-    to_dax,
-    to_dot,
-)
-from repro.workloads import (
-    ParetoModel,
-    ParetoDataModel,
-    BestCaseModel,
-    WorstCaseModel,
-    ConstantModel,
-    apply_model,
-    pareto_cdf,
-)
-from repro.cloud import (
-    CloudPlatform,
-    InstanceType,
-    SMALL,
-    MEDIUM,
-    LARGE,
-    XLARGE,
-    instance_type,
-    Region,
-    EC2_REGIONS,
-    BillingModel,
-    NetworkModel,
-    VM,
-)
-from repro.core import (
-    Schedule,
-    ScheduleMetrics,
-    CoRentModel,
-    EnergyModel,
-    RoundRobinScheduler,
-    LeastLoadScheduler,
-    DeadlineScheduler,
-    ClassicHeftScheduler,
-    LocalityHeftScheduler,
-    MinMinScheduler,
-    MaxMinScheduler,
-    PchScheduler,
-    HcocScheduler,
-    pin_regions,
-    EfficiencyReport,
-    cost_lower_bound,
-    efficiency,
-    makespan_lower_bound,
-    CostExplanation,
-    explain,
-    render_explanation,
-    CriticalReport,
-    realized_critical_path,
-    UtilizationReport,
-    utilization,
-    parallelism_profile,
-    evaluate,
-    compare_to_reference,
-    reference_schedule,
-    ProvisioningPolicy,
-    OneVMperTask,
-    StartParNotExceed,
-    StartParExceed,
-    AllParNotExceed,
-    AllParExceed,
-    provisioning_policy,
-    SchedulingAlgorithm,
-    HeftScheduler,
-    LevelScheduler,
-    CpaEagerScheduler,
-    GainScheduler,
-    AllParScheduler,
-    AllPar1LnSScheduler,
-    AllPar1LnSDynScheduler,
-    scheduling_algorithm,
-    AdaptiveSelector,
-    Goal,
-    recommend,
-)
-from repro.simulator import (
-    Simulator,
-    simulate_schedule,
-    SimulationResult,
-    RobustnessReport,
-    lognormal_jitter,
-    robustness_study,
-    OnlineCloudExecutor,
-    OnlineResult,
-    run_online,
-)
-
+# defined before the re-export: repro.api imports it from here
 __version__ = "1.7.0"
 
-# the observability layer and the stable facade, importable as
-# ``repro.obs`` / ``repro.api`` without a separate import statement
-from repro import obs as obs  # noqa: E402
-from repro import api as api  # noqa: E402
+from repro import api  # noqa: E402
+from repro.api import *  # noqa: E402,F401,F403
 
-__all__ = [
-    "api",
-    "obs",
-    "ReproError",
-    "WorkflowError",
-    "WorkflowParseError",
-    "PlatformError",
-    "BillingError",
-    "SchedulingError",
-    "InvalidScheduleError",
-    "BudgetExceededError",
-    "SimulationError",
-    "ExperimentError",
-    "Task",
-    "Workflow",
-    "montage",
-    "cstem",
-    "mapreduce",
-    "sequential",
-    "fork_join",
-    "random_layered",
-    "epigenomics",
-    "cybershake",
-    "ligo",
-    "sipht",
-    "bag_of_tasks",
-    "parse_dax",
-    "parse_dax_string",
-    "to_dax",
-    "to_dot",
-    "ParetoModel",
-    "ParetoDataModel",
-    "BestCaseModel",
-    "WorstCaseModel",
-    "ConstantModel",
-    "apply_model",
-    "pareto_cdf",
-    "CloudPlatform",
-    "InstanceType",
-    "SMALL",
-    "MEDIUM",
-    "LARGE",
-    "XLARGE",
-    "instance_type",
-    "Region",
-    "EC2_REGIONS",
-    "BillingModel",
-    "NetworkModel",
-    "VM",
-    "Schedule",
-    "ScheduleMetrics",
-    "evaluate",
-    "compare_to_reference",
-    "reference_schedule",
-    "ProvisioningPolicy",
-    "OneVMperTask",
-    "StartParNotExceed",
-    "StartParExceed",
-    "AllParNotExceed",
-    "AllParExceed",
-    "provisioning_policy",
-    "SchedulingAlgorithm",
-    "HeftScheduler",
-    "LevelScheduler",
-    "CpaEagerScheduler",
-    "GainScheduler",
-    "AllParScheduler",
-    "AllPar1LnSScheduler",
-    "AllPar1LnSDynScheduler",
-    "scheduling_algorithm",
-    "AdaptiveSelector",
-    "Goal",
-    "recommend",
-    "Simulator",
-    "simulate_schedule",
-    "SimulationResult",
-    "RobustnessReport",
-    "lognormal_jitter",
-    "robustness_study",
-    "OnlineCloudExecutor",
-    "OnlineResult",
-    "run_online",
-    "WorkflowProfile",
-    "profile",
-    "CoRentModel",
-    "EnergyModel",
-    "RoundRobinScheduler",
-    "LeastLoadScheduler",
-    "DeadlineScheduler",
-    "ClassicHeftScheduler",
-    "LocalityHeftScheduler",
-    "MinMinScheduler",
-    "MaxMinScheduler",
-    "PchScheduler",
-    "HcocScheduler",
-    "pin_regions",
-    "EfficiencyReport",
-    "cost_lower_bound",
-    "efficiency",
-    "makespan_lower_bound",
-    "CostExplanation",
-    "explain",
-    "render_explanation",
-    "CriticalReport",
-    "realized_critical_path",
-    "UtilizationReport",
-    "utilization",
-    "parallelism_profile",
-    "__version__",
-]
+__all__ = api.__all__

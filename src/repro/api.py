@@ -55,6 +55,8 @@ The surface is grouped below:
 * **Platform** — the EC2-style cloud model: catalog, regions, billing.
 * **Scheduling** — provisioning policies, allocation strategies, and
   the registries that name them.
+* **Diagnostics** — lower-bound efficiency, cost explanation,
+  realized critical path and utilization of a finished schedule.
 * **Constraints** — deadline/budget/VM-cap bounds and the
   feasibility verdict on metrics (:mod:`repro.core.constraints`).
 * **Simulation** — the discrete-event replay, online execution,
@@ -66,9 +68,9 @@ The surface is grouped below:
 * **Service** — the multi-tenant Workflow-as-a-Service mode: shared
   fleet, arrival streams, admission policies and the service loop
   (:mod:`repro.service`).  The indexed fleet kernels (DESIGN.md §14)
-  keep this path near-linear in workflows: ~1000 workflows/50 tenants
-  per ~1.3 wall-seconds, 10k workflows/500 tenants in well under a
-  minute on one core.
+  keep this path near-linear in workflows: 1000 workflows/50 tenants
+  in ~0.85 wall-seconds, 10k workflows/500 tenants in ~10.5 s
+  (``BENCH_service.json``).
 * **Observability** — tracing, metrics and run manifests
   (:mod:`repro.obs`).
 """
@@ -138,12 +140,19 @@ from repro.core import (
     AllParScheduler,
     AllPar1LnSScheduler,
     AllPar1LnSDynScheduler,
+    DeadlineScheduler,
     AdaptiveSelector,
     Goal,
     recommend,
     RecoveryPolicy,
     RECOVERY_POLICIES,
     recovery_policy,
+    # schedule diagnostics
+    efficiency,
+    explain,
+    render_explanation,
+    realized_critical_path,
+    utilization,
 )
 
 # --- simulation --------------------------------------------------------
@@ -266,8 +275,12 @@ from repro.obs import (
 from repro.errors import (
     ReproError,
     WorkflowError,
+    WorkflowParseError,
     PlatformError,
+    BillingError,
     SchedulingError,
+    InvalidScheduleError,
+    BudgetExceededError,
     SimulationError,
     ExperimentError,
 )
@@ -328,12 +341,19 @@ __all__ = [
     "AllParScheduler",
     "AllPar1LnSScheduler",
     "AllPar1LnSDynScheduler",
+    "DeadlineScheduler",
     "AdaptiveSelector",
     "Goal",
     "recommend",
     "RecoveryPolicy",
     "RECOVERY_POLICIES",
     "recovery_policy",
+    # schedule diagnostics
+    "efficiency",
+    "explain",
+    "render_explanation",
+    "realized_critical_path",
+    "utilization",
     # simulation
     "Simulator",
     "simulate_schedule",
@@ -427,8 +447,12 @@ __all__ = [
     # errors
     "ReproError",
     "WorkflowError",
+    "WorkflowParseError",
     "PlatformError",
+    "BillingError",
     "SchedulingError",
+    "InvalidScheduleError",
+    "BudgetExceededError",
     "SimulationError",
     "ExperimentError",
     "__version__",

@@ -4,6 +4,7 @@ GB)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
@@ -26,15 +27,19 @@ class Region:
     def __post_init__(self) -> None:
         if not self.name:
             raise PlatformError("region name must be non-empty")
-        if self.transfer_out_per_gb < 0:
-            raise PlatformError(f"negative transfer price in {self.name!r}")
+        # ``not 0 <= x < inf`` also rejects NaN, which would silently
+        # turn every cost into NaN; zero prices model owned capacity
+        if not 0 <= self.transfer_out_per_gb < math.inf:
+            raise PlatformError(
+                f"transfer price in {self.name!r} must be finite and >= 0, "
+                f"got {self.transfer_out_per_gb!r}"
+            )
         for itype, price in self.prices.items():
-            if price < 0:
+            if not 0 <= price < math.inf:
                 raise PlatformError(
-                    f"negative price for {itype!r} in {self.name!r}"
+                    f"price for {itype!r} in {self.name!r} must be finite "
+                    f"and >= 0, got {price!r}"
                 )
-        # zero prices are legal: they model an owned private cluster
-        # (the hybrid-cloud setting of HCOC in the paper's related work)
 
     def price(self, itype: InstanceType | str) -> float:
         """USD per BTU for *itype* in this region."""
@@ -78,19 +83,6 @@ EC2_REGIONS: Dict[str, Region] = {
 
 #: cheapest region; the homogeneous experiments run entirely inside it
 DEFAULT_REGION = EC2_REGIONS["us-east-virginia"]
-
-
-def private_region(name: str = "private") -> Region:
-    """An owned (zero-price) region modelling a private cluster.
-
-    Hybrid-cloud schedulers (HCOC) place work here first and burst to a
-    paid public region only when constraints demand it.
-    """
-    return Region(
-        name=name,
-        prices={"small": 0.0, "medium": 0.0, "large": 0.0, "xlarge": 0.0},
-        transfer_out_per_gb=0.0,
-    )
 
 
 def region(name: str) -> Region:

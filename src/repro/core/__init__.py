@@ -29,17 +29,11 @@ from repro.core.allocation import (
     RoundRobinScheduler,
     LeastLoadScheduler,
     DeadlineScheduler,
+    LocalityHeftScheduler,
+    PchScheduler,
+    pin_regions,
     scheduling_algorithm,
     SCHEDULING_ALGORITHMS,
-)
-from repro.core.allocation import (
-    ClassicHeftScheduler,
-    LocalityHeftScheduler,
-    MinMinScheduler,
-    MaxMinScheduler,
-    PchScheduler,
-    HcocScheduler,
-    pin_regions,
 )
 from repro.core.economics import CoRentModel, EnergyModel
 from repro.core.bounds import (
@@ -95,12 +89,8 @@ __all__ = [
     "DeadlineScheduler",
     "CoRentModel",
     "EnergyModel",
-    "ClassicHeftScheduler",
     "LocalityHeftScheduler",
-    "MinMinScheduler",
-    "MaxMinScheduler",
     "PchScheduler",
-    "HcocScheduler",
     "pin_regions",
     "EfficiencyReport",
     "cost_lower_bound",

@@ -19,11 +19,8 @@ from repro.core.allocation.allpar1lns import (
 )
 from repro.core.allocation.baselines import RoundRobinScheduler, LeastLoadScheduler
 from repro.core.allocation.deadline import DeadlineScheduler
-from repro.core.allocation.classic_heft import ClassicHeftScheduler
 from repro.core.allocation.locality import LocalityHeftScheduler, pin_regions
-from repro.core.allocation.minmin import MinMinScheduler, MaxMinScheduler
 from repro.core.allocation.pch import PchScheduler
-from repro.core.allocation.hcoc import HcocScheduler
 
 __all__ = [
     "SchedulingAlgorithm",
@@ -43,11 +40,7 @@ __all__ = [
     "RoundRobinScheduler",
     "LeastLoadScheduler",
     "DeadlineScheduler",
-    "ClassicHeftScheduler",
     "LocalityHeftScheduler",
     "pin_regions",
-    "MinMinScheduler",
-    "MaxMinScheduler",
     "PchScheduler",
-    "HcocScheduler",
 ]

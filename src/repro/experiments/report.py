@@ -4,8 +4,7 @@ The multi-tenant service mode has its own artifact (``repro-experiments
 service``, rendered by :func:`repro.experiments.service.render_service`)
 and is deliberately *not* folded into :func:`full_report`: the paper
 report is a fixed byte-stable document, while service runs are
-parameterized by arrival/tenant knobs.  :func:`service_report` bridges
-the two for scripts that want one combined text.
+parameterized by arrival/tenant knobs.
 """
 
 from __future__ import annotations
@@ -50,46 +49,3 @@ def full_report(
         sections.append(counters)
     return "\n\n" + "\n\n\n".join(sections) + "\n"
 
-
-def service_report(
-    count: int = 100,
-    tenants: int = 10,
-    mean_interarrival: float = 600.0,
-    seed: int = 2013,
-    policy: str = "StartParNotExceed",
-    admission: str = "fifo",
-    max_concurrent: int | None = 32,
-) -> str:
-    """A seeded WaaS service run rendered as text (the ``service``
-    artifact's programmatic twin)."""
-    from repro.experiments.service import (
-        ServiceCell,
-        build_requests,
-        render_service,
-    )
-    from repro.service.loop import run_service
-
-    cell = ServiceCell(
-        platform=CloudPlatform.ec2(),
-        policy=policy,
-        admission=admission,
-        count=count,
-        tenants=tenants,
-        mean_interarrival=mean_interarrival,
-        seed=seed,
-        max_concurrent=max_concurrent,
-    )
-    result = run_service(
-        build_requests(cell),
-        cell.platform,
-        policy=cell.policy,
-        admission=cell.admission,
-        max_concurrent=cell.max_concurrent,
-    )
-    return render_service(
-        result,
-        title=(
-            f"WaaS service — {count} workflows, {tenants} tenants, "
-            f"policy={policy}, admission={admission}, seed={seed}"
-        ),
-    )

@@ -11,6 +11,7 @@ one-VM-per-task schedules only propagate delay along dependency paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -25,6 +26,8 @@ from repro.util.rng import ensure_rng, spawn_rngs
 def lognormal_jitter(rel_std: float, seed=None):
     """Multiplicative log-normal noise with mean 1 and the given
     relative standard deviation — durations stay positive."""
+    if not math.isfinite(rel_std):
+        raise SimulationError(f"rel_std must be finite, got {rel_std}")
     if rel_std < 0:
         raise SimulationError(f"rel_std must be >= 0, got {rel_std}")
     rng = ensure_rng(seed)

@@ -11,6 +11,7 @@ from earlier instances (the throughput advantage reuse buys).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -33,6 +34,8 @@ class Submission:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival):
+            raise ExperimentError(f"arrival time must be finite, got {self.arrival}")
         if self.arrival < 0:
             raise ExperimentError(f"negative arrival time {self.arrival}")
 
@@ -130,6 +133,10 @@ def poisson_stream(
     """*count* instances of *workflow* with exponential inter-arrivals."""
     if count < 1:
         raise ExperimentError("count must be >= 1")
+    if not math.isfinite(mean_interarrival):
+        raise ExperimentError(
+            f"mean_interarrival must be finite, got {mean_interarrival}"
+        )
     if mean_interarrival < 0:
         raise ExperimentError("mean_interarrival must be >= 0")
     rng = ensure_rng(seed)

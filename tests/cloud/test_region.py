@@ -65,9 +65,20 @@ class TestRegionApi:
         with pytest.raises(PlatformError):
             Region("r", {"small": 0.1}, -0.1)
 
-    def test_zero_price_private_region_allowed(self):
-        from repro.cloud.region import private_region
+    def test_nan_price_rejected(self):
+        with pytest.raises(PlatformError, match="finite"):
+            Region("r", {"small": float("nan"), "medium": 0.2}, 0.1)
 
-        r = private_region("lab")
+    def test_inf_price_rejected(self):
+        with pytest.raises(PlatformError, match="finite"):
+            Region("r", {"small": 0.1, "medium": float("inf")}, 0.1)
+
+    def test_nan_transfer_price_rejected(self):
+        with pytest.raises(PlatformError, match="finite"):
+            Region("r", {"small": 0.1}, float("nan"))
+
+    def test_zero_price_private_region_allowed(self):
+        # an owned cluster: free compute, free egress
+        r = Region("lab", {"small": 0.0, "xlarge": 0.0}, 0.0)
         assert r.name == "lab"
         assert r.price("xlarge") == 0.0

@@ -45,6 +45,11 @@ class TestLognormalJitter:
         with pytest.raises(SimulationError):
             lognormal_jitter(-0.1)
 
+    @pytest.mark.parametrize("rel_std", [float("nan"), float("inf")])
+    def test_non_finite_std_rejected(self, rel_std):
+        with pytest.raises(SimulationError, match="finite"):
+            lognormal_jitter(rel_std)
+
 
 class TestPerturbedExecution:
     def test_execution_stays_feasible(self, workflow, platform):

@@ -50,6 +50,11 @@ class TestMerge:
         with pytest.raises(ExperimentError):
             Submission(sequential(2), -1.0)
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, arrival):
+        with pytest.raises(ExperimentError, match="finite"):
+            Submission(sequential(2), arrival)
+
 
 class TestRunStream:
     def test_instances_complete_after_arrival(self, platform):
@@ -113,3 +118,8 @@ class TestPoissonStream:
             poisson_stream(sequential(2), 0, 100.0)
         with pytest.raises(ExperimentError):
             poisson_stream(sequential(2), 3, -1.0)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    def test_non_finite_interarrival_rejected(self, mean):
+        with pytest.raises(ExperimentError, match="finite"):
+            poisson_stream(sequential(2), 3, mean)

@@ -1,10 +1,14 @@
 """The repro.api facade: the blessed surface must exist, be documented
 and keep pointing at the canonical implementations."""
 
+import ast
 import pydoc
+from pathlib import Path
 
 import repro
 import repro.api as api
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestSurface:
@@ -62,6 +66,35 @@ class TestSurface:
 
     def test_version_matches_package(self):
         assert api.__version__ == repro.__version__
+
+
+class TestSingleExportList:
+    """``repro`` re-exports ``repro.api``; there is no second list."""
+
+    def test_package_all_is_api_all(self):
+        assert repro.__all__ == api.__all__
+
+    def test_package_names_are_api_objects(self):
+        for name in api.__all__:
+            assert getattr(repro, name) is getattr(api, name), name
+
+    def test_examples_import_only_blessed_names(self):
+        scripts = sorted(EXAMPLES.glob("*.py"))
+        assert scripts
+        stray = []
+        for script in scripts:
+            tree = ast.parse(script.read_text(), filename=str(script))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module in (
+                    "repro",
+                    "repro.api",
+                ):
+                    stray += [
+                        f"{script.name}: {alias.name}"
+                        for alias in node.names
+                        if alias.name not in api.__all__
+                    ]
+        assert stray == []
 
 
 class TestQuickstart:

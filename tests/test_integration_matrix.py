@@ -32,11 +32,8 @@ def test_algorithm_on_every_paper_workflow(algo_name, paper_workflow):
     busy = sum(vm.busy_seconds for vm in sched.vms)
     assert paid >= busy - 1e-6
     assert sched.total_idle_seconds == pytest.approx(paid - busy)
-    # free only when everything ran on owned (zero-price) capacity
-    if any(vm.region.price(vm.itype) > 0 for vm in sched.vms):
-        assert sched.total_cost > 0
-    else:
-        assert sched.total_cost == 0.0
+    # every registered algorithm rents paid EC2 capacity
+    assert sched.total_cost > 0
     assert sched.makespan > 0
     # every task assigned exactly once (Schedule enforces; re-assert)
     placed = [p.task_id for vm in sched.vms for p in vm.placements]
@@ -46,4 +43,4 @@ def test_algorithm_on_every_paper_workflow(algo_name, paper_workflow):
 def test_registry_size_guard():
     """Adding an algorithm must extend this matrix — keep the count
     explicit so accidental deregistration is caught."""
-    assert len(SCHEDULING_ALGORITHMS) == 15, sorted(SCHEDULING_ALGORITHMS)
+    assert len(SCHEDULING_ALGORITHMS) == 11, sorted(SCHEDULING_ALGORITHMS)

@@ -50,6 +50,5 @@ class TestPublicApi:
             "RoundRobin",
             "LeastLoad",
             "SHEFT-Deadline",
-            "HEFT-Classic",
         }
         assert expected <= set(SCHEDULING_ALGORITHMS)
