@@ -2,8 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow lint check coverage bench bench-scaling bench-service \
-  bench-pricing bench-tune bench-check profile profile-service report \
+.PHONY: install test test-slow lint check coverage loc bench bench-all bench-scaling \
+  bench-service bench-pricing bench-tune bench-check profile profile-service report \
   artifacts examples faults-smoke service-smoke pricing-smoke tune-smoke clean
 
 install:
@@ -50,6 +50,14 @@ coverage:
 	  PYTHONPATH=src $(PYTHON) -m pytest tests/ -q && \
 	  $(PYTHON) -m compileall -q src; \
 	fi
+
+# Python line totals of src/ and tests/ (plain find + wc); a PR reports
+# its net src/ delta as the difference of this figure before and after.
+loc:
+	@for d in src tests; do \
+	  printf '%s\t' $$d; \
+	  find $$d -name '*.py' -print0 | xargs -0 cat | wc -l; \
+	done
 
 # Refreshes BENCH_sweep.json (serial vs parallel sweep baseline) so
 # future PRs have a perf trajectory to compare against.

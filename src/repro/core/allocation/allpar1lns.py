@@ -120,7 +120,7 @@ class AllPar1LnSBase(SchedulingAlgorithm):
         workflow.validate()
         reg = region or platform.default_region
         builder = ScheduleBuilder(workflow, platform, itype, reg)
-        levels = level_order(workflow, platform, itype, descending_exec=True)
+        levels = level_order(workflow, platform, itype)
         for level_idx, level_tasks in enumerate(levels):
             bins = pack_level(
                 level_tasks, lambda t: platform.runtime(workflow.task(t), itype)

@@ -31,12 +31,10 @@ class HeftScheduler(SchedulingAlgorithm):
     def __init__(
         self,
         provisioning: ProvisioningPolicy | str = "OneVMperTask",
-        include_transfers: bool = True,
     ) -> None:
         if isinstance(provisioning, str):
             provisioning = provisioning_policy(provisioning)
         self.provisioning = provisioning
-        self.include_transfers = include_transfers
 
     def _make_builder(self, workflow, platform, itype, region) -> ScheduleBuilder:
         """Hook for subclasses that attach region choosers etc."""
@@ -52,15 +50,14 @@ class HeftScheduler(SchedulingAlgorithm):
     ) -> Schedule:
         # Large stock-model runs take the fused columnar kernel (see
         # LevelScheduler.schedule).  Exact-type checks keep subclasses
-        # (e.g. LocalityHeftScheduler's region chooser) and the
-        # ``try_all_vms`` StartPar variant on the indexed kernels.
+        # (e.g. LocalityHeftScheduler's region chooser) on the indexed
+        # kernels.
         policy = self.provisioning
         fused_policy = (
             "onevm"
             if type(policy) is OneVMperTask
             else "startpar"
-            if type(policy) is StartParExceed
-            or (type(policy) is StartParNotExceed and not policy.try_all_vms)
+            if type(policy) in (StartParExceed, StartParNotExceed)
             else None
         )
         if (
@@ -78,12 +75,11 @@ class HeftScheduler(SchedulingAlgorithm):
                 region,
                 policy=fused_policy,
                 exceed=getattr(policy, "exceed_btu", True),
-                include_transfers=self.include_transfers,
                 algorithm=self.name,
                 provisioning=policy.name,
             )
         builder = self._make_builder(workflow, platform, itype, region)
-        for tid in heft_order(workflow, platform, itype, self.include_transfers):
+        for tid in heft_order(workflow, platform, itype):
             builder.begin_task(tid)
             vm = self.provisioning.select_vm(tid, builder)
             builder.place(tid, vm)

@@ -30,12 +30,10 @@ class LevelScheduler(SchedulingAlgorithm):
     def __init__(
         self,
         provisioning: ProvisioningPolicy | str = "AllParExceed",
-        descending_exec: bool = True,
     ) -> None:
         if isinstance(provisioning, str):
             provisioning = provisioning_policy(provisioning)
         self.provisioning = provisioning
-        self.descending_exec = descending_exec
 
     def schedule(
         self,
@@ -64,12 +62,11 @@ class LevelScheduler(SchedulingAlgorithm):
                 itype,
                 region,
                 exceed=self.provisioning.exceed_btu,
-                descending_exec=self.descending_exec,
                 algorithm=self.name,
                 provisioning=self.provisioning.name,
             )
         builder = ScheduleBuilder(workflow, platform, itype, region)
-        for level in level_order(workflow, platform, itype, self.descending_exec):
+        for level in level_order(workflow, platform, itype):
             for tid in level:
                 builder.begin_task(tid)
                 vm = self.provisioning.select_vm(tid, builder)

@@ -90,9 +90,8 @@ class LocalityHeftScheduler(HeftScheduler):
         self,
         provisioning="OneVMperTask",
         follow_data: bool = True,
-        include_transfers: bool = True,
     ) -> None:
-        super().__init__(provisioning, include_transfers)
+        super().__init__(provisioning)
         self.follow_data = follow_data
 
     def _make_builder(self, workflow, platform, itype, region) -> ScheduleBuilder:

@@ -22,15 +22,13 @@ def upward_rank(
     workflow: Workflow,
     platform: CloudPlatform,
     itype: InstanceType,
-    include_transfers: bool = True,
 ) -> Dict[str, float]:
     """HEFT upward rank of every task.
 
     Execution weights are the runtimes on *itype* (the run's uniform
     flavor; on a homogeneous platform the HEFT "mean across processors"
     reduces to exactly this). Edge weights are the store-and-forward
-    transfer times between two VMs of that flavor in the default region;
-    pass ``include_transfers=False`` for the pure-CPU variant.
+    transfer times between two VMs of that flavor in the default region.
     """
     if not workflow.validated:
         workflow.validate()
@@ -41,7 +39,7 @@ def upward_rank(
         # and ``max`` folds, byte-identical ranks (property-tested).
         from repro.kernels.columnar import get_columnar, upward_rank_values
 
-        vals = upward_rank_values(workflow, platform, itype, include_transfers)
+        vals = upward_rank_values(workflow, platform, itype)
         return dict(zip(get_columnar(workflow).ids, vals.tolist()))
     # Single iterative O(V+E) sweep over the cached reversed-topo order,
     # against the uncopied adjacency/edge maps.  ``max`` over the same
@@ -53,24 +51,14 @@ def upward_rank(
     runtime = platform.runtime
     transfer = platform.transfer_time
     ranks: Dict[str, float] = {}
-    if include_transfers:
-        edge_gb = workflow.edge_data_map()
-        #: transfer time per edge at the run's uniform flavor, computed
-        #: once per edge — the memoized transfer lookup of the kernels
-        for tid in reversed(workflow.topological_order()):
-            best = 0.0
-            for succ in succ_map[tid]:
-                cand = transfer(edge_gb[tid, succ], itype, itype) + ranks[succ]
-                if cand > best:
-                    best = cand
-            ranks[tid] = runtime(tasks[tid], itype) + best
-    else:
-        for tid in reversed(workflow.topological_order()):
-            best = 0.0
-            for succ in succ_map[tid]:
-                if ranks[succ] > best:
-                    best = ranks[succ]
-            ranks[tid] = runtime(tasks[tid], itype) + best
+    edge_gb = workflow.edge_data_map()
+    for tid in reversed(workflow.topological_order()):
+        best = 0.0
+        for succ in succ_map[tid]:
+            cand = transfer(edge_gb[tid, succ], itype, itype) + ranks[succ]
+            if cand > best:
+                best = cand
+        ranks[tid] = runtime(tasks[tid], itype) + best
     return ranks
 
 
@@ -78,10 +66,9 @@ def heft_order(
     workflow: Workflow,
     platform: CloudPlatform,
     itype: InstanceType,
-    include_transfers: bool = True,
 ) -> List[str]:
     """Tasks in decreasing upward rank (ties broken by id)."""
-    ranks = upward_rank(workflow, platform, itype, include_transfers)
+    ranks = upward_rank(workflow, platform, itype)
     return sorted(workflow.task_ids, key=lambda t: (-ranks[t], t))
 
 
@@ -89,14 +76,8 @@ def level_order(
     workflow: Workflow,
     platform: CloudPlatform,
     itype: InstanceType,
-    descending_exec: bool = True,
 ) -> List[List[str]]:
-    """Levels in DAG order; inside each level tasks sorted by execution
-    time on *itype* (descending by default, the AllPar1LnS rule)."""
-    out: List[List[str]] = []
-    for level in workflow.levels():
-        key = lambda t: (-platform.runtime(workflow.task(t), itype), t)
-        if not descending_exec:
-            key = lambda t: (platform.runtime(workflow.task(t), itype), t)
-        out.append(sorted(level, key=key))
-    return out
+    """Levels in DAG order; inside each level tasks sorted by descending
+    execution time on *itype* (the AllPar1LnS rule)."""
+    key = lambda t: (-platform.runtime(workflow.task(t), itype), t)
+    return [sorted(level, key=key) for level in workflow.levels()]

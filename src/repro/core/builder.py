@@ -77,19 +77,12 @@ class ScheduleBuilder:
         region: Region | None = None,
         region_chooser=None,
         metrics: MetricsRegistry | None = None,
-        fleet=None,
     ) -> None:
         workflow.validate()
         self.workflow = workflow
         self.platform = platform
         self.default_itype = default_itype
         self.region = region or platform.default_region
-        #: optional rental ledger (duck-typed — anything exposing
-        #: ``on_builder_rent(builder, vm)``, in practice a
-        #: :class:`repro.service.fleet.FleetManager`); the builder's VM
-        #: records stay local, only rental *accounting* is shared, so
-        #: the service can attribute static planning work per tenant
-        self.fleet = fleet
         #: metrics sink: explicit kwarg, else the ambient registry (see
         #: :func:`repro.obs.metrics.current`); ``None`` keeps every hot
         #: path down to a single ``is not None`` branch
@@ -431,35 +424,6 @@ class ScheduleBuilder:
             heapq.heappush(heap, entry)
         return chosen
 
-    def busiest_fitting(
-        self, task_id: str, exclude: Optional[BuilderVM] = None
-    ) -> Optional[BuilderVM]:
-        """Busiest alive VM (skipping *exclude*) whose remaining paid
-        BTUs absorb *task_id* — the StartParNotExceed ``try_all_vms``
-        scan, in the same decreasing (busy_seconds, -id) order.
-        """
-        self._ensure_index()
-        heap = self._busy_heap
-        stamps = self._busy_stamp
-        vms = self.vms
-        deferred: list = []
-        chosen: Optional[BuilderVM] = None
-        while heap:
-            entry = heapq.heappop(heap)
-            vid = entry[1]
-            vm = vms[vid]
-            if entry[2] != stamps.get(vid) or vm.empty:
-                continue
-            deferred.append(entry)
-            if vm is exclude:
-                continue
-            if self.is_reusable(task_id, vm) and self.fits_in_btu(task_id, vm):
-                chosen = vm
-                break
-        for entry in deferred:
-            heapq.heappush(heap, entry)
-        return chosen
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -482,8 +446,6 @@ class ScheduleBuilder:
             # empty VMs enter the busy/level structures on first placement
         if self.metrics is not None:
             self.metrics.inc("builder.vms_rented")
-        if self.fleet is not None:
-            self.fleet.on_builder_rent(self, vm)
         return vm
 
     def adopt_vm(

@@ -8,9 +8,6 @@ that VM past its currently-paid BTUs; the *Exceed* variant never rents
 for that reason — so a workflow with a single entry task ends up
 entirely serialized on one VM (the paper's CSTEM remark).
 
-``try_all_vms`` (off by default, see DESIGN.md) lets NotExceed scan the
-remaining VMs in decreasing execution time before renting.
-
 Implementation: the historical kernel re-filtered and re-sorted the
 whole fleet per task (see ``StartParExceedReference`` in
 ``tests/oracles/provisioning_scan.py``, the preserved oracle); this version reads the builder's busy-seconds
@@ -26,7 +23,6 @@ from repro.core.provisioning.base import ProvisioningPolicy, register_policy
 
 class _StartParBase(ProvisioningPolicy):
     exceed_btu: bool = True
-    try_all_vms: bool = False
 
     def select_vm(self, task_id: str, builder: ScheduleBuilder) -> BuilderVM:
         metrics = builder.metrics
@@ -45,12 +41,6 @@ class _StartParBase(ProvisioningPolicy):
             if metrics is not None:
                 metrics.inc("provision.reuse_pool")
             return target
-        if self.try_all_vms:
-            fallback = builder.busiest_fitting(task_id, exclude=target)
-            if fallback is not None:
-                if metrics is not None:
-                    metrics.inc("provision.reuse_pool")
-                return fallback
         if metrics is not None:
             metrics.inc("provision.rent")
         return builder.new_vm()
@@ -60,9 +50,6 @@ class _StartParBase(ProvisioningPolicy):
 class StartParNotExceed(_StartParBase):
     name = "StartParNotExceed"
     exceed_btu = False
-
-    def __init__(self, try_all_vms: bool = False) -> None:
-        self.try_all_vms = try_all_vms
 
 
 @register_policy

@@ -23,6 +23,7 @@ Three recoveries are provided:
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -75,8 +76,10 @@ class RecoveryAction:
     def __post_init__(self) -> None:
         if self.kind not in ("retry", "resubmit", "replan", "abort"):
             raise SchedulingError(f"unknown recovery action {self.kind!r}")
-        if self.delay < 0:
-            raise SchedulingError(f"recovery delay must be >= 0, got {self.delay}")
+        if not 0.0 <= self.delay < math.inf:
+            raise SchedulingError(
+                f"recovery delay must be finite and >= 0, got {self.delay}"
+            )
 
 
 class RecoveryPolicy(abc.ABC):
@@ -106,8 +109,16 @@ class RecoveryPolicy(abc.ABC):
     ) -> None:
         if max_attempts < 1:
             raise SchedulingError(f"max_attempts must be >= 1, got {max_attempts}")
-        if backoff_base < 0 or backoff_cap < 0 or backoff_factor < 1:
-            raise SchedulingError("invalid backoff parameters")
+        # negated comparisons: NaN fails every one of them
+        if not (
+            0.0 <= backoff_base < math.inf
+            and backoff_cap >= 0.0
+            and backoff_factor >= 1.0
+        ):
+            raise SchedulingError(
+                "invalid backoff parameters: base="
+                f"{backoff_base}, factor={backoff_factor}, cap={backoff_cap}"
+            )
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor

@@ -181,7 +181,6 @@ def run_fault_sweep(
     recovery: str = "retry",
     jobs: int | None = None,
     backend: "str | ExecutionBackend | None" = None,
-    retries: int = 0,
     cell_timeout: float | None = None,
 ) -> FaultSweepResult:
     """Replay the five provisioning policies across a fault grid.
@@ -235,7 +234,6 @@ def run_fault_sweep(
         run_fault_cell,
         cells,
         label_fn=fault_cell_label,
-        retries=retries,
         timeout=cell_timeout,
     )
     return FaultSweepResult(

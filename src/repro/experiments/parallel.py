@@ -275,15 +275,13 @@ class CellFailure:
     """One work unit that did not produce a result."""
 
     label: str
-    #: ``"TypeName: message"`` of the final error
+    #: ``"TypeName: message"`` of the error
     error: str
-    #: full traceback of the final attempt ("" for timeouts)
+    #: full traceback of the error ("" for timeouts)
     traceback: str
-    #: how many attempts were made before giving up
-    attempts: int
 
     def __str__(self) -> str:
-        return f"{self.label}: {self.error} (after {self.attempts} attempt(s))"
+        return f"{self.label}: {self.error}"
 
 
 def _call_with_timeout(fn: Callable[[T], R], item: T, timeout: float) -> R:
@@ -320,50 +318,44 @@ def _call_with_timeout(fn: Callable[[T], R], item: T, timeout: float) -> R:
 
 
 class _GuardedCall:
-    """Picklable per-unit wrapper: bounded retries + optional timeout.
+    """Picklable per-unit wrapper: error capture + optional timeout.
 
     Returns ``(value, None)`` on success and ``(None, CellFailure)``
-    when every attempt failed, so a crashing unit never takes down the
-    whole map.  Timeouts are terminal — a deterministic workload that
-    exceeded the deadline once will exceed it again.
+    when the unit raised or timed out, so a crashing unit never takes
+    down the whole map.  There is no retry: every unit is
+    seed-deterministic, so a second attempt fails the same way.
     """
 
     def __init__(
         self,
         fn: Callable[[T], R],
-        retries: int = 0,
         timeout: float | None = None,
         label_fn: Callable[[T], str] | None = None,
     ) -> None:
-        if retries < 0:
-            raise ExperimentError(f"retries must be >= 0, got {retries}")
         if timeout is not None and timeout <= 0:
             raise ExperimentError(f"timeout must be positive, got {timeout}")
         self.fn = fn
-        self.retries = retries
         self.timeout = timeout
         self.label_fn = label_fn
 
     def __call__(self, item: T) -> "Tuple[Optional[R], Optional[CellFailure]]":
         label = self.label_fn(item) if self.label_fn is not None else repr(item)[:120]
-        error = tb = ""
-        attempt = 0
-        for attempt in range(1, self.retries + 2):
-            try:
-                if self.timeout is not None:
-                    return _call_with_timeout(self.fn, item, self.timeout), None
-                return self.fn(item), None
-            except FuturesTimeoutError:
-                return None, CellFailure(
-                    label=label,
-                    error=f"TimeoutError: exceeded {self.timeout}s",
-                    traceback="",
-                    attempts=attempt,
-                )
-            except Exception as exc:  # noqa: BLE001 - the whole point
-                error = f"{type(exc).__name__}: {exc}"
-                tb = traceback.format_exc()
-        return None, CellFailure(label=label, error=error, traceback=tb, attempts=attempt)
+        try:
+            if self.timeout is not None:
+                return _call_with_timeout(self.fn, item, self.timeout), None
+            return self.fn(item), None
+        except FuturesTimeoutError:
+            return None, CellFailure(
+                label=label,
+                error=f"TimeoutError: exceeded {self.timeout}s",
+                traceback="",
+            )
+        except Exception as exc:  # noqa: BLE001 - the whole point
+            return None, CellFailure(
+                label=label,
+                error=f"{type(exc).__name__}: {exc}",
+                traceback=traceback.format_exc(),
+            )
 
 
 def map_guarded(
@@ -371,18 +363,17 @@ def map_guarded(
     fn: Callable[[T], R],
     items: Iterable[T],
     label_fn: Callable[[T], str] | None = None,
-    retries: int = 0,
     timeout: float | None = None,
 ) -> "Tuple[List[Optional[R]], List[CellFailure]]":
     """Fan *items* out over *backend*, capturing per-unit errors.
 
     Returns ``(results, failures)``: ``results`` is input-ordered with
     ``None`` holes where a unit failed, ``failures`` describes the holes
-    (label, error, traceback, attempt count) in input order.  With the
+    (label, error, traceback) in input order.  With the
     process backend, *fn* and *label_fn* must be picklable (module-level
     functions or partials, not lambdas).
     """
-    guarded = _GuardedCall(fn, retries=retries, timeout=timeout, label_fn=label_fn)
+    guarded = _GuardedCall(fn, timeout=timeout, label_fn=label_fn)
     pairs = backend.map(guarded, items)
     results: List[Optional[R]] = []
     failures: List[CellFailure] = []

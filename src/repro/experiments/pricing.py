@@ -274,7 +274,6 @@ def run_pricing_sweep(
     seeds: Iterable[int] | int = 3,
     jobs: int | None = None,
     backend: "str | ExecutionBackend | None" = None,
-    retries: int = 0,
     cell_timeout: float | None = None,
 ) -> PricingSweepResult:
     """Replay the provisioning policies across the pricing grid.
@@ -325,7 +324,6 @@ def run_pricing_sweep(
         run_pricing_cell,
         cells,
         label_fn=pricing_cell_label,
-        retries=retries,
         timeout=cell_timeout,
     )
     return PricingSweepResult(

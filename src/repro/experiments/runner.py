@@ -155,9 +155,7 @@ def run_sweep(
     verify: bool = False,
     jobs: int | None = None,
     backend: "str | ExecutionBackend | None" = None,
-    retries: int = 0,
     cell_timeout: float | None = None,
-    on_error: str = "capture",
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> SweepResult:
@@ -173,12 +171,10 @@ def run_sweep(
     produces metrics identical to the serial run (see the determinism
     contract in :mod:`repro.experiments.parallel`).
 
-    A crashing cell no longer takes the whole sweep down: each cell runs
-    guarded (``retries`` extra attempts, optional ``cell_timeout``
-    wall-clock deadline) and with ``on_error="capture"`` (the default)
-    failed cells are simply absent from the result, described in
-    ``SweepResult.failures``; ``on_error="raise"`` restores the old
-    fail-fast behavior.
+    A crashing cell does not take the whole sweep down: each cell runs
+    guarded (optional ``cell_timeout`` wall-clock deadline) and failed
+    cells are simply absent from the result, described in
+    ``SweepResult.failures`` — callers check that list.
 
     *tracer* records the sweep (one trace process per cell, merged via
     :meth:`~repro.obs.tracer.Tracer.adopt` regardless of backend);
@@ -187,10 +183,6 @@ def run_sweep(
     cells are merged in grid order, so the roll-up is byte-identical
     across the serial, thread and process backends for the same seed.
     """
-    if on_error not in ("capture", "raise"):
-        raise ExperimentError(
-            f'on_error must be "capture" or "raise", got {on_error!r}'
-        )
     platform = platform or CloudPlatform.ec2()
     workflows = workflows if workflows is not None else paper_workflows()
     scenarios = list(scenarios) if scenarios is not None else paper_scenarios(platform)
@@ -223,14 +215,8 @@ def run_sweep(
         run_cell,
         cells,
         label_fn=cell_label,
-        retries=retries,
         timeout=cell_timeout,
     )
-    if failures and on_error == "raise":
-        raise ExperimentError(
-            f"{len(failures)}/{len(cells)} sweep cell(s) failed:\n"
-            + "\n".join(str(f) for f in failures)
-        )
 
     # Merge in grid order — backend.map preserves input order, so the
     # result layout (and any counter/trace roll-up) is independent of

@@ -159,7 +159,6 @@ def run_service_sweep(
     max_concurrent: Optional[int] = None,
     jobs: int | None = None,
     backend: "str | ExecutionBackend | None" = None,
-    retries: int = 0,
     cell_timeout: float | None = None,
 ) -> ServiceSweepResult:
     """Run the (policy × admission × seed) service grid."""
@@ -192,7 +191,6 @@ def run_service_sweep(
         run_service_cell,
         cells,
         label_fn=service_cell_label,
-        retries=retries,
         timeout=cell_timeout,
     )
     return ServiceSweepResult(

@@ -253,9 +253,7 @@ def remote_transfer_seconds(gb: np.ndarray, platform, itype) -> np.ndarray:
     return np.where(gb == 0.0, lat, gb * 8.0 / bw + lat)
 
 
-def upward_rank_values(
-    workflow, platform, itype, include_transfers: bool = True
-) -> np.ndarray:
+def upward_rank_values(workflow, platform, itype) -> np.ndarray:
     """HEFT upward ranks as a vector over the columnar index.
 
     Byte-identical to :func:`repro.core.allocation.ranking.upward_rank`
@@ -266,11 +264,7 @@ def upward_rank_values(
     n = cd.n
     runt = cd.works / itype.speedup
     succ_cnt = np.diff(cd.succ_ptr)
-    tr = (
-        remote_transfer_seconds(cd.succ_gb, platform, itype)
-        if include_transfers
-        else None
-    )
+    tr = remote_transfer_seconds(cd.succ_gb, platform, itype)
     ranks = np.empty(n, dtype=np.float64)
     order, starts = cd.level_groups()
     for lvl in range(cd.n_levels - 1, -1, -1):
@@ -282,9 +276,7 @@ def upward_rank_values(
             continue
         cnz = succ_cnt[nz]
         flat = gather_csr(cd.succ_ptr, nz, cnz)
-        vals = ranks[cd.succ_idx[flat]]
-        if tr is not None:
-            vals = tr[flat] + vals
+        vals = tr[flat] + ranks[cd.succ_idx[flat]]
         seg_starts = np.cumsum(cnz) - cnz
         best = np.maximum.reduceat(vals, seg_starts)
         # the scalar kernel folds from best = 0.0; candidates are

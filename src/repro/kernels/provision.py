@@ -376,7 +376,6 @@ def fused_level_schedule(
     itype,
     region,
     exceed: bool,
-    descending_exec: bool,
     algorithm: str,
     provisioning: str,
 ) -> Schedule:
@@ -410,10 +409,7 @@ def fused_level_schedule(
 
     for lvl in range(cd.n_levels):
         nodes = order[lv_starts[lvl] : lv_starts[lvl + 1]]
-        if descending_exec:
-            sel = np.lexsort((sr_v[nodes], neg_runt[nodes]))
-        else:
-            sel = np.lexsort((sr_v[nodes], st.runt_v[nodes]))
+        sel = np.lexsort((sr_v[nodes], neg_runt[nodes]))
         tasks = nodes[sel].tolist()
         parallel = len(tasks) > 1
         for t in tasks:
@@ -459,15 +455,13 @@ def fused_heft_schedule(
     region,
     policy: str,
     exceed: bool,
-    include_transfers: bool,
     algorithm: str,
     provisioning: str,
 ) -> Schedule:
     """Rank-ordered StartPar*/OneVMperTask as one fused pass.
 
     *policy* is ``"startpar"`` or ``"onevm"``; *exceed* only applies to
-    the former (the ``try_all_vms`` variant is not fused — the dispatch
-    site keeps it on the indexed kernels).
+    the former.
     """
     cd = get_columnar(workflow)
     st = _State(cd, platform, itype)
@@ -477,7 +471,7 @@ def fused_heft_schedule(
     pp = st.pp
     stamps = st.stamps
     vm_paid = st.vm_paid
-    ranks = upward_rank_values(workflow, platform, itype, include_transfers)
+    ranks = upward_rank_values(workflow, platform, itype)
     order = np.lexsort((cd.str_rank, -ranks)).tolist()
 
     if policy == "onevm":

@@ -56,8 +56,10 @@ class _MarketPolicy(RecoveryPolicy):
         restart_cost_seconds: float = 0.0,
     ) -> None:
         super().__init__(max_attempts, backoff_base, backoff_factor, backoff_cap)
-        if restart_cost_seconds < 0:
-            raise SchedulingError("restart_cost_seconds must be >= 0")
+        if not restart_cost_seconds >= 0:  # NaN included
+            raise SchedulingError(
+                f"restart_cost_seconds must be >= 0, got {restart_cost_seconds}"
+            )
         self.base = recovery_policy(base)
         # crashed-VM queue handling and retry affinity follow the base
         self.queue_strategy = self.base.queue_strategy
@@ -95,9 +97,9 @@ class RebidHigher(_MarketPolicy):
         **kwargs,
     ) -> None:
         super().__init__(base, **kwargs)
-        if step <= 1.0:
+        if not step > 1.0:  # NaN included
             raise SchedulingError(f"rebid step must be > 1, got {step}")
-        if max_bid <= 0:
+        if not max_bid > 0:
             raise SchedulingError(f"max_bid must be > 0, got {max_bid}")
         self.step = step
         self.max_bid = max_bid

@@ -199,13 +199,11 @@ def default_estimator(request: WorkflowRequest, service) -> float:
     """Conservative-by-construction rent estimate for one request.
 
     The price of the request's workflow under the ``OneVMperTask``
-    provisioning policy on the *service's* instance type and region,
-    with each rental recorded per tenant in the shared
-    :class:`~repro.service.fleet.FleetManager` ledger
-    (``static_rents``).  With no cross-VM transfers this equals the
-    realized online cost of the workflow exactly (each task pays its own
-    BTUs); with transfers the realized cost can exceed it, because
-    online staging happens after placement.
+    provisioning policy on the *service's* instance type and region.
+    With no cross-VM transfers this equals the realized online cost of
+    the workflow exactly (each task pays its own BTUs); with transfers
+    the realized cost can exceed it, because online staging happens
+    after placement.
 
     Every task owns its VM, so the plan has a closed form, computed in
     one topological pass: a task is ready at its latest ``predecessor
@@ -251,9 +249,6 @@ def default_estimator(request: WorkflowRequest, service) -> float:
         # start + (finish - start)
         end = start + (end - start)
         paid.append(btus(end - (start - boot)))
-    fleet = service.fleet
-    owner = fleet.active_owner
-    fleet.static_rents[owner] = fleet.static_rents.get(owner, 0) + len(paid)
     price = region.price(itype)
     return sum([b * price for b in paid])
 

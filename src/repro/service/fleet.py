@@ -140,14 +140,6 @@ class FleetManager:
     first reservation indexes it.  The StartPar* rank heap and the
     AllPar* free-pool are built on their first query, so a run pays only
     for the index its policy reads.
-
-    The manager also acts as the rental *ledger* for static planning:
-    ``static_rents`` counts rentals per owner.  A
-    :class:`~repro.core.builder.ScheduleBuilder` constructed with
-    ``fleet=manager`` reports every ``new_vm`` through
-    :meth:`on_builder_rent`; the budget-guard admission estimate, which
-    prices ``OneVMperTask`` in closed form, adds one rental per task
-    directly.
     """
 
     def __init__(self, region: Region | None = None) -> None:
@@ -160,11 +152,6 @@ class FleetManager:
         self._warning_listeners: List[Callable[[FleetVM], None]] = []
         #: warm-pool acquisitions consumed so far, by flavor name
         self.warm_used: Dict[str, int] = {}
-        #: static-planning ledger: owner -> builder VM rentals
-        self.static_rents: Dict[str, int] = {}
-        #: the owner attributed builder rentals (and rentals made with
-        #: no explicit owner); the service sets this around each run
-        self.active_owner: str = ""
         # --- incremental fleet indexes ------------------------------
         #: ids of living VMs
         self._live: set = set()
@@ -197,7 +184,7 @@ class FleetManager:
         itype: InstanceType,
         started_at: float,
         free_at: float,
-        owner: str | None = None,
+        owner: str = "",
         purchase: object | None = None,
     ) -> FleetVM:
         """Create the next VM record; ids are fleet-global and dense."""
@@ -206,7 +193,7 @@ class FleetManager:
             itype=itype,
             started_at=started_at,
             free_at=free_at,
-            owner=self.active_owner if owner is None else owner,
+            owner=owner,
             purchase=purchase,
         )
         self.vms.append(vm)
@@ -424,20 +411,6 @@ class FleetManager:
         each can checkpoint its own work on *vm* before the kill."""
         for listener in self._warning_listeners:
             listener(vm)
-
-    # ------------------------------------------------------------------
-    # static-builder ledger
-    # ------------------------------------------------------------------
-    def on_builder_rent(self, builder, vm) -> None:
-        """Record one static ``ScheduleBuilder.new_vm`` rental.
-
-        Called by builders constructed with ``fleet=manager``; the VM
-        record stays local to the builder (static schedules all start
-        at t=0, so cross-run reuse is meaningless there), only the
-        accounting is shared.
-        """
-        owner = self.active_owner
-        self.static_rents[owner] = self.static_rents.get(owner, 0) + 1
 
     # ------------------------------------------------------------------
     # accounting

@@ -279,13 +279,7 @@ class WorkflowService:
         acct = self.account(request.tenant)
         acct.submitted += 1
         self._submitted += 1
-        # the manager attributes any static planning (e.g. the budget
-        # guard's estimator builds) to the arriving tenant
-        self.fleet.active_owner = request.tenant
-        try:
-            admitted = self.admission.admit(request, self)
-        finally:
-            self.fleet.active_owner = ""
+        admitted = self.admission.admit(request, self)
         estimate = self._estimates.pop(id(request), 0.0)
         if not admitted:
             acct.rejected += 1

@@ -126,16 +126,22 @@ class FaultPlan:
             raise SimulationError(
                 f"boot_fail_prob must be in [0, 1), got {self.boot_fail_prob}"
             )
-        if self.vm_crash_rate < 0:
+        # ``0 <= x < inf`` is False for NaN too, so a non-finite value
+        # fails here, not deep in the event loop as an unschedulable time
+        if not 0.0 <= self.vm_crash_rate < math.inf:
             raise SimulationError(
-                f"vm_crash_rate must be >= 0, got {self.vm_crash_rate}"
+                f"vm_crash_rate must be finite and >= 0, got {self.vm_crash_rate}"
             )
-        if self.boot_delay_rel_std < 0:
+        if not 0.0 <= self.boot_delay_rel_std < math.inf:
             raise SimulationError(
-                f"boot_delay_rel_std must be >= 0, got {self.boot_delay_rel_std}"
+                "boot_delay_rel_std must be finite and >= 0, "
+                f"got {self.boot_delay_rel_std}"
             )
-        if self.boot_cold_seconds < 0 or self.boot_warm_seconds < 0:
-            raise SimulationError("boot durations must be >= 0")
+        for name in ("boot_cold_seconds", "boot_warm_seconds"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise SimulationError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}"
+                )
         if self.boot_warm_pool < 0:
             raise SimulationError(
                 f"boot_warm_pool must be >= 0, got {self.boot_warm_pool}"

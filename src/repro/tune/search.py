@@ -160,7 +160,6 @@ def autotune(
     seed: int = 0,
     jobs: Optional[int] = None,
     backend: "str | ExecutionBackend | None" = None,
-    retries: int = 0,
     cell_timeout: Optional[float] = None,
     on_infeasible: str = "raise",
 ) -> TuneResult:
@@ -277,8 +276,7 @@ def autotune(
             evaluate_candidate,
             units,
             label_fn=eval_unit_label,
-            retries=retries,
-            timeout=cell_timeout,
+                timeout=cell_timeout,
         )
         all_failures.extend(failures)
         registry.inc("tune.rungs")

@@ -85,16 +85,6 @@ class IntervalSet:
         keep.sort()
         self._intervals = keep
 
-    def add_disjoint(self, interval: Interval) -> None:
-        """Insert *interval*, raising if it overlaps an existing one.
-
-        Touching intervals (``a.end == b.start``) are allowed and merged.
-        """
-        for iv in self._intervals:
-            if iv.overlaps(interval):
-                raise ValueError(f"{interval} overlaps existing {iv}")
-        self.add(interval)
-
     def __iter__(self) -> Iterator[Interval]:
         return iter(self._intervals)
 
@@ -125,23 +115,6 @@ class IntervalSet:
 
     def covers(self, t: float) -> bool:
         return any(iv.contains(t) for iv in self._intervals)
-
-    def first_fit(self, earliest: float, duration: float) -> float:
-        """Earliest time ``>= earliest`` at which a block of *duration*
-        seconds fits without overlapping the set.
-
-        Useful for insertion-based scheduling variants.
-        """
-        if duration < 0:
-            raise ValueError("duration must be >= 0")
-        t = earliest
-        for iv in self._intervals:
-            if iv.end <= t:
-                continue
-            if iv.start >= t + duration:
-                break
-            t = iv.end
-        return t
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = ", ".join(f"[{iv.start:g},{iv.end:g})" for iv in self._intervals)

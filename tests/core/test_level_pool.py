@@ -58,32 +58,29 @@ def _trace(schedule):
     )
 
 
-def _run(wf, platform, policy, descending, columnar):
+def _run(wf, platform, policy, columnar):
     reg = MetricsRegistry()
     side = force_columnar() if columnar else columnar_disabled()
     with side, reg.activate():
-        sched = LevelScheduler(policy, descending_exec=descending).schedule(
-            wf, platform
-        )
+        sched = LevelScheduler(policy).schedule(wf, platform)
     return _trace(sched), reg.as_dict()
 
 
-def _assert_identical(wf, platform, policy, descending=True):
-    fused = _run(wf, platform, policy, descending, columnar=True)
-    indexed = _run(wf, platform, policy, descending, columnar=False)
+def _assert_identical(wf, platform, policy):
+    fused = _run(wf, platform, policy, columnar=True)
+    indexed = _run(wf, platform, policy, columnar=False)
     assert fused[0] == indexed[0]
     assert fused[1] == indexed[1]
     return indexed[1]["counters"]
 
 
-@pytest.mark.parametrize("descending", [True, False], ids=["desc", "asc"])
 @pytest.mark.parametrize("platform", [WARM, COLD], ids=["warm", "cold"])
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("seed", [0, 2013])
-def test_pareto_runs_identical_to_indexed(shape, seed, policy, platform, descending):
+def test_pareto_runs_identical_to_indexed(shape, seed, policy, platform):
     wf = apply_model(SHAPES[shape](), ParetoModel(), seed=seed)
-    _assert_identical(wf, platform, policy, descending)
+    _assert_identical(wf, platform, policy)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -127,13 +124,12 @@ def test_5k_pareto_montage_identical_to_indexed(policy):
     seed=st.integers(0, 100_000),
     model_seed=st.integers(0, 1_000),
     exceed=st.booleans(),
-    descending=st.booleans(),
 )
-def test_random_layered_identical_to_indexed(seed, model_seed, exceed, descending):
+def test_random_layered_identical_to_indexed(seed, model_seed, exceed):
     wf = apply_model(
         random_layered(layers=4, width_range=(5, 30), edge_density=0.3, seed=seed),
         ParetoModel(),
         seed=model_seed,
     )
     policy = "AllParExceed" if exceed else "AllParNotExceed"
-    _assert_identical(wf, WARM, policy, descending)
+    _assert_identical(wf, WARM, policy)

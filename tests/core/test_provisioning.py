@@ -97,27 +97,6 @@ class TestStartPar:
         # "slightly smaller makespan" — up to transfer-latency noise
         assert ne.makespan <= ex.makespan * 1.001
 
-    def test_try_all_vms_scans_before_renting(self, platform):
-        """The optional NotExceed fallback reuses any fitting VM instead
-        of renting when only the busiest one is full."""
-        from repro.core.provisioning.start_par import StartParNotExceed
-        from repro.core.allocation.heft import HeftScheduler as _H
-
-        wf = Workflow("w")
-        wf.add_task(Task("e1", 3000.0))  # busiest; child would overrun it
-        wf.add_task(Task("e2", 1000.0))  # room and an early start
-        wf.add_task(Task("child", 800.0))
-        wf.add_dependency("e2", "child")
-        wf.validate()
-        literal = _H(StartParNotExceed(try_all_vms=False)).schedule(wf, platform)
-        scanning = _H(StartParNotExceed(try_all_vms=True)).schedule(wf, platform)
-        # literal rule targets the busiest VM (e1): start 3000 + 800
-        # crosses its BTU -> rent a third VM
-        assert literal.vm_count == 3
-        # scanning rule falls through to e2's VM, where it fits
-        assert scanning.vm_count == 2
-        assert scanning.vm_of("child") is scanning.vm_of("e2")
-
     def test_packs_onto_busiest_vm(self, platform):
         """Non-entry tasks land on the VM with the largest execution time."""
         wf = Workflow("w")

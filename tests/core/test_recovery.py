@@ -34,6 +34,11 @@ class TestRecoveryAction:
         with pytest.raises(SchedulingError):
             RecoveryAction("retry", delay=-1.0)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_delay_must_be_finite(self, delay):
+        with pytest.raises(SchedulingError, match="finite"):
+            RecoveryAction("retry", delay)
+
 
 class TestBackoff:
     def test_capped_exponential(self):
@@ -51,6 +56,21 @@ class TestBackoff:
             RetrySameVM(backoff_factor=0.5)
         with pytest.raises(SchedulingError):
             RetrySameVM(backoff_base=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"backoff_base": float("nan")},
+            {"backoff_base": float("inf")},
+            {"backoff_factor": float("nan")},
+            {"backoff_cap": float("nan")},
+        ],
+        ids=["base-nan", "base-inf", "factor-nan", "cap-nan"],
+    )
+    def test_non_finite_parameters_rejected(self, kwargs):
+        """Caught at construction, not as an unschedulable event time."""
+        with pytest.raises(SchedulingError, match="backoff"):
+            RetrySameVM(**kwargs)
 
 
 class TestRetrySameVM:

@@ -111,7 +111,6 @@ class TestRenderFaultSweep:
                     label="X/montage@x1#s0",
                     error="FaultError: gave up",
                     traceback="",
-                    attempts=1,
                 )
             ],
         )

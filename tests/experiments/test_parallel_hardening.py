@@ -1,5 +1,5 @@
 """Tests for the crash-tolerant sweep backend: per-cell error capture,
-bounded retries, per-cell timeouts, and partial results."""
+per-cell timeouts, and partial results."""
 
 import time
 
@@ -24,21 +24,6 @@ def _boom(x):
     return x.upper()
 
 
-_CALLS = {}
-
-
-def _flaky(x):
-    """Fails on its first call per item, succeeds on the retry.
-
-    Only usable with serial/thread backends (shared state).
-    """
-    n = _CALLS.get(x, 0)
-    _CALLS[x] = n + 1
-    if n == 0:
-        raise RuntimeError("transient")
-    return x
-
-
 def _slow(x):
     if x == "hang":
         time.sleep(10.0)
@@ -55,7 +40,6 @@ class TestMapGuarded:
         f = failures[0]
         assert "ValueError: injected failure" in f.error
         assert "injected failure" in f.traceback
-        assert f.attempts == 1
         assert "bad" in f.label
 
     def test_captures_across_process_pool(self):
@@ -65,21 +49,6 @@ class TestMapGuarded:
         assert results == ["A", None, "C"]
         assert len(failures) == 1 and "ValueError" in failures[0].error
 
-    def test_bounded_retry_recovers_transients(self):
-        _CALLS.clear()
-        results, failures = map_guarded(
-            make_backend("serial"), _flaky, ["x", "y"], retries=1
-        )
-        assert results == ["x", "y"]
-        assert failures == []
-
-    def test_retry_budget_is_bounded(self):
-        results, failures = map_guarded(
-            make_backend("serial"), _boom, ["bad"], retries=2
-        )
-        assert results == [None]
-        assert failures[0].attempts == 3
-
     def test_timeout_capture(self):
         results, failures = map_guarded(
             make_backend("serial"), _slow, ["ok", "hang"], timeout=0.5
@@ -87,11 +56,8 @@ class TestMapGuarded:
         assert results == ["ok", None]
         assert len(failures) == 1
         assert "TimeoutError" in failures[0].error
-        assert failures[0].attempts == 1
 
     def test_parameters_validated(self):
-        with pytest.raises(ExperimentError):
-            map_guarded(make_backend("serial"), _boom, [], retries=-1)
         with pytest.raises(ExperimentError):
             map_guarded(make_backend("serial"), _boom, [], timeout=0.0)
 
@@ -134,16 +100,6 @@ class TestSweepHardening:
         assert "exploding" in result.failures[0].label
         assert "RuntimeError" in result.failures[0].error
         assert "exploding" in result.failure_summary()
-
-    def test_on_error_raise_restores_fail_fast(self):
-        kwargs = _sweep_kwargs()
-        kwargs["workflows"] = {"exploding": _ExplodingWorkflow()}
-        with pytest.raises(ExperimentError, match="cell"):
-            run_sweep(on_error="raise", **kwargs)
-
-    def test_on_error_validated(self):
-        with pytest.raises(ExperimentError):
-            run_sweep(on_error="ignore", **_sweep_kwargs())
 
     def test_clean_sweep_is_complete(self):
         result = run_sweep(**_sweep_kwargs())

@@ -123,6 +123,20 @@ class TestBiddingRecoveryPolicies:
         with pytest.raises(SchedulingError):
             RebidHigher(max_bid=0.0)
 
+    @pytest.mark.parametrize("kwarg", ["step", "max_bid"])
+    def test_rebid_rejects_nan(self, kwarg):
+        from repro.errors import SchedulingError
+
+        with pytest.raises(SchedulingError, match=kwarg.replace("_", ".")):
+            RebidHigher(**{kwarg: float("nan")})
+
+    @pytest.mark.parametrize("cls", [RebidHigher, FallbackOnDemand])
+    def test_restart_cost_rejects_nan(self, cls):
+        from repro.errors import SchedulingError
+
+        with pytest.raises(SchedulingError, match="restart_cost_seconds"):
+            cls(restart_cost_seconds=float("nan"))
+
 
 class TestCheckpointOnWarning:
     def test_checkpoint_reduces_waste(self):

@@ -4,10 +4,8 @@
 ``OneVMperTask`` plan in one topological pass.  This is the plan it
 replaces: a full static :class:`~repro.core.builder.ScheduleBuilder`
 run, frozen into a :class:`~repro.core.schedule.Schedule` and priced by
-``Schedule.rent_cost``, with the builder's rentals reported to the
-service's :class:`~repro.service.fleet.FleetManager` ledger.
-``tests/service/test_estimate_oracle.py`` asserts the two agree with
-``==`` on the price and on ``static_rents``.
+``Schedule.rent_cost``.  ``tests/service/test_estimate_oracle.py``
+asserts the two agree with ``==`` on the price.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ def builder_estimate(request, service) -> float:
         service.platform,
         service.itype,
         region=service.region,
-        fleet=service.fleet,
     )
     policy = provisioning_policy("OneVMperTask")
     for tid in request.workflow.topological_order():

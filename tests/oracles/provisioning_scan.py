@@ -84,7 +84,6 @@ class _StartParReferenceBase(ProvisioningPolicy):
     """StartPar[Not]Exceed via the full fleet refilter/resort."""
 
     exceed_btu: bool = True
-    try_all_vms: bool = False
 
     def select_vm(self, task_id: str, builder: ScheduleBuilder) -> BuilderVM:
         if builder.is_entry(task_id):
@@ -99,23 +98,12 @@ class _StartParReferenceBase(ProvisioningPolicy):
             return builder.new_vm()
         if self.exceed_btu or builder.fits_in_btu(task_id, target):
             return target
-        if self.try_all_vms:
-            others = sorted(
-                (vm for vm in alive if vm is not target),
-                key=lambda vm: (-vm.busy_seconds, vm.id),
-            )
-            for vm in others:
-                if builder.fits_in_btu(task_id, vm):
-                    return vm
         return builder.new_vm()
 
 
 class StartParNotExceedReference(_StartParReferenceBase):
     name = "StartParNotExceedReference"
     exceed_btu = False
-
-    def __init__(self, try_all_vms: bool = False) -> None:
-        self.try_all_vms = try_all_vms
 
 
 class StartParExceedReference(_StartParReferenceBase):

@@ -21,7 +21,6 @@ def upward_rank_reference(
     workflow: Workflow,
     platform: CloudPlatform,
     itype: InstanceType,
-    include_transfers: bool = True,
 ) -> Dict[str, float]:
     """HEFT upward rank of every task, the plain way."""
     if not workflow.validated:
@@ -31,11 +30,9 @@ def upward_rank_reference(
         w = platform.runtime(workflow.task(tid), itype)
         best = 0.0
         for succ in workflow.successors(tid):
-            c = 0.0
-            if include_transfers:
-                c = platform.transfer_time(
-                    workflow.data_gb(tid, succ), itype, itype, same_vm=False
-                )
+            c = platform.transfer_time(
+                workflow.data_gb(tid, succ), itype, itype, same_vm=False
+            )
             best = max(best, c + ranks[succ])
         ranks[tid] = w + best
     return ranks

@@ -49,6 +49,22 @@ class TestFaultPlan:
         with pytest.raises(SimulationError):
             FaultPlan(boot_delay_rel_std=-0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "vm_crash_rate",
+            "boot_delay_rel_std",
+            "boot_cold_seconds",
+            "boot_warm_seconds",
+        ],
+    )
+    def test_rejects_non_finite(self, field, value):
+        """Caught at construction, not as an unschedulable event time
+        deep inside the executor's event loop."""
+        with pytest.raises(SimulationError, match=field):
+            FaultPlan(**{field: value})
+
     def test_zero_prob_never_draws(self):
         plan = FaultPlan.none()
         assert plan.task_attempt("t", 1) is None

@@ -79,37 +79,10 @@ class TestIntervalSet:
         s = IntervalSet([Interval(0, 1), Interval(3, 4), Interval(4.5, 5)])
         assert s.gaps() == [Interval(1, 3), Interval(4, 4.5)]
 
-    def test_add_disjoint_rejects_overlap(self):
-        s = IntervalSet([Interval(0, 2)])
-        with pytest.raises(ValueError):
-            s.add_disjoint(Interval(1, 3))
-
-    def test_add_disjoint_allows_touching(self):
-        s = IntervalSet([Interval(0, 2)])
-        s.add_disjoint(Interval(2, 3))
-        assert list(s) == [Interval(0, 3)]
-
     def test_covers(self):
         s = IntervalSet([Interval(0, 1)])
         assert s.covers(0.5)
         assert not s.covers(1.5)
-
-    def test_first_fit_before_all(self):
-        s = IntervalSet([Interval(10, 20)])
-        assert s.first_fit(0.0, 5.0) == 0.0
-
-    def test_first_fit_pushed_past_busy(self):
-        s = IntervalSet([Interval(0, 10)])
-        assert s.first_fit(0.0, 5.0) == 10.0
-
-    def test_first_fit_in_gap(self):
-        s = IntervalSet([Interval(0, 2), Interval(5, 9)])
-        assert s.first_fit(0.0, 3.0) == 2.0
-        assert s.first_fit(0.0, 4.0) == 9.0
-
-    def test_first_fit_negative_duration(self):
-        with pytest.raises(ValueError):
-            IntervalSet().first_fit(0.0, -1.0)
 
 
 _intervals = st.builds(

@@ -1,5 +1,5 @@
 """Hypothesis round-trip properties for the workflow interchange
-formats (DAX XML and JSON) over random shapes."""
+format (DAX XML) over random shapes."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,6 @@ from repro.workloads.base import apply_model
 from repro.workloads.pareto import ParetoDataModel
 from repro.workflows.dax import parse_dax_string, to_dax
 from repro.workflows.generators import random_layered
-from repro.workflows.json_io import workflow_from_json, workflow_to_json
 
 _shapes = st.builds(
     random_layered,
@@ -17,16 +16,6 @@ _shapes = st.builds(
     edge_density=st.floats(0.0, 1.0),
     seed=st.integers(0, 10_000),
 )
-
-
-@settings(max_examples=25, deadline=None)
-@given(_shapes)
-def test_json_round_trip(wf):
-    back = workflow_from_json(workflow_to_json(wf))
-    assert back.task_ids == wf.task_ids
-    assert back.edges() == wf.edges()
-    for t in wf.tasks:
-        assert back.task(t.id).work == t.work
 
 
 @settings(max_examples=25, deadline=None)
@@ -54,7 +43,7 @@ def test_round_trips_preserve_schedulability(wf):
     from repro.core.allocation.heft import HeftScheduler
 
     platform = CloudPlatform.ec2()
-    back = workflow_from_json(workflow_to_json(wf))
+    back = parse_dax_string(to_dax(wf))
     a = HeftScheduler("StartParNotExceed").schedule(wf, platform)
     b = HeftScheduler("StartParNotExceed").schedule(back, platform)
     assert a.makespan == pytest.approx(b.makespan)
