@@ -11,9 +11,11 @@ without moving the makespan).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from repro.core.schedule import Schedule
+from repro.workflows.dag import _peel
 
 _EPS = 1e-6
 
@@ -91,21 +93,19 @@ def realized_critical_path(schedule: Schedule) -> CriticalReport:
     makespan = schedule.makespan
     # Backward slack needs an order respecting BOTH the DAG and the
     # same-VM execution sequences (extra precedence the DAG lacks).
-    import networkx as nx
-
-    combined = nx.DiGraph()
-    combined.add_nodes_from(wf.task_ids)
+    combined: Dict[str, Dict[str, None]] = {tid: {} for tid in wf.task_ids}
     for u, v, _gb in wf.edges():
-        combined.add_edge(u, v)
+        combined[u][v] = None
     vm_next: Dict[str, str] = {}
     for vm in schedule.vms:
         ordered = sorted(vm.placements, key=lambda p: p.start)
         for a, b in zip(ordered, ordered[1:]):
-            combined.add_edge(a.task_id, b.task_id)
+            combined[a.task_id][b.task_id] = None
             vm_next[a.task_id] = b.task_id
 
     latest: Dict[str, float] = {}
-    for tid in reversed(list(nx.topological_sort(combined))):
+    order = list(chain.from_iterable(_peel(combined, wf.name)))
+    for tid in reversed(order):
         vm = schedule.vm_of(tid)
         bound = makespan
         for succ in wf.successors(tid):

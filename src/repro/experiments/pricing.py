@@ -33,7 +33,7 @@ from repro.experiments.parallel import (
     make_backend,
     map_guarded,
 )
-from repro.experiments.pareto_front import dominates
+from repro.experiments.pareto_front import pareto_front
 from repro.experiments.result import ResultBase
 from repro.experiments.scenarios import PriceScenario, price_scenarios
 from repro.simulator.executor import ScheduleExecutor
@@ -232,23 +232,12 @@ class PricingSweepResult(ResultBase):
         realized outcome.
         """
         points = self.mean_points(scenario, boot)
-        metrics = {
-            label: SimpleNamespace(cost=c, makespan=m)
-            for label, (c, m) in points.items()
-        }
-        labels = list(metrics)
-        dominated = {
-            b
-            for a in labels
-            for b in labels
-            if a != b and dominates(metrics[a], metrics[b])
-        }
-        return tuple(
-            sorted(
-                (l for l in labels if l not in dominated),
-                key=lambda l: (points[l][1], points[l][0], l),
-            )
-        )
+        return pareto_front(
+            {
+                label: SimpleNamespace(cost=c, makespan=m)
+                for label, (c, m) in points.items()
+            }
+        ).frontier
 
     # ------------------------------------------------------------------
     # ResultBase protocol

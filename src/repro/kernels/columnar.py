@@ -21,14 +21,11 @@ sweeps — the property the kernel-equivalence tests assert.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import WorkflowError
-
-_GET_GB = itemgetter("data_gb")
 
 __all__ = [
     "ColumnarDAG",
@@ -68,8 +65,8 @@ class ColumnarDAG:
             (t.work for t in workflow._tasks.values()), dtype=np.float64, count=n
         )
         # Predecessor CSR in *edge-insertion* order per task (the
-        # ``nx.DiGraph.predecessors`` order critical_path tie-breaks on).
-        pred_ptr, pred_idx, pred_gb = _csr(ids, index, workflow._graph._pred, n)
+        # ``_pred`` row order critical_path tie-breaks on).
+        pred_ptr, pred_idx, pred_gb = _csr(ids, index, workflow._pred, n)
         self._build(workflow.name, ids, index, works, pred_ptr, pred_idx, pred_gb)
 
     @classmethod
@@ -139,7 +136,8 @@ class ColumnarDAG:
 
 
 def _csr(ids, index, adj, n):
-    """Flatten a networkx adjacency dict-of-dicts into CSR arrays.
+    """Flatten ``{task: {neighbour: data_gb}}`` adjacency rows into CSR
+    arrays.
 
     Row contents are gathered with C-level ``map``/``extend`` — at 50k
     tasks the per-item generator bytecode this replaces dominated the
@@ -157,20 +155,10 @@ def _csr(ids, index, adj, n):
         row = adj[t]
         if row:
             put_idx(map(lookup, row))
-            put_gb(_row_gb(row))
+            put_gb(row.values())
     idx = np.array(flat_idx, dtype=np.int64)
     gb = np.array(flat_gb, dtype=np.float64)
     return ptr, idx, gb
-
-
-def _row_gb(row) -> list:
-    """Edge volumes of one adjacency row, tolerant of missing keys
-    (``add_dependency`` always sets ``data_gb``; hand-built graphs may
-    not)."""
-    try:
-        return list(map(_GET_GB, row.values()))
-    except KeyError:
-        return [d.get("data_gb", 0.0) for d in row.values()]
 
 
 def _peel_levels(n, pred_ptr, succ_ptr, succ_idx, name) -> np.ndarray:
@@ -195,7 +183,7 @@ def _peel_levels(n, pred_ptr, succ_ptr, succ_idx, name) -> np.ndarray:
             indeg -= np.bincount(targets, minlength=n)
         frontier = np.flatnonzero((indeg == 0) & (levels == -1))
         lvl += 1
-    if done != n:  # the acyclicity check of both builds
+    if done != n:  # the acyclicity check of the array build
         raise WorkflowError(f"workflow {name!r} has a cycle")
     return levels
 
@@ -293,8 +281,8 @@ def critical_path_columnar(workflow) -> Tuple[List[str], float]:
     Longest path by task ``work`` with zero edge cost.  Tie-breaks match
     the scalar sweep exactly: per-task best predecessor is the *first*
     (edge-insertion order) predecessor achieving the max, and the end
-    task is the first maximum in ``nx_topo`` order — the topo order is
-    only materialized when the global max actually ties.
+    task is the first maximum in the workflow's generation-peel order —
+    that order is only made when the global max actually ties.
     """
     cd = get_columnar(workflow)
     n = cd.n
@@ -330,9 +318,11 @@ def critical_path_columnar(workflow) -> Tuple[List[str], float]:
         end = int(ties[0])
     else:
         # several tasks share the exact maximum: the scalar sweep
-        # returns the first in nx topological order
+        # returns the first in generation-peel order
         tie_set = {cd.ids[i] for i in ties.tolist()}
-        end = cd.index[next(t for t in workflow._nx_topo() if t in tie_set)]
+        end = cd.index[
+            next(t for gen in workflow._generations() for t in gen if t in tie_set)
+        ]
     path = [end]
     while best_pred[path[-1]] >= 0:
         path.append(int(best_pred[path[-1]]))

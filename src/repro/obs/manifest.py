@@ -56,18 +56,11 @@ def library_versions() -> Dict[str, str]:
 
     import repro
 
-    versions = {
+    return {
         "python": _platform.python_version(),
         "numpy": numpy.__version__,
         "repro": repro.__version__,
     }
-    try:  # networkx is a declared dependency but nothing core needs it
-        import networkx
-
-        versions["networkx"] = networkx.__version__
-    except ImportError:  # pragma: no cover - dependency always present
-        pass
-    return versions
 
 
 def build_manifest(

@@ -1,7 +1,8 @@
 """Directed-acyclic-graph workflow model.
 
-Wraps a :class:`networkx.DiGraph` whose nodes are task ids and whose
-edges carry the size (GB) of the data the parent ships to the child.
+Keeps the DAG in two adjacency dicts, ``_succ`` and ``_pred``: one row
+per task, in task order, mapping each neighbour (in edge-insertion
+order) to the size (GB) of the data the parent ships to the child.
 Provides the graph queries every scheduler in the paper needs: entry and
 exit tasks, topological order, *levels* (the paper's level-ranking unit
 of parallelism), and the critical path (the backbone of CPA-Eager).
@@ -15,15 +16,18 @@ may mutate the returned lists freely.
 
 Large generated workflows are built straight into their columnar form
 (:meth:`Workflow.from_arrays`); their :class:`Task` objects and
-networkx graph are made once, on the first query that needs them.
+adjacency dicts are made once, on the first query that needs them.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
+from collections import Counter
+from itertools import chain
+from math import inf, isfinite
 from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import WorkflowError
@@ -53,8 +57,10 @@ class Workflow:
         if not name:
             raise WorkflowError("workflow name must be non-empty")
         self.name = name
-        self._graph = nx.DiGraph()
         self._tasks: Dict[str, Task] = {}
+        #: ``{task: {neighbour: data_gb}}`` rows, edges in insertion order
+        self._succ: Dict[str, Dict[str, float]] = {}
+        self._pred: Dict[str, Dict[str, float]] = {}
         self._validated = False
         #: memoized structural queries; cleared on any mutation
         self._cache: Dict[str, object] = {}
@@ -79,7 +85,7 @@ class Workflow:
         they make (a duplicate edge keeps its first position and its
         last volume).  Below the columnar threshold that is how it is
         built; at or above it only the :class:`ColumnarDAG` is, and the
-        :class:`Task` objects and networkx graph are made on the first
+        :class:`Task` objects and adjacency dicts are made on the first
         object-level query (:meth:`task`, iteration, :meth:`edges`,
         :meth:`pred_map`, :meth:`with_works`, ...).
         """
@@ -121,12 +127,10 @@ class Workflow:
         loops = np.flatnonzero(src == dst)
         if loops.size:
             raise WorkflowError(f"self-dependency on {ids[int(src[loops[0]])]!r}")
-        neg = np.flatnonzero(gb < 0)
-        if neg.size:
-            k = int(neg[0])
-            raise WorkflowError(
-                f"negative data size on {ids[int(src[k])]!r}->{ids[int(dst[k])]!r}"
-            )
+        bad = np.flatnonzero(~((gb >= 0) & (gb < np.inf)))
+        if bad.size:
+            k = int(bad[0])
+            _check_volume(ids[int(src[k])], ids[int(dst[k])], float(gb[k]))
         if not _columnar_active(n):
             wf._add_columns(ids, works, categories, src, dst, gb)
             return wf.validate()
@@ -134,7 +138,7 @@ class Workflow:
 
         src, dst, gb = _dedupe_edges(src, dst, gb, n)
         cd = ColumnarDAG.from_edges(name, ids, index, works, src, dst, gb)
-        del wf._tasks, wf._graph  # made on first use, see _ArrayWorkflow
+        del wf._tasks, wf._succ, wf._pred  # made on first use, see _ArrayWorkflow
         wf.__class__ = _ArrayWorkflow
         wf._lazy = (cd, categories, (src, dst, gb))
         wf._cache["columnar_dag"] = cd
@@ -161,14 +165,15 @@ class Workflow:
         if task.id in self._tasks:
             raise WorkflowError(f"duplicate task id {task.id!r} in {self.name!r}")
         self._tasks[task.id] = task
-        self._graph.add_node(task.id)
+        self._succ[task.id] = {}
+        self._pred[task.id] = {}
         self._invalidate()
         return task
 
     def add_tasks(self, tasks) -> List[Task]:
         """Register many tasks at once — the batch twin of
-        :meth:`add_task` (one bulk node insert, one cache invalidation),
-        used by the generators for large workflows."""
+        :meth:`add_task` (one cache invalidation), used by the
+        generators for large workflows."""
         registry = self._tasks
         added: List[Task] = []
         for task in tasks:
@@ -178,17 +183,11 @@ class Workflow:
                 )
             registry[task.id] = task
             added.append(task)
-        # Direct node insert — the ``add_nodes_from`` layout for fresh
-        # hashable nodes (attr dict + empty adjacency rows in both
-        # directions) without its per-node membership dispatch.
-        node = self._graph._node
-        succ = self._graph._succ
-        pred = self._graph._pred
+        succ = self._succ
+        pred = self._pred
         for t in added:
-            tid = t.id
-            node[tid] = {}
-            succ[tid] = {}
-            pred[tid] = {}
+            succ[t.id] = {}
+            pred[t.id] = {}
         self._invalidate()
         return added
 
@@ -199,9 +198,9 @@ class Workflow:
                 raise WorkflowError(f"unknown task {tid!r} in dependency")
         if parent == child:
             raise WorkflowError(f"self-dependency on {parent!r}")
-        if data_gb < 0:
-            raise WorkflowError(f"negative data size on {parent!r}->{child!r}")
-        self._graph.add_edge(parent, child, data_gb=float(data_gb))
+        _check_volume(parent, child, data_gb)
+        # a repeated edge keeps its first position and takes the new volume
+        self._succ[parent][child] = self._pred[child][parent] = float(data_gb)
         self._invalidate()
 
     def add_dependencies(self, deps) -> None:
@@ -222,18 +221,13 @@ class Workflow:
         if any(map(_str_eq, us, vs)):
             parent = next(u for u, v, _ in deps if u == v)
             raise WorkflowError(f"self-dependency on {parent!r}")
-        if min(gbs) < 0:
-            parent, child, _ = next((u, v, g) for u, v, g in deps if g < 0)
-            raise WorkflowError(f"negative data size on {parent!r}->{child!r}")
-        # Direct adjacency insert: one shared data dict per edge in both
-        # directions, exactly the ``DiGraph.add_edge`` layout (nodes all
-        # exist — checked above), minus its per-edge dispatch.
-        succ = self._graph._succ
-        pred = self._graph._pred
-        dds = [{"data_gb": float(gb)} for gb in gbs]
-        for u, v, dd in zip(us, vs, dds):
-            succ[u][v] = dd
-            pred[v][u] = dd
+        if not all(map(isfinite, gbs)) or min(gbs) < 0:
+            for parent, child, gb in deps:
+                _check_volume(parent, child, gb)
+        succ = self._succ
+        pred = self._pred
+        for u, v, gb in zip(us, vs, map(float, gbs)):
+            succ[u][v] = pred[v][u] = gb
         self._invalidate()
 
     def _invalidate(self) -> None:
@@ -251,34 +245,17 @@ class Workflow:
         """Check the structure; raises :class:`WorkflowError` on cycles or
         an empty workflow. Returns ``self`` for chaining.
 
-        The check is O(V+E) but memoized: mutations reset the validated
-        flag, and only add nodes/edges, so a workflow that passed once
-        and has not been mutated is still acyclic and returns
-        immediately.
+        The check is the O(V+E) generation peel, whose order it memoizes
+        for :meth:`level_of` and :meth:`critical_path`.  Mutations reset
+        the validated flag, and only add nodes/edges, so a workflow that
+        passed once and has not been mutated is still acyclic and
+        returns immediately.
         """
         if self._validated:
             return self
         if not self._tasks:
             raise WorkflowError(f"workflow {self.name!r} has no tasks")
-        if _columnar_active(len(self)):
-            # One Kahn peel doubles as the acyclicity check *and* seeds
-            # the columnar cache every downstream kernel reuses, so the
-            # networkx DAG walk is paid only by small workflows.
-            from repro.kernels.columnar import ColumnarDAG
-
-            self._validated = True  # the builder reads structural memos
-            try:
-                self._cache["columnar_dag"] = ColumnarDAG(self)
-            except WorkflowError:
-                self._validated = False
-                cycle = nx.find_cycle(self._graph)
-                raise WorkflowError(
-                    f"workflow {self.name!r} has a cycle: {cycle}"
-                ) from None
-            return self
-        if not nx.is_directed_acyclic_graph(self._graph):
-            cycle = nx.find_cycle(self._graph)
-            raise WorkflowError(f"workflow {self.name!r} has a cycle: {cycle}")
+        self._cache["generations"] = _peel(self._succ, self.name)
         self._validated = True
         return self
 
@@ -339,21 +316,18 @@ class Workflow:
         cached = self._memo(
             "edges",
             lambda: [
-                (u, v, d.get("data_gb", 0.0))
-                for u, v, d in self._graph.edges(data=True)
+                (u, v, gb) for u, row in self._succ.items() for v, gb in row.items()
             ],
         )
         return list(cached)
 
     def _edge_data(self) -> Dict[Tuple[str, str], float]:
         """Memoized ``{(parent, child): data_gb}`` — schedulers query
-        edge volumes millions of times per run, and the networkx edge
-        view is far slower than a plain dict."""
+        edge volumes millions of times per run, keyed by the pair."""
         return self._memo(
             "edge_data",
             lambda: {
-                (u, v): d.get("data_gb", 0.0)
-                for u, v, d in self._graph.edges(data=True)
+                (u, v): gb for u, row in self._succ.items() for v, gb in row.items()
             },
         )  # type: ignore[return-value]
 
@@ -367,12 +341,8 @@ class Workflow:
         """Memoized ``{"pred": {task: [...]}, "succ": {task: [...]}}``."""
         def build():
             return {
-                "pred": {
-                    t: sorted(self._graph.predecessors(t)) for t in self._tasks
-                },
-                "succ": {
-                    t: sorted(self._graph.successors(t)) for t in self._tasks
-                },
+                "pred": {t: sorted(row) for t, row in self._pred.items()},
+                "succ": {t: sorted(row) for t, row in self._succ.items()},
             }
 
         return self._memo("adjacency", build)  # type: ignore[return-value]
@@ -408,26 +378,12 @@ class Workflow:
     # ------------------------------------------------------------------
     # cached traversal orders (the O(V+E) sweep backbone)
     # ------------------------------------------------------------------
-    def _nx_topo(self) -> List[str]:
-        """Memoized ``nx.topological_sort`` order.
-
-        Kept *separately* from :meth:`topological_order` (which is
-        lexicographic) because ``level_of`` and ``critical_path``
-        historically iterated this order, and their tie-breaks — first
-        maximum wins — must stay byte-identical to the pre-indexed
-        implementations.
-        """
+    def _generations(self) -> List[List[str]]:
+        """The memoized generation peel of :meth:`validate` (tasks
+        grouped by level, each in peel order)."""
+        self._require_valid()
         return self._memo(
-            "nx_topo", lambda: list(nx.topological_sort(self._graph))
-        )  # type: ignore[return-value]
-
-    def _pred_insertion(self) -> Dict[str, List[str]]:
-        """Memoized predecessor lists in *edge-insertion* order (the
-        ``nx.DiGraph.predecessors`` order ``critical_path`` tie-breaks
-        on), as opposed to the sorted lists of :meth:`pred_map`."""
-        return self._memo(
-            "pred_insertion",
-            lambda: {t: list(self._graph.predecessors(t)) for t in self._tasks},
+            "generations", lambda: _peel(self._succ, self.name)
         )  # type: ignore[return-value]
 
     def entry_tasks(self) -> List[str]:
@@ -452,13 +408,26 @@ class Workflow:
         return list(cached)
 
     def topological_order(self) -> List[str]:
-        """A deterministic topological order (lexicographic tie-break)."""
+        """A deterministic topological order (lexicographic tie-break):
+        always the smallest ready id next."""
         self._require_valid()
-        cached = self._memo(
-            "topological_order",
-            lambda: list(nx.lexicographical_topological_sort(self._graph)),
-        )
-        return list(cached)
+
+        def build():
+            succ = self._succ
+            indeg = {t: len(row) for t, row in self._pred.items()}
+            ready = [t for t, d in indeg.items() if not d]
+            heapq.heapify(ready)
+            order = []
+            while ready:
+                t = heapq.heappop(ready)
+                order.append(t)
+                for c in succ[t]:
+                    indeg[c] -= 1
+                    if not indeg[c]:
+                        heapq.heappush(ready, c)
+            return order
+
+        return list(self._memo("topological_order", build))
 
     # ------------------------------------------------------------------
     # structure used by the schedulers
@@ -481,17 +450,12 @@ class Workflow:
                 from repro.kernels.columnar import level_of_columnar
 
                 return level_of_columnar(self)
-            # Single O(V+E) sweep over the cached topo order and plain
-            # dict adjacency — no networkx traversal per query.  The
-            # value (1 + max over preds) is order-independent, and the
-            # cached nx order keeps dict insertion order identical to
-            # the historical implementation.
-            pred = self._pred_insertion()
-            levels: Dict[str, int] = {}
-            for tid in self._nx_topo():
-                preds = pred[tid]
-                levels[tid] = 0 if not preds else 1 + max(levels[p] for p in preds)
-            return levels
+            # a task's generation in the peel is its longest-path depth
+            return {
+                tid: lvl
+                for lvl, gen in enumerate(self._generations())
+                for tid in gen
+            }
 
         return dict(self._memo("level_of", build))  # type: ignore[arg-type]
 
@@ -539,13 +503,12 @@ class Workflow:
             return critical_path_columnar(self)
         w = exec_time or (lambda tid: self._tasks[tid].work)
         c = transfer_time or (lambda u, v: 0.0)
-        # One O(V+E) sweep over the cached traversal order.  Iteration
-        # order (and hence first-maximum tie-breaks) matches the
-        # historical networkx-walking implementation exactly.
-        preds_of = self._pred_insertion()
+        # One O(V+E) sweep in peel order over insertion-ordered
+        # predecessor rows: the first maximum wins every tie-break.
+        preds_of = self._pred
         dist: Dict[str, float] = {}
         best_pred: Dict[str, str | None] = {}
-        for tid in self._nx_topo():
+        for tid in chain.from_iterable(self._generations()):
             best, pred = 0.0, None
             for p in preds_of[tid]:
                 cand = dist[p] + c(p, tid)
@@ -566,11 +529,11 @@ class Workflow:
 
     def descendants(self, task_id: str) -> List[str]:
         self.task(task_id)
-        return sorted(nx.descendants(self._graph, task_id))
+        return sorted(_reach(self._succ, task_id))
 
     def ancestors(self, task_id: str) -> List[str]:
         self.task(task_id)
-        return sorted(nx.ancestors(self._graph, task_id))
+        return sorted(_reach(self._pred, task_id))
 
     # ------------------------------------------------------------------
     # transformation
@@ -617,7 +580,7 @@ class Workflow:
         return {
             "name": self.name,
             "tasks": len(self),
-            "edges": self._graph.number_of_edges(),
+            "edges": len(self.edges()),
             "entry_tasks": len(self.entry_tasks()),
             "exit_tasks": len(self.exit_tasks()),
             "levels": len(levels),
@@ -630,7 +593,7 @@ class Workflow:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Workflow({self.name!r}, tasks={len(self)}, "
-            f"edges={self._graph.number_of_edges()})"
+            f"edges={len(self.edges())})"
         )
 
 
@@ -639,7 +602,7 @@ class _ArrayWorkflow(Workflow):
     form is not made yet.
 
     Size and id queries read the :class:`ColumnarDAG`.  The first access
-    to ``_tasks`` or ``_graph`` (any object-level query) makes the
+    to ``_tasks``, ``_succ`` or ``_pred`` (any object-level query) makes the
     object form and turns the instance back into a plain
     :class:`Workflow` — so the attribute hook below never slows the
     object path's attribute lookups.
@@ -650,13 +613,13 @@ class _ArrayWorkflow(Workflow):
 
     def __getattr__(self, name: str):
         # reached only when normal lookup fails
-        if name in ("_tasks", "_graph"):
+        if name in ("_tasks", "_succ", "_pred"):
             _ArrayWorkflow._materialize(self)
             return self.__dict__[name]
         raise AttributeError(f"'Workflow' object has no attribute {name!r}")
 
     def _materialize(self) -> None:
-        """Make the :class:`Task` objects and networkx graph by the
+        """Make the :class:`Task` objects and adjacency dicts by the
         object build itself, so insertion orders match.  The structure
         is unchanged, so every memo stays valid."""
         lazy = self.__dict__.get("_lazy")
@@ -666,7 +629,8 @@ class _ArrayWorkflow(Workflow):
         twin = Workflow(self.name)
         twin._add_columns(cd.ids, cd.works, categories, *edges)
         self._tasks = twin._tasks
-        self._graph = twin._graph
+        self._succ = twin._succ
+        self._pred = twin._pred
         self.__class__ = Workflow
         self.__dict__.pop("_lazy", None)
 
@@ -682,6 +646,55 @@ class _ArrayWorkflow(Workflow):
 
     def total_work(self) -> float:
         return sum(self._lazy[0].works.tolist())
+
+
+def _check_volume(parent: str, child: str, gb: float) -> None:
+    """Refuse an edge volume that is negative, infinite or NaN."""
+    if gb < 0:
+        raise WorkflowError(f"negative data size on {parent!r}->{child!r}")
+    if not gb < inf:
+        raise WorkflowError(f"non-finite data size {gb!r} on {parent!r}->{child!r}")
+
+
+def _peel(succ: Mapping[str, Mapping[str, object]], name: str) -> List[List[str]]:
+    """Kahn peel of the graph *succ* (``{node: {child: ...}}``, every
+    node a key) into generations: the roots in key order, then the
+    tasks each generation frees, in the order the generation's rows list
+    them.  A task's generation index is its longest-path depth.  Raises
+    :class:`WorkflowError` naming the tasks never peeled when the graph
+    has a cycle."""
+    indeg = Counter(chain.from_iterable(succ.values()))
+    gen = [t for t in succ if not indeg[t]]
+    gens = []
+    while gen:
+        gens.append(gen)
+        nxt = []
+        for t in gen:
+            for c in succ[t]:
+                indeg[c] -= 1
+                if not indeg[c]:
+                    nxt.append(c)
+        gen = nxt
+    if sum(map(len, gens)) != len(succ):
+        stuck = sorted(t for t, d in indeg.items() if d > 0)
+        raise WorkflowError(
+            f"workflow {name!r} has a cycle: {len(stuck)} task(s) never "
+            f"become ready, first {stuck[:5]}"
+        )
+    return gens
+
+
+def _reach(adj: Mapping[str, Mapping[str, object]], start: str) -> set:
+    """Nodes reachable from *start* along *adj* rows (excluding it
+    unless it lies on a cycle) — one graph search."""
+    seen: set = set()
+    stack = [start]
+    while stack:
+        for c in adj[stack.pop()]:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
 
 
 def _positions(values) -> np.ndarray:

@@ -16,19 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from repro.errors import WorkflowError
 from repro.workflows.dag import Workflow
 from repro.workflows.task import Task
-
-
-def _graph(wf: Workflow) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(wf.task_ids)
-    for u, v, gb in wf.edges():
-        g.add_edge(u, v, data_gb=gb)
-    return g
 
 
 def transitive_reduction(wf: Workflow) -> Workflow:
@@ -39,13 +29,19 @@ def transitive_reduction(wf: Workflow) -> Workflow:
     redundant edges carry no data — otherwise the edge is kept.
     """
     wf.validate()
-    g = _graph(wf)
-    reduced = nx.transitive_reduction(g)
+    below: Dict[str, set] = {}  # descendants per task, on first need
+
+    def reach(w: str) -> set:
+        if w not in below:
+            below[w] = set(wf.descendants(w))
+        return below[w]
+
     out = Workflow(wf.name)
     for task in wf.tasks:
         out.add_task(task)
     for u, v, gb in wf.edges():
-        if reduced.has_edge(u, v) or gb > 0:
+        # implied when another successor of u already reaches v
+        if gb > 0 or not any(v in reach(w) for w in wf.successors(u) if w != v):
             out.add_dependency(u, v, gb)
     return out.validate()
 

@@ -3,6 +3,9 @@
 These are the original networkx-walking implementations of the
 :class:`~repro.workflows.dag.Workflow` structural passes, before they
 were rewritten as single O(V+E) sweeps over cached traversal orders.
+The networkx graph is rebuilt from the workflow's successor rows, which
+fixes networkx's topological order; predecessors are read from the
+insertion-ordered predecessor rows, the order the tie-breaks follow.
 They re-walk the graph on every call, so they are quadratic when issued
 per-query — exactly why they were replaced — but they are *obviously*
 correct, and the kernel-equivalence property tests assert the optimized
@@ -19,10 +22,18 @@ import networkx as nx
 from repro.workflows.dag import Workflow
 
 
+def _graph(workflow: Workflow) -> nx.DiGraph:
+    graph = nx.DiGraph()
+    graph.add_nodes_from(workflow.task_ids)
+    for u, row in workflow._succ.items():
+        graph.add_edges_from((u, v) for v in row)
+    return graph
+
+
 def level_of_reference(workflow: Workflow) -> Dict[str, int]:
     """Longest-path depth per task, walking the graph directly."""
     workflow.validate()
-    graph = workflow._graph
+    graph = _graph(workflow)
     levels: Dict[str, int] = {}
     for tid in nx.topological_sort(graph):
         preds = list(graph.predecessors(tid))
@@ -37,14 +48,14 @@ def critical_path_reference(
 ) -> Tuple[List[str], float]:
     """Longest weighted path, walking the graph directly."""
     workflow.validate()
-    graph = workflow._graph
+    graph = _graph(workflow)
     w = exec_time or (lambda tid: workflow.task(tid).work)
     c = transfer_time or (lambda u, v: 0.0)
     dist: Dict[str, float] = {}
     best_pred: Dict[str, str | None] = {}
     for tid in nx.topological_sort(graph):
         best, pred = 0.0, None
-        for p in graph.predecessors(tid):
+        for p in workflow._pred[tid]:
             cand = dist[p] + c(p, tid)
             if cand > best:
                 best, pred = cand, p

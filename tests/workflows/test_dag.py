@@ -44,6 +44,22 @@ class TestConstruction:
         with pytest.raises(WorkflowError):
             wf.add_dependency("a", "b", -0.1)
 
+    @pytest.mark.parametrize("gb", [float("nan"), float("inf")])
+    def test_non_finite_data_rejected(self, gb):
+        wf = Workflow("w")
+        wf.add_task(Task("a", 1.0))
+        wf.add_task(Task("b", 1.0))
+        with pytest.raises(WorkflowError, match="non-finite.*'a'->'b'"):
+            wf.add_dependency("a", "b", gb)
+
+    @pytest.mark.parametrize("gb", [float("nan"), float("inf")])
+    def test_non_finite_data_rejected_in_bulk(self, gb):
+        wf = Workflow("w")
+        wf.add_tasks(Task(t, 1.0) for t in "abc")
+        with pytest.raises(WorkflowError, match="non-finite.*'b'->'c'"):
+            wf.add_dependencies([("a", "b", 1.0), ("b", "c", gb)])
+        assert wf.edges() == []  # nothing of the refused batch is kept
+
     def test_cycle_detected(self):
         wf = Workflow("w")
         for t in "abc":
@@ -52,6 +68,15 @@ class TestConstruction:
         wf.add_dependency("b", "c")
         wf.add_dependency("c", "a")
         with pytest.raises(WorkflowError, match="cycle"):
+            wf.validate()
+
+    def test_cycle_error_names_the_stuck_tasks(self):
+        wf = Workflow("w")
+        for t in "abcd":
+            wf.add_task(Task(t, 1.0))
+        wf.add_dependencies([("a", "b", 0.0), ("b", "c", 0.0), ("c", "b", 0.0)])
+        wf.add_dependency("c", "d")
+        with pytest.raises(WorkflowError, match=r"3 task\(s\).*'b', 'c', 'd'"):
             wf.validate()
 
     def test_empty_workflow_rejected(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import WorkflowParseError
+from repro.errors import WorkflowError, WorkflowParseError
 from repro.workflows.dax import parse_dax, parse_dax_string, to_dax
 from repro.workflows.generators import montage
 
@@ -57,6 +57,12 @@ class TestParse:
     def test_non_finite_runtime_names_the_job(self, runtime):
         text = f'<adag><job id="j7" runtime="{runtime}"/></adag>'
         with pytest.raises(WorkflowParseError, match="'j7'.*non-finite"):
+            parse_dax_string(text)
+
+    @pytest.mark.parametrize("size", ["inf", "nan"])
+    def test_non_finite_file_size_names_the_edge(self, size):
+        text = _SAMPLE.replace(f'size="{2 * _GB}"', f'size="{size}"')
+        with pytest.raises(WorkflowError, match="non-finite.*'j1'->'j2'"):
             parse_dax_string(text)
 
     def test_malformed_xml(self):

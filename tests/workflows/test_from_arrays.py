@@ -2,7 +2,7 @@
 
 :meth:`Workflow.from_arrays` builds the object form below the columnar
 threshold and only the :class:`ColumnarDAG` at or above it, making the
-Task objects and networkx graph on first use.  Built under
+Task objects and adjacency dicts on first use.  Built under
 ``force_columnar()`` (array side) and ``columnar_disabled()`` (object
 side), the two must be indistinguishable: the same columnar fields, the
 same materialized tasks and edges, the same structural queries, the
@@ -46,6 +46,10 @@ def _assert_same_columns(a: ColumnarDAG, b: ColumnarDAG) -> None:
             assert x == y, name
 
 
+def _rows(adj):
+    return [(t, list(row.items())) for t, row in adj.items()]
+
+
 def _assert_twins(arrays: Workflow, objects: Workflow) -> None:
     _assert_same_columns(get_columnar(arrays), get_columnar(objects))
     assert len(arrays) == len(objects)
@@ -53,7 +57,8 @@ def _assert_twins(arrays: Workflow, objects: Workflow) -> None:
     assert list(arrays) == list(objects)
     assert arrays.edges() == objects.edges()
     assert dict(arrays.pred_map()) == dict(objects.pred_map())
-    assert arrays._pred_insertion() == objects._pred_insertion()
+    # predecessor rows in the same insertion order, with the same volumes
+    assert _rows(arrays._pred) == _rows(objects._pred)
     assert arrays.levels() == objects.levels()
     assert arrays.critical_path() == objects.critical_path()
     assert arrays.total_work() == objects.total_work()
@@ -155,6 +160,8 @@ def test_duplicate_edges_keep_first_position_and_last_volume():
         pytest.param(dict(dst=[1, 2, 4, 3]), id="unknown-endpoint"),
         pytest.param(dict(src=[0, 0, 1, 2], dst=[1, 2, 3, 2]), id="self-edge"),
         pytest.param(dict(gb=[0.1, -0.2, 0.3, 0.4]), id="negative-gb"),
+        pytest.param(dict(gb=[0.1, 0.2, math.nan, 0.4]), id="nan-gb"),
+        pytest.param(dict(gb=[0.1, 0.2, math.inf, 0.4]), id="inf-gb"),
         pytest.param(dict(src=[0, 1, 3, 2], dst=[1, 3, 0, 3]), id="cycle"),
         pytest.param(
             dict(ids=[], works=[], cats=[], src=[], dst=[], gb=[]), id="empty"
@@ -165,3 +172,10 @@ def test_duplicate_edges_keep_first_position_and_last_volume():
 def test_bad_input_raises_the_same_error_class(kind, overrides):
     with pytest.raises(WorkflowError):
         _build(kind, **overrides)
+
+
+@pytest.mark.parametrize("gb", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["arrays", "objects"])
+def test_non_finite_volume_names_the_edge(kind, gb):
+    with pytest.raises(WorkflowError, match="non-finite.*'b'->'d'"):
+        _build(kind, gb=[0.1, 0.2, gb, 0.4])
