@@ -6,10 +6,10 @@ the level scheduler, StartPar* and OneVMperTask under HEFT), plus the
 pre-index ``*Reference`` kernels at 10k tasks so the speedup of the
 indexed kernels is measured, not asserted.  Trace equivalence is
 measured on every run, complementing the property tests: at 1k tasks
-the indexed kernels are compared to the quadratic reference, and at 50k
-the columnar fused kernels (the default at that size) are compared to
-the indexed ones.  A full refresh also runs a single-shot 1M-task
-completion smoke through one policy.
+the stock schedulers are compared to the quadratic reference, and at
+50k to the indexed builder path (the scheduler subclasses of
+``tests/oracles/builder_path.py``).  A full refresh also runs a
+single-shot 1M-task completion smoke through one policy.
 
 Results go to ``BENCH_scaling.json`` at the repo root (``make
 bench-scaling`` refreshes it).  ``--check`` re-runs the small sizes and
@@ -36,12 +36,12 @@ from pathlib import Path
 from repro.cloud.platform import CloudPlatform
 from repro.core.allocation import HeftScheduler, LevelScheduler
 from repro.core.provisioning import PROVISIONING_POLICIES
-from repro.kernels.dispatch import columnar_disabled
 from repro.workflows.generators import mapreduce, montage
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # the quadratic reference kernels live with the tests, outside the package
 sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles.builder_path import BuilderHeft, BuilderLevel  # noqa: E402
 from tests.oracles.provisioning_scan import REFERENCE_POLICIES  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_scaling.json"
@@ -79,15 +79,19 @@ FAMILIES = [
 REFERENCE_SIZE = "10k"
 #: trace equivalence vs the quadratic *Reference kernels at this size
 EQUIVALENCE_SIZE = "1k"
-#: trace equivalence of the columnar kernels vs the indexed kernels at
-#: this size (the quadratic reference is infeasible here, but the
-#: indexed kernels are themselves reference-identical — see the 1k
-#: column — so the chain closes)
+#: trace equivalence of the fused kernels vs the indexed builder path
+#: at this size (the quadratic reference is infeasible here, but the
+#: builder path is itself property-tested against it, so the chain
+#: closes)
 COLUMNAR_EQUIVALENCE_SIZE = "50k"
 
 
-def _scheduler(kind: str, policy) -> object:
-    cls = LevelScheduler if kind == "level" else HeftScheduler
+def _scheduler(kind: str, policy, builder: bool = False) -> object:
+    """The stock scheduler of *kind*, or its builder-path subclass."""
+    if kind == "level":
+        cls = BuilderLevel if builder else LevelScheduler
+    else:
+        cls = BuilderHeft if builder else HeftScheduler
     return cls(policy)
 
 
@@ -115,14 +119,16 @@ REPEATS = {"1k": 3, "10k": 3, "50k": 3, "200k": 1}
 
 
 def _time_pipeline(projections: int, kind: str, policy_factory, platform,
-                   repeats: int = 1):
+                   repeats: int = 1, builder: bool = False):
     """Best-of-*repeats* wall-clock of the full pipeline; returns
     (seconds, schedule).  A fresh policy instance per repeat."""
     best, schedule = None, None
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         wf = montage(projections)
-        schedule = _scheduler(kind, policy_factory()).schedule(wf, platform)
+        schedule = _scheduler(kind, policy_factory(), builder).schedule(
+            wf, platform
+        )
         seconds = time.perf_counter() - t0
         best = seconds if best is None else min(best, seconds)
     return best, schedule
@@ -164,14 +170,12 @@ def bench(sizes: dict) -> dict:
                     _fingerprint(opt) == _fingerprint(ref)
                 )
             if size_label == COLUMNAR_EQUIVALENCE_SIZE:
-                # the timed run above went through the columnar fused
-                # kernels (the default at this size); one indexed run
-                # pins the trace
-                with columnar_disabled():
-                    _, indexed = _time_pipeline(
-                        projections, kind, PROVISIONING_POLICIES[policy_name],
-                        platform,
-                    )
+                # the timed run above went through the fused kernels;
+                # one builder-path run pins the trace
+                _, indexed = _time_pipeline(
+                    projections, kind, PROVISIONING_POLICIES[policy_name],
+                    platform, builder=True,
+                )
                 entry["identical_to_reference"] = (
                     _fingerprint(schedule) == _fingerprint(indexed)
                 )

@@ -18,7 +18,7 @@ from repro.core.provisioning.base import ProvisioningPolicy, provisioning_policy
 from repro.core.provisioning.one_vm_per_task import OneVMperTask
 from repro.core.provisioning.start_par import StartParExceed, StartParNotExceed
 from repro.core.schedule import Schedule
-from repro.kernels.dispatch import columnar_active, platform_eligible
+from repro.kernels.dispatch import platform_eligible
 from repro.workflows.dag import Workflow
 
 
@@ -48,7 +48,7 @@ class HeftScheduler(SchedulingAlgorithm):
         itype: InstanceType = SMALL,
         region: Region | None = None,
     ) -> Schedule:
-        # Large stock-model runs take the fused columnar kernel (see
+        # Stock-model runs take the fused columnar kernel (see
         # LevelScheduler.schedule).  Exact-type checks keep subclasses
         # (e.g. LocalityHeftScheduler's region chooser) on the indexed
         # kernels.
@@ -63,7 +63,6 @@ class HeftScheduler(SchedulingAlgorithm):
         if (
             type(self) is HeftScheduler
             and fused_policy is not None
-            and columnar_active(len(workflow))
             and platform_eligible(platform, itype)
         ):
             from repro.kernels.provision import fused_heft_schedule

@@ -18,7 +18,7 @@ from repro.core.builder import ScheduleBuilder
 from repro.core.provisioning.all_par import AllParExceed, AllParNotExceed
 from repro.core.provisioning.base import ProvisioningPolicy, provisioning_policy
 from repro.core.schedule import Schedule
-from repro.kernels.dispatch import columnar_active, platform_eligible
+from repro.kernels.dispatch import platform_eligible
 from repro.workflows.dag import Workflow
 
 
@@ -43,7 +43,7 @@ class LevelScheduler(SchedulingAlgorithm):
         itype: InstanceType = SMALL,
         region: Region | None = None,
     ) -> Schedule:
-        # Large stock-model runs take the fused columnar kernel —
+        # Stock-model runs take the fused columnar kernel at any size —
         # byte-identical schedules and counters (property-tested), one
         # array pass instead of per-object queries.  Exact-type checks:
         # a subclassed scheduler/policy may override behavior the fused
@@ -51,7 +51,6 @@ class LevelScheduler(SchedulingAlgorithm):
         if (
             type(self) in (LevelScheduler, AllParScheduler)
             and type(self.provisioning) in (AllParExceed, AllParNotExceed)
-            and columnar_active(len(workflow))
             and platform_eligible(platform, itype)
         ):
             from repro.kernels.provision import fused_level_schedule

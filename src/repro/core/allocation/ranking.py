@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from repro.cloud.instance import InstanceType
 from repro.cloud.platform import CloudPlatform
+from repro.kernels.dispatch import platform_eligible
 from repro.workflows.dag import Workflow
 
 
@@ -32,9 +33,7 @@ def upward_rank(
     """
     if not workflow.validated:
         workflow.validate()
-    from repro.kernels.dispatch import columnar_active, platform_eligible
-
-    if columnar_active(len(workflow)) and platform_eligible(platform, itype):
+    if platform_eligible(platform, itype):
         # Vectorized level-synchronous sweep — same per-edge additions
         # and ``max`` folds, byte-identical ranks (property-tested).
         from repro.kernels.columnar import get_columnar, upward_rank_values

@@ -15,23 +15,7 @@ Contract: **trace identity**.  Every columnar kernel must reproduce the
 indexed kernels' output byte-for-byte — same VM ids and rent windows,
 same task timing, same makespan/cost, same ``MetricsRegistry`` counters
 — property-tested in ``tests/core/test_kernel_equivalence.py`` over the
-seeded DAG zoo.  Small DAGs never take the columnar path at all: the
-size-aware dispatch (:mod:`repro.kernels.dispatch`) keeps them on the
-indexed kernels, byte-identical by construction.
+seeded DAG zoo.  The dispatch rule (:mod:`repro.kernels.dispatch`) is
+model types only: stock schedulers on the stock billing, network and
+instance models take the fused kernels at every workflow size.
 """
-
-from repro.kernels.dispatch import (
-    COLUMNAR_MIN_TASKS,
-    columnar_disabled,
-    columnar_threshold,
-    force_columnar,
-    use_columnar,
-)
-
-__all__ = [
-    "COLUMNAR_MIN_TASKS",
-    "columnar_disabled",
-    "columnar_threshold",
-    "force_columnar",
-    "use_columnar",
-]

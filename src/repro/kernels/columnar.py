@@ -6,7 +6,7 @@ predecessor/successor adjacency with per-edge data volumes, a work
 vector, lexicographic id ranks for string tie-breaks, and longest-path
 levels — and is memoized in the workflow's structural cache, so every
 kernel and every policy run over the same workflow shares one build.
-A large generated workflow is built straight into this form
+A generated workflow is built straight into this form
 (:meth:`ColumnarDAG.from_edges`, via ``Workflow.from_arrays``) and
 has no object form until something asks for it.
 
@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.errors import WorkflowError
+from repro.workflows.dag import _cycle_error
 
 __all__ = [
     "ColumnarDAG",
@@ -112,7 +112,7 @@ class ColumnarDAG:
         self.succ_idx = dst[by_src]
         self.succ_gb = pred_gb[by_src]
 
-        self.levels = _peel_levels(n, pred_ptr, self.succ_ptr, self.succ_idx, name)
+        self.levels = _peel_levels(ids, pred_ptr, self.succ_ptr, self.succ_idx, name)
         self.n_levels = int(self.levels.max()) + 1 if n else 0
         self.level_sizes = np.bincount(self.levels, minlength=self.n_levels)
 
@@ -161,14 +161,16 @@ def _csr(ids, index, adj, n):
     return ptr, idx, gb
 
 
-def _peel_levels(n, pred_ptr, succ_ptr, succ_idx, name) -> np.ndarray:
+def _peel_levels(ids, pred_ptr, succ_ptr, succ_idx, name) -> np.ndarray:
     """Longest-path depth per task via level-synchronous Kahn peeling.
 
     One wave per DAG level: peel every task whose predecessors are all
     peeled, decrement successor in-degrees in bulk.  Values match
     ``Workflow.level_of`` (1 + max over predecessors) exactly — the
-    depth is order-independent.
+    depth is order-independent.  A cycle raises the error
+    ``Workflow.validate`` raises, naming the tasks never peeled.
     """
+    n = len(ids)
     indeg = np.diff(pred_ptr).copy()
     succ_cnt = np.diff(succ_ptr)
     levels = np.full(n, -1, dtype=np.int64)
@@ -184,7 +186,8 @@ def _peel_levels(n, pred_ptr, succ_ptr, succ_idx, name) -> np.ndarray:
         frontier = np.flatnonzero((indeg == 0) & (levels == -1))
         lvl += 1
     if done != n:  # the acyclicity check of the array build
-        raise WorkflowError(f"workflow {name!r} has a cycle")
+        stuck = np.flatnonzero(levels < 0).tolist()
+        raise _cycle_error(name, map(ids.__getitem__, stuck))
     return levels
 
 

@@ -23,8 +23,8 @@ the policy's ``select_vm`` exactly, including
   counters on the exact predecessor-hosting path, totals flushed once
   at the end (key-identical because zero totals are not flushed).
 
-Eligibility is decided by the dispatch sites (size threshold + stock
-model types + no fleet/region-chooser/metrics-kwarg extras — see
+Eligibility is decided by the dispatch sites (stock model types + no
+fleet/region-chooser/metrics-kwarg extras, at any size — see
 :mod:`repro.kernels.dispatch`); the property tests in
 ``tests/core/test_kernel_equivalence.py`` assert byte-identical
 schedules and counters against the indexed kernels.

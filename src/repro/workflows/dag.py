@@ -14,7 +14,7 @@ each is computed once and served from a cache that ``add_task`` and
 DESIGN.md).  Cached collections are copied on the way out, so callers
 may mutate the returned lists freely.
 
-Large generated workflows are built straight into their columnar form
+Generated workflows are built straight into their columnar form
 (:meth:`Workflow.from_arrays`); their :class:`Task` objects and
 adjacency dicts are made once, on the first query that needs them.
 """
@@ -34,14 +34,6 @@ from repro.errors import WorkflowError
 from repro.workflows.task import Task
 
 _str_eq = operator.eq
-
-
-def _columnar_active(n_tasks: int) -> bool:
-    """Size-aware dispatch gate (imported lazily so the workflow layer
-    keeps no import-time dependency on the kernel/cloud layers)."""
-    from repro.kernels.dispatch import columnar_active
-
-    return columnar_active(n_tasks)
 
 
 class Workflow:
@@ -83,8 +75,7 @@ class Workflow:
         The result equals building the same tasks and edges with
         :meth:`add_tasks` and :meth:`add_dependencies`, with every check
         they make (a duplicate edge keeps its first position and its
-        last volume).  Below the columnar threshold that is how it is
-        built; at or above it only the :class:`ColumnarDAG` is, and the
+        last volume).  Only the :class:`ColumnarDAG` is built; the
         :class:`Task` objects and adjacency dicts are made on the first
         object-level query (:meth:`task`, iteration, :meth:`edges`,
         :meth:`pred_map`, :meth:`with_works`, ...).
@@ -131,9 +122,6 @@ class Workflow:
         if bad.size:
             k = int(bad[0])
             _check_volume(ids[int(src[k])], ids[int(dst[k])], float(gb[k]))
-        if not _columnar_active(n):
-            wf._add_columns(ids, works, categories, src, dst, gb)
-            return wf.validate()
         from repro.kernels.columnar import ColumnarDAG
 
         src, dst, gb = _dedupe_edges(src, dst, gb, n)
@@ -144,18 +132,6 @@ class Workflow:
         wf._cache["columnar_dag"] = cd
         wf._validated = True
         return wf
-
-    def _add_columns(self, ids, works, categories, src, dst, gb) -> None:
-        """:meth:`add_tasks` and :meth:`add_dependencies` over columns
-        (edge endpoints as positions in *ids*)."""
-        self.add_tasks(map(Task, ids, works.tolist(), categories))
-        self.add_dependencies(
-            zip(
-                map(ids.__getitem__, src.tolist()),
-                map(ids.__getitem__, dst.tolist()),
-                gb.tolist(),
-            )
-        )
 
     # ------------------------------------------------------------------
     # construction
@@ -246,7 +222,7 @@ class Workflow:
         an empty workflow. Returns ``self`` for chaining.
 
         The check is the O(V+E) generation peel, whose order it memoizes
-        for :meth:`level_of` and :meth:`critical_path`.  Mutations reset
+        for :meth:`critical_path`.  Mutations reset
         the validated flag, and only add nodes/edges, so a workflow that
         passed once and has not been mutated is still acyclic and
         returns immediately.
@@ -441,21 +417,13 @@ class Workflow:
         self._require_valid()
 
         def build():
-            if _columnar_active(len(self)):
-                # Kahn wave peel over the CSR arrays (one bincount pass
-                # per level).  Values are identical — depth is
-                # order-independent — and every consumer (lookups,
-                # ``levels()`` regrouping, dict equality) is iteration-
-                # order-agnostic, so the insertion-order dict is safe.
-                from repro.kernels.columnar import level_of_columnar
+            # Kahn wave peel over the CSR arrays (one bincount pass per
+            # level).  The dict is in task order; every consumer
+            # (lookups, ``levels()`` regrouping, dict equality) is
+            # iteration-order-agnostic.
+            from repro.kernels.columnar import level_of_columnar
 
-                return level_of_columnar(self)
-            # a task's generation in the peel is its longest-path depth
-            return {
-                tid: lvl
-                for lvl, gen in enumerate(self._generations())
-                for tid in gen
-            }
+            return level_of_columnar(self)
 
         return dict(self._memo("level_of", build))  # type: ignore[arg-type]
 
@@ -491,11 +459,7 @@ class Workflow:
         Returns ``(path_task_ids, path_length_seconds)``.
         """
         self._require_valid()
-        if (
-            exec_time is None
-            and transfer_time is None
-            and _columnar_active(len(self))
-        ):
+        if exec_time is None and transfer_time is None:
             # default weights: the vectorized level sweep reproduces the
             # scalar first-maximum tie-breaks (property-tested)
             from repro.kernels.columnar import critical_path_columnar
@@ -625,9 +589,17 @@ class _ArrayWorkflow(Workflow):
         lazy = self.__dict__.get("_lazy")
         if lazy is None:  # made meanwhile (another thread's query)
             return
-        cd, categories, edges = lazy
+        cd, categories, (src, dst, gb) = lazy
+        ids = cd.ids
         twin = Workflow(self.name)
-        twin._add_columns(cd.ids, cd.works, categories, *edges)
+        twin.add_tasks(map(Task, ids, cd.works.tolist(), categories))
+        twin.add_dependencies(
+            zip(
+                map(ids.__getitem__, src.tolist()),
+                map(ids.__getitem__, dst.tolist()),
+                gb.tolist(),
+            )
+        )
         self._tasks = twin._tasks
         self._succ = twin._succ
         self._pred = twin._pred
@@ -676,12 +648,18 @@ def _peel(succ: Mapping[str, Mapping[str, object]], name: str) -> List[List[str]
                     nxt.append(c)
         gen = nxt
     if sum(map(len, gens)) != len(succ):
-        stuck = sorted(t for t, d in indeg.items() if d > 0)
-        raise WorkflowError(
-            f"workflow {name!r} has a cycle: {len(stuck)} task(s) never "
-            f"become ready, first {stuck[:5]}"
-        )
+        raise _cycle_error(name, [t for t, d in indeg.items() if d > 0])
     return gens
+
+
+def _cycle_error(name: str, stuck) -> WorkflowError:
+    """The error of a peel that left the tasks *stuck* unpeeled: their
+    count and the first five by id."""
+    stuck = sorted(stuck)
+    return WorkflowError(
+        f"workflow {name!r} has a cycle: {len(stuck)} task(s) never "
+        f"become ready, first {stuck[:5]}"
+    )
 
 
 def _reach(adj: Mapping[str, Mapping[str, object]], start: str) -> set:

@@ -14,11 +14,13 @@ full trace.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.cloud.instance import SMALL
+from repro.cloud.network import NetworkModel
 from repro.cloud.platform import CloudPlatform
 from repro.core.allocation import HeftScheduler, LevelScheduler
 from repro.core.allocation.ranking import upward_rank
@@ -26,6 +28,7 @@ from repro.core.provisioning import PROVISIONING_POLICIES
 from repro.workflows.dag import Workflow
 from repro.workflows.generators import fork_join, mapreduce, random_layered
 from repro.workflows.task import Task
+from tests.oracles.builder_path import BuilderHeft, BuilderLevel
 from tests.oracles.dag_passes import critical_path_reference, level_of_reference
 from tests.oracles.provisioning_scan import REFERENCE_POLICIES
 from tests.oracles.upward_rank import upward_rank_reference
@@ -117,6 +120,13 @@ def _scheduler_for(policy_name: str):
     return HeftScheduler
 
 
+def _builder_for(policy_name: str):
+    """:func:`_scheduler_for`'s pairing on the indexed builder path."""
+    if policy_name.startswith("AllPar"):
+        return BuilderLevel
+    return BuilderHeft
+
+
 @pytest.fixture(scope="module")
 def platform():
     return CloudPlatform.ec2()
@@ -152,6 +162,20 @@ def test_upward_rank_identical_to_reference(shape, seed, platform):
         # byte-identical floats, not approx: both kernels must combine
         # the same operands in the same order
         assert fast[tid] == slow[tid], tid
+
+
+class _PlainNetwork(NetworkModel):
+    """The stock network formulas under a non-stock type: every
+    dispatch site keeps such a platform off the fused kernels."""
+
+
+@pytest.mark.parametrize("shape,seed", _dag_cases())
+def test_non_stock_models_take_the_scalar_rank(shape, seed, platform):
+    plain = dataclasses.replace(platform, network=_PlainNetwork())
+    wf = SHAPES[shape](seed)
+    scalar = upward_rank(wf, plain, SMALL)
+    assert scalar == upward_rank_reference(wf, plain, SMALL)
+    assert scalar == upward_rank(wf, platform, SMALL)
 
 
 @pytest.mark.parametrize("shape,seed", _dag_cases())
@@ -190,30 +214,22 @@ def test_schedules_are_internally_consistent(shape, seed, platform):
 def test_columnar_trace_identical_to_indexed(policy_name, shape, seed, platform):
     """The fused kernels reproduce the indexed kernels bit-exactly —
     same VM ids, rent windows and task timings — on every zoo DAG."""
-    from repro.kernels.dispatch import columnar_disabled, force_columnar
-
-    scheduler_cls = _scheduler_for(policy_name)
-    with force_columnar():
-        columnar = scheduler_cls(PROVISIONING_POLICIES[policy_name]()).schedule(
-            SHAPES[shape](seed), platform
-        )
-    with columnar_disabled():
-        indexed = scheduler_cls(PROVISIONING_POLICIES[policy_name]()).schedule(
-            SHAPES[shape](seed), platform
-        )
+    columnar = _scheduler_for(policy_name)(
+        PROVISIONING_POLICIES[policy_name]()
+    ).schedule(SHAPES[shape](seed), platform)
+    indexed = _builder_for(policy_name)(
+        PROVISIONING_POLICIES[policy_name]()
+    ).schedule(SHAPES[shape](seed), platform)
     assert _fingerprint(columnar) == _fingerprint(indexed)
 
 
 @pytest.mark.parametrize("shape,seed", _dag_cases())
 def test_columnar_analysis_identical_to_reference(shape, seed, platform):
     """Columnar rank/level/critical-path sweeps equal the references."""
-    from repro.kernels.dispatch import force_columnar
-
     wf = SHAPES[shape](seed)
-    with force_columnar():
-        ranks = upward_rank(wf, platform, SMALL)
-        levels = wf.level_of()
-        cpath = wf.critical_path()
+    ranks = upward_rank(wf, platform, SMALL)
+    levels = wf.level_of()
+    cpath = wf.critical_path()
     assert ranks == upward_rank_reference(wf, platform, SMALL)
     assert levels == level_of_reference(SHAPES[shape](seed))
     assert cpath == critical_path_reference(SHAPES[shape](seed))
@@ -224,50 +240,51 @@ def test_columnar_analysis_identical_to_reference(shape, seed, platform):
 def test_columnar_metrics_identical_to_indexed(policy_name, shape, seed, platform):
     """Counter byte-identity: the fused pass replicates the builder's
     memo hit/miss accounting, not just the schedule."""
-    from repro.kernels.dispatch import columnar_disabled, force_columnar
     from repro.obs.metrics import MetricsRegistry
 
-    scheduler_cls = _scheduler_for(policy_name)
     reg_c, reg_i = MetricsRegistry(), MetricsRegistry()
-    with force_columnar(), reg_c.activate():
-        scheduler_cls(PROVISIONING_POLICIES[policy_name]()).schedule(
+    with reg_c.activate():
+        _scheduler_for(policy_name)(PROVISIONING_POLICIES[policy_name]()).schedule(
             SHAPES[shape](seed), platform
         )
-    with columnar_disabled(), reg_i.activate():
-        scheduler_cls(PROVISIONING_POLICIES[policy_name]()).schedule(
+    with reg_i.activate():
+        _builder_for(policy_name)(PROVISIONING_POLICIES[policy_name]()).schedule(
             SHAPES[shape](seed), platform
         )
     assert reg_c.as_dict() == reg_i.as_dict()
+
+
+#: SHA-256 of ``run_sweep(seed=2013)``'s merged ``MetricsRegistry``,
+#: recorded when every paper workflow still took the builder path
+RUN_SWEEP_COUNTERS_2013 = (
+    "81a299421d1ba44c50fcecf625ff01c018924b33dfed3fc634d5520427f518fb"
+)
 
 
 def test_run_sweep_metrics_identical_columnar_vs_indexed():
-    """End-to-end byte-identity on the paper's default grid: forcing the
-    columnar kernels through ``run_sweep`` leaves every merged counter
-    untouched (grid cells merge in deterministic grid order)."""
+    """End-to-end byte-identity on the paper's default grid: the fused
+    kernels leave every merged counter as the builder path left it
+    (grid cells merge in deterministic grid order)."""
+    import hashlib
+    import json
+
     from repro.experiments.runner import run_sweep
-    from repro.kernels.dispatch import columnar_disabled, force_columnar
     from repro.obs.metrics import MetricsRegistry
 
-    reg_c, reg_i = MetricsRegistry(), MetricsRegistry()
-    with force_columnar():
-        run_sweep(seed=2013, metrics=reg_c)
-    with columnar_disabled():
-        run_sweep(seed=2013, metrics=reg_i)
-    assert reg_c.as_dict() == reg_i.as_dict()
+    reg = MetricsRegistry()
+    run_sweep(seed=2013, metrics=reg)
+    text = json.dumps(reg.as_dict(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RUN_SWEEP_COUNTERS_2013
 
 
 @pytest.mark.parametrize("shape,seed", _dag_cases())
 def test_replay_verify_matches_des(shape, seed, platform):
     """The recurrence replay accepts exactly what the DES accepts."""
-    from repro.kernels.dispatch import force_columnar
     from repro.kernels.replay import replay_verify
     from repro.simulator.executor import simulate_schedule
 
-    with force_columnar():
-        s = HeftScheduler("StartParNotExceed").schedule(
-            SHAPES[shape](seed), platform
-        )
-        assert replay_verify(s)
+    s = HeftScheduler("StartParNotExceed").schedule(SHAPES[shape](seed), platform)
+    assert replay_verify(s)
     simulate_schedule(s, check=True)
 
 
@@ -306,15 +323,13 @@ def test_replay_verify_catches_divergence(platform):
     """A plan whose timings cannot be realized must raise with the
     DES-identical message shape, not silently pass."""
     from repro.errors import SimulationError
-    from repro.kernels.dispatch import force_columnar
     from repro.kernels.replay import replay_verify
 
-    with force_columnar():
-        s = HeftScheduler("StartParExceed").schedule(_wide(7), platform)
-        # push one non-entry task's planned window later than its
-        # dependencies allow: the replayed start diverges from the plan
-        with pytest.raises(SimulationError, match="simulated start"):
-            replay_verify(_shifted(s))
+    s = HeftScheduler("StartParExceed").schedule(_wide(7), platform)
+    # push one non-entry task's planned window later than its
+    # dependencies allow: the replayed start diverges from the plan
+    with pytest.raises(SimulationError, match="simulated start"):
+        replay_verify(_shifted(s))
 
 
 def test_replay_verify_defers_ineligible_cases(platform):
@@ -322,17 +337,15 @@ def test_replay_verify_defers_ineligible_cases(platform):
     takes over) instead of guessing; workflow size is not one of them."""
     from repro.core.allocation.cpa_eager import CpaEagerScheduler
     from repro.errors import SimulationError
-    from repro.kernels.dispatch import force_columnar
     from repro.kernels.replay import replay_verify
     from repro.obs.metrics import MetricsRegistry
 
-    with force_columnar():
-        s = HeftScheduler("StartParExceed").schedule(_wide(1), platform)
-        with MetricsRegistry().activate():
-            # an active registry expects the DES's sim.* counters
-            assert not replay_verify(s)
-    # far below the columnar threshold, unforced: still the replay
-    small = HeftScheduler("StartParExceed").schedule(_wide(2), platform)
+    s = HeftScheduler("StartParExceed").schedule(_wide(1), platform)
+    with MetricsRegistry().activate():
+        # an active registry expects the DES's sim.* counters
+        assert not replay_verify(s)
+    # a builder-path plan of a small DAG: still the replay
+    small = BuilderHeft("StartParExceed").schedule(_wide(2), platform)
     assert len(small.workflow) < 100
     assert replay_verify(small)
     with pytest.raises(SimulationError):

@@ -21,13 +21,13 @@ from hypothesis import given, settings, strategies as st
 from repro.cloud.platform import CloudPlatform
 from repro.core.allocation import LevelScheduler
 from repro.experiments.scenarios import scenario
-from repro.kernels.dispatch import columnar_disabled, force_columnar
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.base import apply_model
 from repro.workloads.pareto import ParetoModel
 from repro.workflows.dag import Workflow
 from repro.workflows.generators import mapreduce, montage, random_layered
 from repro.workflows.task import Task
+from tests.oracles.builder_path import BuilderLevel
 
 WARM = CloudPlatform.ec2()
 COLD = CloudPlatform.ec2(boot_seconds=97.0, prebooted=False)
@@ -58,17 +58,16 @@ def _trace(schedule):
     )
 
 
-def _run(wf, platform, policy, columnar):
+def _run(wf, platform, policy, scheduler):
     reg = MetricsRegistry()
-    side = force_columnar() if columnar else columnar_disabled()
-    with side, reg.activate():
-        sched = LevelScheduler(policy).schedule(wf, platform)
+    with reg.activate():
+        sched = scheduler(policy).schedule(wf, platform)
     return _trace(sched), reg.as_dict()
 
 
 def _assert_identical(wf, platform, policy):
-    fused = _run(wf, platform, policy, columnar=True)
-    indexed = _run(wf, platform, policy, columnar=False)
+    fused = _run(wf, platform, policy, LevelScheduler)
+    indexed = _run(wf, platform, policy, BuilderLevel)
     assert fused[0] == indexed[0]
     assert fused[1] == indexed[1]
     return indexed[1]["counters"]

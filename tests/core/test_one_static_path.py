@@ -1,0 +1,81 @@
+"""One static scheduling path at every size.
+
+Stock ``HeftScheduler`` and ``LevelScheduler`` runs on the stock models
+take the fused columnar kernels for every workflow, the paper's 12-24
+task shapes included: exact types and ``platform_eligible`` are the
+only dispatch rule, and no task count gates it.  Subclasses, such as
+``LocalityHeftScheduler``, keep the indexed ``ScheduleBuilder``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.kernels.dispatch as dispatch
+from repro.cloud.platform import CloudPlatform
+from repro.core.allocation import AllParScheduler, HeftScheduler, LevelScheduler
+from repro.core.allocation.locality import LocalityHeftScheduler
+from repro.core.builder import ScheduleBuilder
+from repro.experiments.config import paper_strategies, paper_workflows
+from repro.experiments.scenarios import paper_scenarios
+from tests.oracles.builder_path import BuilderHeft, BuilderLevel
+
+PLATFORM = CloudPlatform.ec2()
+#: the HEFT and AllPar strategies of Figure 4 (StartPar*, OneVMperTask
+#: and AllPar* on small, medium and large VMs)
+STOCK = [
+    s
+    for s in paper_strategies()
+    if type(s.algorithm_factory()) in (HeftScheduler, AllParScheduler)
+]
+
+
+class _BuilderMade(Exception):
+    pass
+
+
+@pytest.fixture
+def refuse_builder(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise _BuilderMade
+
+    monkeypatch.setattr(ScheduleBuilder, "__init__", refuse)
+
+
+@pytest.mark.parametrize("wf_name", ["montage", "cstem", "mapreduce", "sequential"])
+def test_stock_schedulers_never_make_a_builder(refuse_builder, wf_name):
+    assert len(STOCK) == 15
+    shape = paper_workflows()[wf_name]
+    for scenario in paper_scenarios(PLATFORM):
+        wf = scenario.apply(shape, 2013)
+        for spec in STOCK:
+            assert spec.run(wf, PLATFORM).makespan > 0, spec.label
+        for policy in ("AllParExceed", "AllParNotExceed"):
+            assert LevelScheduler(policy).schedule(wf, PLATFORM).makespan > 0
+
+
+@pytest.mark.parametrize(
+    "scheduler",
+    [
+        lambda: LocalityHeftScheduler(),
+        lambda: BuilderHeft("StartParExceed"),
+        lambda: BuilderLevel("AllParNotExceed"),
+    ],
+    ids=["locality", "heft-subclass", "level-subclass"],
+)
+def test_subclasses_keep_the_builder(refuse_builder, scheduler):
+    with pytest.raises(_BuilderMade):
+        scheduler().schedule(paper_workflows()["montage"], PLATFORM)
+
+
+def test_dispatch_keeps_only_the_model_type_rule():
+    """No size threshold, scoped override or switch is left to import:
+    the module holds the model-type rule and what it reads."""
+    names = {n for n in vars(dispatch) if not n.startswith("__")}
+    assert names == {
+        "annotations",
+        "BillingModel",
+        "InstanceType",
+        "NetworkModel",
+        "platform_eligible",
+    }

@@ -24,18 +24,19 @@ from repro.core.allocation import AllParScheduler, HeftScheduler, LevelScheduler
 from repro.core.allocation.cpa_eager import CpaEagerScheduler
 from repro.core.allocation.gain import GainScheduler
 from repro.core.schedule import Schedule
-from repro.kernels.dispatch import columnar_disabled, force_columnar
 from repro.kernels.replay import replay_verify
 from repro.simulator.online import online_to_schedule, run_online
 from repro.workflows.generators import mapreduce, montage, random_layered
 from tests.oracles import schedule_metrics as oracle
+from tests.oracles.builder_path import BuilderHeft, BuilderLevel
 
+#: (policy, fused scheduler, its builder-path twin)
 POLICIES = (
-    ("AllParExceed", LevelScheduler),
-    ("AllParNotExceed", LevelScheduler),
-    ("StartParExceed", HeftScheduler),
-    ("StartParNotExceed", HeftScheduler),
-    ("OneVMperTask", HeftScheduler),
+    ("AllParExceed", LevelScheduler, BuilderLevel),
+    ("AllParNotExceed", LevelScheduler, BuilderLevel),
+    ("StartParExceed", HeftScheduler, BuilderHeft),
+    ("StartParNotExceed", HeftScheduler, BuilderHeft),
+    ("OneVMperTask", HeftScheduler, BuilderHeft),
 )
 
 EC2 = CloudPlatform.ec2()
@@ -106,11 +107,9 @@ _workflows = st.one_of(
     boot=st.sampled_from([0.0, 45.0]),
 )
 def test_builder_and_fused_metrics_match_oracle(wf, policy, platform, boot):
-    name, scheduler = policy
-    with columnar_disabled():
-        built = scheduler(name).schedule(wf, platform)
-    with force_columnar():
-        fused = scheduler(name).schedule(wf, platform)
+    name, scheduler, builder = policy
+    built = builder(name).schedule(wf, platform)
+    fused = scheduler(name).schedule(wf, platform)
     # the fused plan's views are the builder's object form
     assert fused.vms == built.vms
     assert fused == built
@@ -142,8 +141,7 @@ def test_online_metrics_match_oracle(wf, policy):
 
 
 def test_two_region_plan_pays_egress_like_the_oracle(platform):
-    with force_columnar():
-        fused = HeftScheduler("OneVMperTask").schedule(montage(6), platform)
+    fused = HeftScheduler("OneVMperTask").schedule(montage(6), platform)
     restyled = _restyled(fused, platform, boot=30.0)
     assert restyled.transfer_cost > 0
     _assert_matches_oracle(restyled)
@@ -151,11 +149,10 @@ def test_two_region_plan_pays_egress_like_the_oracle(platform):
 
 def test_relabel_shares_columns(platform):
     wf = montage(5)
-    with force_columnar():
-        out = AllParScheduler(exceed=False).schedule(wf, platform)
+    out = AllParScheduler(exceed=False).schedule(wf, platform)
     assert out.label == "AllParNotExceed+AllParNotExceed"
     assert out._checked and out._vms is None
-    plain = LevelScheduler("AllParNotExceed").schedule(wf, platform)
+    plain = BuilderLevel("AllParNotExceed").schedule(wf, platform)
     assert out.vms == plain.vms
     _assert_matches_oracle(out)
 
@@ -173,7 +170,7 @@ def test_large_static_path_makes_no_objects():
     platform = CloudPlatform.ec2()
     wf = montage(1700)
     assert len(wf) == 5106
-    for name, scheduler in POLICIES:
+    for name, scheduler, _ in POLICIES:
         sched = scheduler(name).schedule(wf, platform)
         assert replay_verify(sched)
         m = core_metrics.evaluate(sched)

@@ -1,8 +1,8 @@
 """The straightforward HEFT upward rank, kept as the oracle.
 
 :func:`repro.core.allocation.ranking.upward_rank` sweeps the cached
-reversed-topological order over uncopied adjacency maps (or the
-columnar kernel above the threshold).  This version goes through the
+reversed-topological order over uncopied adjacency maps (or, on the
+stock models, the columnar kernel).  This version goes through the
 copying public accessors on every visit: identical output, none of the
 indexing.  The kernel-equivalence property tests compare the two (see
 ``tests/core/test_kernel_equivalence.py`` and DESIGN.md §9).

@@ -1,19 +1,21 @@
 """Array-built workflows against their object-built twins.
 
-:meth:`Workflow.from_arrays` builds the object form below the columnar
-threshold and only the :class:`ColumnarDAG` at or above it, making the
-Task objects and adjacency dicts on first use.  Built under
-``force_columnar()`` (array side) and ``columnar_disabled()`` (object
-side), the two must be indistinguishable: the same columnar fields, the
-same materialized tasks and edges, the same structural queries, the
-same behaviour after later mutation and a pickle round-trip, and the
-same error class on every bad input.
+:meth:`Workflow.from_arrays` builds only the :class:`ColumnarDAG`,
+making the Task objects and adjacency dicts on first use.  Its object
+twin replays the same columns through per-call :meth:`Workflow.add_task`
+and :meth:`Workflow.add_dependency` (a generator's twin is the generator
+run with ``from_arrays`` patched to do that).  The two must be
+indistinguishable: the same columnar fields, the same materialized
+tasks and edges, the same structural queries, the same behaviour after
+later mutation and a pickle round-trip, and the same error class on
+every bad input.
 """
 
 from __future__ import annotations
 
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,18 +24,49 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkflowError
 from repro.kernels.columnar import ColumnarDAG, get_columnar
-from repro.kernels.dispatch import columnar_disabled, force_columnar
 from repro.workflows.dag import Workflow
 from repro.workflows.generators import mapreduce, montage
 from repro.workflows.task import Task
 
 
+def _object_build(name, ids, works, cats, src, dst, gb) -> Workflow:
+    """The per-call object build the array constructor must agree with."""
+    wf = Workflow(name)
+    for tid, w, c in zip(ids, works, cats):
+        wf.add_task(Task(tid, w, c))
+    name_of = dict(enumerate(ids))
+    for u, v, g in zip(src, dst, gb):
+        # a position with no task names no task
+        wf.add_dependency(name_of.get(u, f"#{u}"), name_of.get(v, f"#{v}"), g)
+    return wf.validate()
+
+
+def _batch_build(name, ids, works, cats, src, dst, gb) -> Workflow:
+    """The same columns through the batch :meth:`Workflow.add_tasks` and
+    :meth:`Workflow.add_dependencies`."""
+    wf = Workflow(name)
+    wf.add_tasks(map(Task, ids, works, cats))
+    name_of = dict(enumerate(ids))
+    wf.add_dependencies(
+        (name_of.get(u, f"#{u}"), name_of.get(v, f"#{v}"), g)
+        for u, v, g in zip(src, dst, gb)
+    )
+    return wf.validate()
+
+
+def _object_twin(build) -> Workflow:
+    """*build*'s workflow with every ``from_arrays`` call replayed
+    through :func:`_object_build`."""
+
+    def per_call(cls, name, *columns):
+        return _object_build(name, *(np.asarray(c).tolist() for c in columns))
+
+    with mock.patch.object(Workflow, "from_arrays", classmethod(per_call)):
+        return build()
+
+
 def _twins(build):
-    with force_columnar():
-        arrays = build()
-    with columnar_disabled():
-        objects = build()
-    return arrays, objects
+    return build(), _object_twin(build)
 
 
 def _assert_same_columns(a: ColumnarDAG, b: ColumnarDAG) -> None:
@@ -101,23 +134,9 @@ def test_mapreduce_array_build_matches_object_build(m, r):
 
 
 def test_large_montage_is_array_built_by_default():
-    wf = montage(1400)  # 4,206 tasks: above the columnar threshold
+    wf = montage(1400)  # 4,206 tasks
     assert "_tasks" not in vars(wf)
-    with columnar_disabled():
-        twin = montage(1400)
-    _assert_twins(wf, twin)
-
-
-def _object_build(name, ids, works, cats, src, dst, gb) -> Workflow:
-    """The per-call object build the array constructor must agree with."""
-    wf = Workflow(name)
-    for tid, w, c in zip(ids, works, cats):
-        wf.add_task(Task(tid, w, c))
-    name_of = dict(enumerate(ids))
-    for u, v, g in zip(src, dst, gb):
-        # a position with no task names no task
-        wf.add_dependency(name_of.get(u, f"#{u}"), name_of.get(v, f"#{v}"), g)
-    return wf.validate()
+    _assert_twins(wf, _object_twin(lambda: montage(1400)))
 
 
 _GOOD = dict(
@@ -131,12 +150,15 @@ _GOOD = dict(
 
 
 def _build(kind, **overrides):
+    """*kind*: ``arrays`` (:meth:`Workflow.from_arrays`), ``objects``
+    (the batch object build) or ``object`` (the per-call one)."""
     args = {**_GOOD, **overrides}
-    if kind == "object":
-        return _object_build("bad", *args.values())
-    ctx = force_columnar() if kind == "arrays" else columnar_disabled()
-    with ctx:
-        return Workflow.from_arrays("bad", *args.values())
+    build = {
+        "arrays": Workflow.from_arrays,
+        "objects": _batch_build,
+        "object": _object_build,
+    }[kind]
+    return build("bad", *args.values())
 
 
 def test_duplicate_edges_keep_first_position_and_last_volume():
@@ -179,3 +201,21 @@ def test_bad_input_raises_the_same_error_class(kind, overrides):
 def test_non_finite_volume_names_the_edge(kind, gb):
     with pytest.raises(WorkflowError, match="non-finite.*'b'->'d'"):
         _build(kind, gb=[0.1, 0.2, gb, 0.4])
+
+
+@pytest.mark.parametrize("n", [3, 5000])
+def test_cycle_error_names_the_stuck_tasks(n):
+    """A ring of *n* tasks: the array build names the never-peeled
+    tasks in the words of the object build's cycle check."""
+    ids = [f"t{i}" for i in range(n)]
+    nxt = [(i + 1) % n for i in range(n)]
+    ring = ("cyc", ids, [10.0] * n, ["x"] * n, list(range(n)), nxt, [0.0] * n)
+    with pytest.raises(WorkflowError) as arrays:
+        Workflow.from_arrays(*ring)
+    with pytest.raises(WorkflowError) as objects:
+        _object_build(*ring)
+    first = sorted(ids)[:5]
+    assert str(arrays.value) == (
+        f"workflow 'cyc' has a cycle: {n} task(s) never become ready, first {first}"
+    )
+    assert str(arrays.value) == str(objects.value)
