@@ -11,25 +11,29 @@ under one :mod:`~repro.core.recovery` policy.  The summary reports, per
 the realized-vs-planned makespan and cost deltas — the robustness
 counterpart of the paper's Figure 4/5 rankings.
 
-Every cell is an independent work unit, fanned out over an
-:class:`~repro.experiments.parallel.ExecutionBackend` through the same
-guarded map the main sweep uses, so one aborted cell (a recovery policy
-exhausting its attempt budget at very high intensity) yields a captured
-failure, not a dead sweep.
+A :class:`ReplayCell`, shared with :mod:`repro.experiments.pricing`,
+carries its label, platform and ``FaultPlan``, all built when the sweep
+lays out its grid, so the worker only schedules and replays.  Cells fan
+out over an :class:`~repro.experiments.parallel.ExecutionBackend`
+through the guarded map every sweep uses, so one aborted cell (a
+recovery policy exhausting its attempt budget at very high intensity)
+yields a captured failure, not a dead sweep.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from operator import attrgetter
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from repro.cloud.platform import CloudPlatform
-from repro.errors import ExperimentError
-from repro.experiments.config import StrategySpec, strategy
+from repro.experiments.config import StrategySpec, paper_workflow, strategy
 from repro.experiments.parallel import (
     CellFailure,
     ExecutionBackend,
+    check_axes,
     make_backend,
     map_guarded,
 )
@@ -53,22 +57,23 @@ FAULT_POLICY_LABELS = (
 DEFAULT_INTENSITIES = (0.0, 0.5, 1.0, 2.0)
 
 
+class ReplayOutcome:
+    """Realized-minus-planned deltas of a replay outcome.  It has no
+    fields, so each outcome class keeps its own field order."""
+
+    @property
+    def makespan_delta(self) -> float:
+        """Realized minus planned makespan, seconds."""
+        return self.makespan - self.planned_makespan
+
+    @property
+    def cost_delta(self) -> float:
+        """Realized minus planned rent, USD."""
+        return self.cost - self.planned_cost
+
+
 @dataclass(frozen=True)
-class FaultCell:
-    """One (strategy, intensity, fault seed) unit of the fault grid."""
-
-    spec: StrategySpec
-    workflow_name: str
-    workflow: Workflow
-    platform: CloudPlatform
-    base_plan: FaultPlan
-    intensity: float
-    fault_seed: int
-    recovery: str = "retry"
-
-
-@dataclass(frozen=True)
-class FaultCellResult:
+class FaultCellResult(ReplayOutcome):
     """Realized outcome of one fault-injected replay."""
 
     strategy: str
@@ -82,32 +87,32 @@ class FaultCellResult:
     cost: float
     stats: FaultStats
 
-    @property
-    def makespan_delta(self) -> float:
-        """Realized minus planned makespan, seconds."""
-        return self.makespan - self.planned_makespan
 
-    @property
-    def cost_delta(self) -> float:
-        """Realized minus planned rent, USD."""
-        return self.cost - self.planned_cost
+@dataclass(frozen=True)
+class ReplayCell:
+    """One schedule-and-replay unit of the fault or pricing grid."""
+
+    #: grid coordinates, used in failure reports
+    label: str
+    spec: StrategySpec
+    workflow: Workflow
+    platform: CloudPlatform
+    plan: FaultPlan
+    recovery: str
+    #: the outcome class with its leading coordinate fields bound (a
+    #: :func:`functools.partial`, so it pickles); the worker adds the rest
+    outcome: Callable[..., ReplayOutcome]
 
 
-def run_fault_cell(cell: FaultCell) -> FaultCellResult:
-    """Build the schedule and replay it under the cell's fault sample
-    (worker entry point — everything it touches pickles)."""
+def run_replay_cell(cell: ReplayCell) -> ReplayOutcome:
+    """Build the schedule and replay it under the cell's plan (worker
+    entry point — everything it touches pickles)."""
     sched = cell.spec.run(cell.workflow, cell.platform)
-    plan = cell.base_plan.scaled(cell.intensity).with_seed(cell.fault_seed)
     result = ScheduleExecutor(
-        sched, fault_plan=plan, recovery=cell.recovery
+        sched, fault_plan=cell.plan, recovery=cell.recovery
     ).run()
     assert result.faults is not None
-    return FaultCellResult(
-        strategy=cell.spec.label,
-        workflow=cell.workflow_name,
-        intensity=cell.intensity,
-        fault_seed=cell.fault_seed,
-        recovery=cell.recovery,
+    return cell.outcome(
         planned_makespan=sched.makespan,
         planned_cost=sched.total_cost,
         makespan=result.makespan,
@@ -116,11 +121,14 @@ def run_fault_cell(cell: FaultCell) -> FaultCellResult:
     )
 
 
-def fault_cell_label(cell: FaultCell) -> str:
-    return (
-        f"{cell.spec.label}/{cell.workflow_name}"
-        f"@x{cell.intensity:g}#s{cell.fault_seed}"
-    )
+def first_seen(cells: Iterable, attr: str) -> list:
+    """The distinct values of *attr* over *cells*, in first-seen order."""
+    return list(dict.fromkeys(getattr(c, attr) for c in cells))
+
+
+def mean(values: List[float]) -> float:
+    """Arithmetic mean of one non-empty group (left-to-right sum)."""
+    return sum(values) / len(values)
 
 
 @dataclass
@@ -132,16 +140,8 @@ class FaultSweepResult(ResultBase):
     cells: List[FaultCellResult] = field(default_factory=list)
     failures: List[CellFailure] = field(default_factory=list)
 
-    @property
-    def complete(self) -> bool:
-        return not self.failures
-
     def strategies(self) -> List[str]:
-        seen: List[str] = []
-        for c in self.cells:
-            if c.strategy not in seen:
-                seen.append(c.strategy)
-        return seen
+        return first_seen(self.cells, "strategy")
 
     def intensities(self) -> List[float]:
         return sorted({c.intensity for c in self.cells})
@@ -192,14 +192,7 @@ def run_fault_sweep(
     """
     platform = platform or CloudPlatform.ec2()
     if workflow is None:
-        from repro.experiments.config import paper_workflows
-
-        try:
-            workflow = paper_workflows()[workflow_name]
-        except KeyError:
-            raise ExperimentError(
-                f"unknown paper workflow {workflow_name!r}"
-            ) from None
+        workflow = paper_workflow(workflow_name)
     if strategies is None:
         strategies = [strategy(lbl) for lbl in FAULT_POLICY_LABELS]
     if base_plan is None:
@@ -210,30 +203,34 @@ def run_fault_sweep(
         fault_seeds = range(fault_seeds)
     intensities = [float(x) for x in intensities]
     seeds = [int(s) for s in fault_seeds]
-    if not intensities or not seeds or not strategies:
-        raise ExperimentError("fault sweep needs at least one of each axis")
+    check_axes(
+        "fault sweep",
+        strategies=[spec.label for spec in strategies],
+        intensities=intensities,
+        fault_seeds=seeds,
+    )
 
     cells = [
-        FaultCell(
+        ReplayCell(
+            label=f"{spec.label}/{workflow_name}@x{x:g}#s{s}",
             spec=spec,
-            workflow_name=workflow_name,
             workflow=workflow,
             platform=platform,
-            base_plan=base_plan,
-            intensity=x,
-            fault_seed=s,
+            plan=base_plan.scaled(x).with_seed(s),
             recovery=recovery,
+            outcome=partial(
+                FaultCellResult, spec.label, workflow_name, x, s, recovery
+            ),
         )
         for spec in strategies
         for x in intensities
         for s in seeds
     ]
-    exec_backend = make_backend(backend, jobs)
     results, failures = map_guarded(
-        exec_backend,
-        run_fault_cell,
+        make_backend(backend, jobs),
+        run_replay_cell,
         cells,
-        label_fn=fault_cell_label,
+        label_fn=attrgetter("label"),
         timeout=cell_timeout,
     )
     return FaultSweepResult(
@@ -247,10 +244,6 @@ def run_fault_sweep(
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
-def _mean(xs: List[float]) -> float:
-    return sum(xs) / len(xs) if xs else 0.0
-
-
 def render_fault_sweep(sweep: FaultSweepResult) -> str:
     """Aggregate table: one row per (policy, intensity), averaged over
     fault seeds; appended with the captured-failure summary, if any."""
@@ -265,12 +258,12 @@ def render_fault_sweep(sweep: FaultSweepResult) -> str:
                     label,
                     x,
                     len(group),
-                    _mean([g.stats.failures for g in group]),
-                    _mean([g.stats.retries for g in group]),
-                    _mean([g.stats.resubmits + g.stats.replans for g in group]),
-                    _mean([g.stats.wasted_btu_seconds for g in group]),
-                    _mean([g.makespan_delta for g in group]),
-                    _mean([g.cost_delta for g in group]),
+                    mean([g.stats.failures for g in group]),
+                    mean([g.stats.retries for g in group]),
+                    mean([g.stats.resubmits + g.stats.replans for g in group]),
+                    mean([g.stats.wasted_btu_seconds for g in group]),
+                    mean([g.makespan_delta for g in group]),
+                    mean([g.cost_delta for g in group]),
                 )
             )
     text = format_table(

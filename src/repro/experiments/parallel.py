@@ -178,27 +178,15 @@ class ProcessBackend(_PoolBackend):
 
     #: estimated remaining serial work (seconds) below which forking a
     #: pool cannot pay for itself — roughly the measured worker spin-up
-    #: + payload pickling cost on a small container
+    #: + payload pickling cost on a small container.  A threshold of 0
+    #: always forks, even on a single core.
     min_parallel_seconds: float = 0.75
-
-    def __init__(
-        self, jobs: int | None = None, min_parallel_seconds: float | None = None
-    ) -> None:
-        super().__init__(jobs)
-        if min_parallel_seconds is not None:
-            if min_parallel_seconds < 0:
-                raise ExperimentError(
-                    f"min_parallel_seconds must be >= 0, got {min_parallel_seconds}"
-                )
-            self.min_parallel_seconds = float(min_parallel_seconds)
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         items = list(items)
         n = len(items)
         if self.jobs == 1 or n <= 1:
             return [fn(item) for item in items]
-        # ``min_parallel_seconds=0`` means "always fork" — the escape
-        # hatch the pool-path tests use on single-core CI hosts
         if self.min_parallel_seconds > 0.0 and (os.cpu_count() or 1) < 2:
             # one core: workers only add pickling and context switches
             return [fn(item) for item in items]
@@ -265,6 +253,23 @@ def make_backend(
     if cls is SerialBackend:
         return SerialBackend()
     return cls(jobs)
+
+
+def check_axes(sweep: str, **axes: Iterable) -> None:
+    """Refuse an empty axis, or a repeated value on one, of *sweep*'s grid.
+
+    Each keyword is one axis, given as the values that key the sweep's
+    results (labels, names, seeds), so no two cells share a result key.
+    """
+    for axis, values in axes.items():
+        values = list(values)
+        if not values:
+            raise ExperimentError(
+                f"{sweep} needs at least one value on axis {axis!r}"
+            )
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ExperimentError(f"{sweep} axis {axis!r} repeats {value!r}")
 
 
 # ----------------------------------------------------------------------

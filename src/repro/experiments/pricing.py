@@ -12,44 +12,44 @@ and rent per cell and the per-cell Pareto frontier — under a spot
 market "cheap" and "fast" are genuinely competing objectives, because
 the aggressive bidder saves rent but eats correlated reclamations.
 
-Every cell is an independent work unit fanned out over an
-:class:`~repro.experiments.parallel.ExecutionBackend` through the same
-guarded map the fault sweep uses.
+Cells are the fault sweep's :class:`~repro.experiments.faults.ReplayCell`,
+each with its boot-adjusted platform and market ``FaultPlan`` built at
+grid layout, and run through the same guarded map and worker.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.cloud.platform import CloudPlatform
-from repro.errors import ExperimentError
-from repro.experiments.config import StrategySpec, strategy
+from repro.experiments.config import StrategySpec, paper_workflow, strategy
+from repro.experiments.faults import (
+    FAULT_POLICY_LABELS,
+    ReplayCell,
+    ReplayOutcome,
+    first_seen,
+    mean,
+    run_replay_cell,
+)
 from repro.experiments.parallel import (
     CellFailure,
     ExecutionBackend,
+    check_axes,
     make_backend,
     map_guarded,
 )
 from repro.experiments.pareto_front import pareto_front
 from repro.experiments.result import ResultBase
 from repro.experiments.scenarios import PriceScenario, price_scenarios
-from repro.simulator.executor import ScheduleExecutor
 from repro.simulator.faults import FaultPlan, FaultStats
 from repro.util.ascii_plot import ascii_scatter
 from repro.util.tables import format_table
 from repro.workflows.dag import Workflow
-
-#: the provisioning policies the pricing ranking compares (paper axis)
-PRICING_POLICY_LABELS = (
-    "OneVMperTask-s",
-    "StartParNotExceed-s",
-    "StartParExceed-s",
-    "AllParNotExceed-s",
-    "AllParExceed-s",
-)
 
 
 @dataclass(frozen=True)
@@ -87,20 +87,7 @@ def paper_boot_settings() -> Tuple[BootSetting, ...]:
 
 
 @dataclass(frozen=True)
-class PricingCell:
-    """One (strategy, price scenario, boot setting, seed) grid unit."""
-
-    spec: StrategySpec
-    workflow_name: str
-    workflow: Workflow
-    platform: CloudPlatform
-    scenario: PriceScenario
-    boot: BootSetting
-    seed: int
-
-
-@dataclass(frozen=True)
-class PricingCellResult:
+class PricingCellResult(ReplayOutcome):
     """Realized outcome of one market-priced replay."""
 
     strategy: str
@@ -115,58 +102,6 @@ class PricingCellResult:
     cost: float
     stats: FaultStats
 
-    @property
-    def makespan_delta(self) -> float:
-        return self.makespan - self.planned_makespan
-
-    @property
-    def cost_delta(self) -> float:
-        return self.cost - self.planned_cost
-
-
-def run_pricing_cell(cell: PricingCell) -> PricingCellResult:
-    """Build the schedule and replay it under the cell's market sample
-    (worker entry point — everything it touches pickles)."""
-    boot = cell.boot
-    platform = dataclasses.replace(
-        cell.platform,
-        boot_seconds=boot.boot_seconds,
-        prebooted=boot.prebooted,
-    )
-    sched = cell.spec.run(cell.workflow, platform)
-    plan = FaultPlan(
-        seed=cell.seed,
-        market=cell.scenario.market,
-        boot_cold_seconds=boot.cold_seconds,
-        boot_delay_dist=boot.dist,
-        boot_warm_pool=boot.warm_pool,
-        boot_warm_seconds=boot.warm_seconds,
-    )
-    result = ScheduleExecutor(
-        sched, fault_plan=plan, recovery=cell.scenario.recovery
-    ).run()
-    assert result.faults is not None
-    return PricingCellResult(
-        strategy=cell.spec.label,
-        workflow=cell.workflow_name,
-        scenario=cell.scenario.name,
-        boot=boot.name,
-        seed=cell.seed,
-        recovery=cell.scenario.recovery,
-        planned_makespan=sched.makespan,
-        planned_cost=sched.total_cost,
-        makespan=result.makespan,
-        cost=result.realized_cost,
-        stats=result.faults,
-    )
-
-
-def pricing_cell_label(cell: PricingCell) -> str:
-    return (
-        f"{cell.spec.label}/{cell.workflow_name}"
-        f"@{cell.scenario.name}/{cell.boot.name}#s{cell.seed}"
-    )
-
 
 @dataclass
 class PricingSweepResult(ResultBase):
@@ -175,30 +110,14 @@ class PricingSweepResult(ResultBase):
     cells: List[PricingCellResult] = field(default_factory=list)
     failures: List[CellFailure] = field(default_factory=list)
 
-    @property
-    def complete(self) -> bool:
-        return not self.failures
-
     def strategies(self) -> List[str]:
-        seen: List[str] = []
-        for c in self.cells:
-            if c.strategy not in seen:
-                seen.append(c.strategy)
-        return seen
+        return first_seen(self.cells, "strategy")
 
     def scenarios(self) -> List[str]:
-        seen: List[str] = []
-        for c in self.cells:
-            if c.scenario not in seen:
-                seen.append(c.scenario)
-        return seen
+        return first_seen(self.cells, "scenario")
 
     def boots(self) -> List[str]:
-        seen: List[str] = []
-        for c in self.cells:
-            if c.boot not in seen:
-                seen.append(c.boot)
-        return seen
+        return first_seen(self.cells, "boot")
 
     def group(
         self, scenario: str, boot: str, strategy_label: str
@@ -219,8 +138,8 @@ class PricingSweepResult(ResultBase):
             group = self.group(scenario, boot, label)
             if group:
                 points[label] = (
-                    _mean([g.cost for g in group]),
-                    _mean([g.makespan for g in group]),
+                    mean([g.cost for g in group]),
+                    mean([g.makespan for g in group]),
                 )
         return points
 
@@ -274,45 +193,54 @@ def run_pricing_sweep(
     """
     platform = platform or CloudPlatform.ec2()
     if workflow is None:
-        from repro.experiments.config import paper_workflows
-
-        try:
-            workflow = paper_workflows()[workflow_name]
-        except KeyError:
-            raise ExperimentError(
-                f"unknown paper workflow {workflow_name!r}"
-            ) from None
+        workflow = paper_workflow(workflow_name)
     if strategies is None:
-        strategies = [strategy(lbl) for lbl in PRICING_POLICY_LABELS]
+        strategies = [strategy(lbl) for lbl in FAULT_POLICY_LABELS]
     scenarios = list(scenarios) if scenarios is not None else price_scenarios()
     boots = list(boots) if boots is not None else list(paper_boot_settings())
     if isinstance(seeds, int):
         seeds = range(seeds)
     seed_list = [int(s) for s in seeds]
-    if not scenarios or not boots or not seed_list or not strategies:
-        raise ExperimentError("pricing sweep needs at least one of each axis")
+    check_axes(
+        "pricing sweep",
+        strategies=[spec.label for spec in strategies],
+        scenarios=[sc.name for sc in scenarios],
+        boots=[boot.name for boot in boots],
+        seeds=seed_list,
+    )
 
     cells = [
-        PricingCell(
+        ReplayCell(
+            label=f"{spec.label}/{workflow_name}@{sc.name}/{boot.name}#s{s}",
             spec=spec,
-            workflow_name=workflow_name,
             workflow=workflow,
-            platform=platform,
-            scenario=sc,
-            boot=boot,
-            seed=s,
+            platform=dataclasses.replace(
+                platform, boot_seconds=boot.boot_seconds, prebooted=boot.prebooted
+            ),
+            plan=FaultPlan(
+                seed=s,
+                market=sc.market,
+                boot_cold_seconds=boot.cold_seconds,
+                boot_delay_dist=boot.dist,
+                boot_warm_pool=boot.warm_pool,
+                boot_warm_seconds=boot.warm_seconds,
+            ),
+            recovery=sc.recovery,
+            outcome=partial(
+                PricingCellResult,
+                spec.label, workflow_name, sc.name, boot.name, s, sc.recovery,
+            ),
         )
         for spec in strategies
         for sc in scenarios
         for boot in boots
         for s in seed_list
     ]
-    exec_backend = make_backend(backend, jobs)
     results, failures = map_guarded(
-        exec_backend,
-        run_pricing_cell,
+        make_backend(backend, jobs),
+        run_replay_cell,
         cells,
-        label_fn=pricing_cell_label,
+        label_fn=attrgetter("label"),
         timeout=cell_timeout,
     )
     return PricingSweepResult(
@@ -324,10 +252,6 @@ def run_pricing_sweep(
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
-def _mean(xs: List[float]) -> float:
-    return sum(xs) / len(xs) if xs else 0.0
-
-
 def render_pricing_sweep(sweep: PricingSweepResult) -> str:
     """One table per (price scenario, boot setting) cell plus the cell's
     Pareto frontier and a cost/makespan scatter of the policy menu."""
@@ -344,12 +268,12 @@ def render_pricing_sweep(sweep: PricingSweepResult) -> str:
                     (
                         ("*" if label in frontier else " ") + label,
                         len(group),
-                        _mean([g.stats.preemptions for g in group]),
-                        _mean([g.stats.rebids for g in group]),
-                        _mean([g.makespan for g in group]),
-                        _mean([g.makespan_delta for g in group]),
-                        _mean([g.cost for g in group]),
-                        _mean([g.cost_delta for g in group]),
+                        mean([g.stats.preemptions for g in group]),
+                        mean([g.stats.rebids for g in group]),
+                        mean([g.makespan for g in group]),
+                        mean([g.makespan_delta for g in group]),
+                        mean([g.cost for g in group]),
+                        mean([g.cost_delta for g in group]),
                     )
                 )
             if not rows:

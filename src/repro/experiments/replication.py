@@ -17,7 +17,7 @@ import numpy as np
 from repro.cloud.platform import CloudPlatform
 from repro.errors import ExperimentError
 from repro.experiments.config import StrategySpec, paper_strategies, paper_workflows
-from repro.experiments.parallel import ExecutionBackend, make_backend
+from repro.experiments.parallel import ExecutionBackend, check_axes, make_backend
 from repro.experiments.runner import SweepResult, run_sweep
 from repro.experiments.scenarios import Scenario, scenario
 from repro.util.rng import ensure_rng
@@ -111,10 +111,12 @@ def replicate(
     :class:`~repro.experiments.parallel.ExecutionBackend`; each seed's
     sweep is already independently seeded and the aggregation walks
     seeds in input order, so results match the serial run exactly.
+
+    A seed whose sweep lost a cell raises :class:`ExperimentError`
+    carrying that sweep's ``failure_summary()``.
     """
     seeds = list(seeds)
-    if not seeds:
-        raise ExperimentError("replicate needs at least one seed")
+    check_axes("replicate", seeds=seeds)
     platform = platform or CloudPlatform.ec2()
     workflows = workflows if workflows is not None else paper_workflows()
     strategies = strategies if strategies is not None else paper_strategies()
@@ -137,7 +139,11 @@ def replicate(
 
     gains: Dict[tuple, List[float]] = {}
     losses: Dict[tuple, List[float]] = {}
-    for sweep in sweeps:
+    for seed, sweep in zip(seeds, sweeps):
+        if not sweep.complete:
+            raise ExperimentError(
+                f"replicate seed {seed} lost cells:\n{sweep.failure_summary()}"
+            )
         for wf_name in workflows:
             for spec in strategies:
                 m = sweep.get(sc.name, wf_name, spec.label)

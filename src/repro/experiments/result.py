@@ -13,6 +13,9 @@ different result class, but callers always want the same three things:
   artifacts do), replayable via
   :func:`repro.obs.manifest.manifest_argv`.
 
+A sweep also reports its lost cells the same way: ``failures``,
+:attr:`ResultBase.complete` and :meth:`ResultBase.failure_summary`.
+
 Result classes subclass :class:`ResultBase` and implement the two
 methods; callers can hold any experiment result through this one shape
 instead of special-casing five return types.
@@ -20,7 +23,7 @@ instead of special-casing five return types.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 
 class ResultBase:
@@ -28,12 +31,26 @@ class ResultBase:
 
     Subclasses implement :meth:`summary` and :meth:`to_json`;
     :attr:`manifest` rides along as plain data so a result can always
-    say how to reproduce itself.
+    say how to reproduce itself, and :attr:`failures` names the cells
+    a sweep lost.
     """
 
     #: reproducibility manifest of the producing run (``None`` until a
     #: caller attaches one via :meth:`with_manifest`)
     manifest: Optional[dict] = None
+
+    #: cells that produced no result (captured errors / timeouts), in
+    #: grid order; sweeps override this with their own list
+    failures: Sequence = ()
+
+    @property
+    def complete(self) -> bool:
+        """Whether every cell produced a result."""
+        return not self.failures
+
+    def failure_summary(self) -> str:
+        """One line per failed cell; "" when the result is complete."""
+        return "\n".join(str(f) for f in self.failures)
 
     def summary(self) -> str:
         """Human-readable report of this result."""

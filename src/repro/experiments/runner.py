@@ -23,6 +23,7 @@ from repro.experiments.parallel import (
     ExecutionBackend,
     SweepCell,
     cell_label,
+    check_axes,
     make_backend,
     map_guarded,
     run_cell,
@@ -84,21 +85,11 @@ class SweepResult(ResultBase):
         default_factory=dict
     )
     references: Dict[str, Dict[str, ScheduleMetrics]] = field(default_factory=dict)
-    #: cells that produced no result (captured errors / timeouts)
     failures: List[CellFailure] = field(default_factory=list)
     #: run counters rolled up across cells in grid order
     #: (``run_sweep(metrics=...)``), ``MetricsRegistry.as_dict()`` form;
     #: ``None`` when counter collection was off
     counters: "Dict[str, Dict[str, float]] | None" = None
-
-    @property
-    def complete(self) -> bool:
-        """Whether every grid cell produced a result."""
-        return not self.failures
-
-    def failure_summary(self) -> str:
-        """One line per failed cell; "" when the sweep is complete."""
-        return "\n".join(str(f) for f in self.failures)
 
     # ------------------------------------------------------------------
     def scenarios(self) -> List[str]:
@@ -189,8 +180,12 @@ def run_sweep(
     strategies = (
         list(strategies) if strategies is not None else paper_strategies()
     )
-    if not workflows or not scenarios or not strategies:
-        raise ExperimentError("sweep needs at least one of each axis")
+    check_axes(
+        "sweep",
+        scenarios=[sc.name for sc in scenarios],
+        workflows=workflows,
+        strategies=[spec.label for spec in strategies],
+    )
 
     exec_backend = make_backend(backend, jobs)
     tracer = ensure_tracer(tracer)

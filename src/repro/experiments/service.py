@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.platform import CloudPlatform
-from repro.errors import ExperimentError
+from repro.experiments.config import paper_workflow
 from repro.experiments.parallel import (
     CellFailure,
     ExecutionBackend,
+    check_axes,
     make_backend,
     map_guarded,
 )
@@ -37,7 +38,7 @@ class ServiceCell:
     """One self-contained (policy, admission, seed) service run.
 
     Workflow shapes travel by *name* and are rebuilt inside the worker
-    from :func:`~repro.experiments.config.paper_workflows`, which is
+    by :func:`~repro.experiments.config.paper_workflow`, which is
     deterministic — so the cell pickles small and every backend sees
     identical inputs.
     """
@@ -67,18 +68,8 @@ class ServiceCellResult:
 
 def build_requests(cell: ServiceCell):
     """The cell's arrival stream (deterministic in the cell fields)."""
-    from repro.experiments.config import paper_workflows
-
-    catalog = paper_workflows()
-    try:
-        shapes = [catalog[name] for name in cell.shapes]
-    except KeyError as exc:
-        known = ", ".join(sorted(catalog))
-        raise ExperimentError(
-            f"unknown workflow shape {exc.args[0]!r} (known: {known})"
-        ) from None
     return poisson_arrivals(
-        shapes,
+        [paper_workflow(name) for name in cell.shapes],
         count=cell.count,
         tenants=cell.tenants,
         mean_interarrival=cell.mean_interarrival,
@@ -115,18 +106,10 @@ class ServiceSweepResult(ResultBase):
     cells: List[ServiceCellResult] = field(default_factory=list)
     failures: List[CellFailure] = field(default_factory=list)
 
-    @property
-    def complete(self) -> bool:
-        return not self.failures
-
-    def failure_summary(self) -> str:
-        """One line per failed cell; "" when the sweep is complete."""
-        return "\n".join(str(f) for f in self.failures)
-
     def rollups(self) -> Dict[str, dict]:
         """Label → rollup, sorted — the cross-backend identity surface."""
         return {
-            f"{c.policy}/{c.admission}#s{c.seed}": c.rollup
+            service_cell_label(c): c.rollup
             for c in sorted(
                 self.cells, key=lambda c: (c.policy, c.admission, c.seed)
             )
@@ -161,13 +144,15 @@ def run_service_sweep(
     backend: "str | ExecutionBackend | None" = None,
     cell_timeout: float | None = None,
 ) -> ServiceSweepResult:
-    """Run the (policy × admission × seed) service grid."""
+    """Run the (policy × admission × seed) service grid; a bad axis or
+    an unknown workflow shape is refused before any cell runs."""
     platform = platform or CloudPlatform.ec2()
     if isinstance(seeds, int):
         seeds = range(seeds)
     seeds = [int(s) for s in seeds]
-    if not policies or not admissions or not seeds:
-        raise ExperimentError("service sweep needs at least one of each axis")
+    check_axes("service sweep", policies=policies, admissions=admissions, seeds=seeds)
+    for name in shapes:  # an unknown shape fails here, not in every cell
+        paper_workflow(name)
     cells = [
         ServiceCell(
             platform=platform,

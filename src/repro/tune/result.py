@@ -138,10 +138,6 @@ class TuneResult(ResultBase):
     platform: Optional[CloudPlatform] = None
 
     @property
-    def complete(self) -> bool:
-        return not self.failures
-
-    @property
     def feasible(self) -> bool:
         """Did the search find any configuration meeting the bounds?"""
         return self.winner is not None

@@ -231,18 +231,14 @@ def autotune(
         space = TuneSpace.from_json(space)
 
     # -- the concrete workflow instance being tuned ---------------------
-    from repro.experiments.config import paper_workflows
+    from repro.experiments.config import paper_workflow
     from repro.experiments.scenarios import scenario as scenario_lookup
 
     scenario_name = str(scenario)
     if workflow is None:
-        catalog = paper_workflows()
-        if workflow_name not in catalog:
-            raise ExperimentError(
-                unknown_name_message("workflow", workflow_name, catalog)
-            )
+        shape = paper_workflow(workflow_name)
         sc = scenario_lookup(scenario_name, platform)
-        workflow = sc.apply(catalog[workflow_name], np.random.default_rng(workflow_seed))
+        workflow = sc.apply(shape, np.random.default_rng(workflow_seed))
     else:
         scenario_name = "custom"
 
@@ -276,7 +272,7 @@ def autotune(
             evaluate_candidate,
             units,
             label_fn=eval_unit_label,
-                timeout=cell_timeout,
+            timeout=cell_timeout,
         )
         all_failures.extend(failures)
         registry.inc("tune.rungs")

@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.provisioning import PROVISIONING_POLICIES
 from repro.errors import ExperimentError
 from repro.experiments.config import StrategySpec, strategy
+from repro.experiments.parallel import check_axes
 from repro.util.suggest import unknown_name_message
 from repro.workflows.dag import Workflow
 from repro.workflows.transform import merge_chains
@@ -160,13 +161,8 @@ class TuneSpace:
             "purchases": (self.purchases, _validate_purchase),
         }
         for axis, (values, validate) in axes.items():
-            if not values:
-                raise ExperimentError(f"tune space axis {axis!r} is empty")
             normalized = tuple(validate(v) for v in values)
-            if len(set(normalized)) != len(normalized):
-                raise ExperimentError(
-                    f"tune space axis {axis!r} has duplicates: {normalized}"
-                )
+            check_axes("tune space", **{axis: normalized})
             object.__setattr__(self, axis, normalized)
 
     @property

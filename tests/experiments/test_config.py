@@ -56,3 +56,15 @@ class TestPaperWorkflows:
 
     def test_montage_is_24_tasks(self):
         assert len(paper_workflows()["montage"]) == 24
+
+    def test_one_shape_by_name(self):
+        # imported here: the ``paper_workflow`` fixture shares the name
+        from repro.experiments.config import paper_workflow
+
+        assert paper_workflow("cstem").name == paper_workflows()["cstem"].name
+
+    def test_unknown_name_suggests_one(self):
+        from repro.experiments.config import paper_workflow
+
+        with pytest.raises(ExperimentError, match="did you mean 'mapreduce'"):
+            paper_workflow("map_reduce")

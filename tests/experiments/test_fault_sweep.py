@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SimulationError
 from repro.experiments.cli import main
 from repro.experiments.faults import (
     DEFAULT_INTENSITIES,
@@ -83,6 +83,24 @@ class TestRunFaultSweep:
             run_fault_sweep(intensities=(), fault_seeds=1)
         with pytest.raises(ExperimentError):
             run_fault_sweep(workflow_name="not-a-workflow")
+
+    def test_unknown_workflow_suggests_a_name(self):
+        with pytest.raises(ExperimentError, match="did you mean 'montage'"):
+            run_fault_sweep(workflow_name="montag")
+
+    def test_repeated_intensity_rejected(self):
+        # used to report "runs 2" per policy, as if there were two seeds
+        with pytest.raises(ExperimentError, match="axis 'intensities' repeats 1.0"):
+            run_fault_sweep(intensities=(1.0, 1.0), fault_seeds=1)
+
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(ExperimentError, match="axis 'fault_seeds' repeats 0"):
+            run_fault_sweep(intensities=(1.0,), fault_seeds=(0, 0))
+
+    def test_negative_intensity_raises_at_call(self):
+        # used to return a sweep whose every cell had failed
+        with pytest.raises(SimulationError, match="intensity must be >= 0"):
+            run_fault_sweep(intensities=(-1.0,), fault_seeds=1)
 
 
 def _spec():

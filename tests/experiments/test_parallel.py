@@ -191,31 +191,35 @@ class TestProcessDispatch:
     def test_high_threshold_forces_serial(self):
         import os as _os
 
-        backend = ProcessBackend(jobs=2, min_parallel_seconds=1e9)
+        backend = _NeverForks(jobs=2)
         pids = backend.map(lambda _: _os.getpid(), range(8))
         assert pids == [_os.getpid()] * 8
 
     def test_zero_threshold_forces_pool(self):
-        # min_parallel_seconds=0 bypasses both the single-core guard and
-        # the probe, so the pool path is exercised even on 1-cpu CI
-        backend = ProcessBackend(jobs=2, min_parallel_seconds=0.0)
+        # a zero threshold bypasses both the single-core guard and the
+        # probe, so the pool path is exercised even on 1-cpu CI
+        backend = _AlwaysForks(jobs=2)
         assert backend.map(_square, range(20)) == [i * i for i in range(20)]
 
     def test_pool_path_preserves_order_and_matches_serial(self):
         items = list(range(37))
-        forced = ProcessBackend(jobs=3, min_parallel_seconds=0.0)
+        forced = _AlwaysForks(jobs=3)
         assert forced.map(_square, items) == SerialBackend().map(_square, items)
 
     def test_single_item_never_probes_a_pool(self):
-        backend = ProcessBackend(jobs=4, min_parallel_seconds=0.0)
+        backend = _AlwaysForks(jobs=4)
         assert backend.map(_square, [9]) == [81]
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ExperimentError):
-            ProcessBackend(jobs=2, min_parallel_seconds=-0.1)
 
     def test_describe_unchanged(self):
         assert ProcessBackend(jobs=2).describe() == "process(2)"
+
+
+class _NeverForks(ProcessBackend):
+    min_parallel_seconds = 1e9
+
+
+class _AlwaysForks(ProcessBackend):
+    min_parallel_seconds = 0.0
 
 
 def _square(x):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.platform import CloudPlatform
 from repro.errors import ExperimentError
-from repro.experiments.config import paper_workflows, strategy
+from repro.experiments.config import StrategySpec, paper_workflows, strategy
 from repro.experiments.replication import (
     ReplicatedMetric,
     _bootstrap_ci,
@@ -61,6 +61,27 @@ class TestReplicate:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ExperimentError):
             replicate(seeds=[])
+
+    def test_repeated_seed_rejected(self):
+        # a repeated seed would count one sample twice in every CI
+        with pytest.raises(ExperimentError, match="axis 'seeds' repeats 5"):
+            replicate(seeds=[5, 5])
+
+    def test_lost_cell_names_the_real_failure(self):
+        exploding = StrategySpec("Exploding-s", _explode)
+        with pytest.raises(ExperimentError) as info:
+            replicate(
+                seeds=[0],
+                workflows={"sequential": paper_workflows()["sequential"]},
+                strategies=[exploding],
+            )
+        message = str(info.value)
+        assert "RuntimeError: scheduler exploded" in message
+        assert "pareto/sequential" in message
+
+
+def _explode():
+    raise RuntimeError("scheduler exploded")
 
 
 class TestBootstrap:

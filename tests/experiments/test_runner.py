@@ -99,3 +99,24 @@ class TestRunSweep:
     def test_empty_axis_rejected(self, platform):
         with pytest.raises(ExperimentError):
             run_sweep(platform=platform, workflows={}, seed=1)
+
+    def test_repeated_scenario_name_rejected(self, platform):
+        # two scenarios under one name used to overwrite each other
+        with pytest.raises(ExperimentError, match="axis 'scenarios' repeats 'pareto'"):
+            run_sweep(
+                platform=platform,
+                workflows={"seq": sequential(6)},
+                scenarios=[scenario("pareto", platform)] * 2,
+                strategies=[strategy("OneVMperTask-s")],
+            )
+
+    def test_repeated_strategy_label_rejected(self, platform):
+        with pytest.raises(
+            ExperimentError, match="axis 'strategies' repeats 'OneVMperTask-s'"
+        ):
+            run_sweep(
+                platform=platform,
+                workflows={"seq": sequential(6)},
+                scenarios=[scenario("pareto", platform)],
+                strategies=[strategy("OneVMperTask-s")] * 2,
+            )

@@ -115,6 +115,25 @@ class TestPricingSweep:
         with pytest.raises(ExperimentError):
             run_pricing_sweep(workflow=montage(25), seeds=0)
 
+    def test_repeated_axis_values_rejected(self):
+        from repro.errors import ExperimentError
+
+        spot = price_scenario("spot_spike")
+        with pytest.raises(ExperimentError, match="axis 'scenarios' repeats"):
+            run_pricing_sweep(workflow=montage(25), scenarios=[spot, spot], seeds=1)
+        with pytest.raises(ExperimentError, match="axis 'boots' repeats"):
+            run_pricing_sweep(
+                workflow=montage(25), boots=[BootSetting("prebooted")] * 2, seeds=1
+            )
+        with pytest.raises(ExperimentError, match="axis 'seeds' repeats 3"):
+            run_pricing_sweep(workflow=montage(25), seeds=(3, 3))
+
+    def test_unknown_workflow_suggests_a_name(self):
+        from repro.errors import ExperimentError
+
+        with pytest.raises(ExperimentError, match="did you mean 'cstem'"):
+            run_pricing_sweep(workflow_name="cstme")
+
 
 class TestPricingCLI:
     def test_artifact_runs_and_reproduces(self, tmp_path):

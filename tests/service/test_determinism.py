@@ -100,3 +100,28 @@ def test_sweep_rejects_empty_axes(platform):
 
     with pytest.raises(ExperimentError, match="at least one"):
         run_service_sweep(platform=platform, policies=())
+
+
+def test_sweep_rejects_repeated_axis_values(platform):
+    # two cells under one rollup key used to merge into one
+    from repro.errors import ExperimentError
+
+    with pytest.raises(ExperimentError, match="axis 'policies' repeats"):
+        run_service_sweep(
+            platform=platform,
+            policies=("StartParNotExceed",) * 2,
+            admissions=("fifo",),
+            seeds=1,
+            count=5,
+            tenants=2,
+        )
+    with pytest.raises(ExperimentError, match="axis 'seeds' repeats 4"):
+        run_service_sweep(platform=platform, seeds=(4, 4), count=5, tenants=2)
+
+
+def test_unknown_shape_raises_at_call(platform):
+    # used to return a sweep whose every cell had failed
+    from repro.errors import ExperimentError
+
+    with pytest.raises(ExperimentError, match="did you mean 'montage'"):
+        run_service_sweep(platform=platform, shapes=("montag",))

@@ -182,25 +182,38 @@ class TestFaultDeterminism:
 
     def test_identical_across_backends(self, schedule):
         """Serial / thread / process workers replay identical traces."""
-        from repro.experiments.faults import FaultCell, run_fault_cell
+        from functools import partial
+
+        from repro.experiments.faults import (
+            FaultCellResult,
+            ReplayCell,
+            run_replay_cell,
+        )
         from repro.experiments.parallel import make_backend
 
         cells = [
-            FaultCell(
+            ReplayCell(
+                label=f"x{x}#s{s}",
                 spec=_spec(),
-                workflow_name="montage",
                 workflow=montage(),
                 platform=schedule.platform,
-                base_plan=AGGRESSIVE,
-                intensity=x,
-                fault_seed=s,
+                plan=AGGRESSIVE.scaled(x).with_seed(s),
+                recovery="retry",
+                outcome=partial(
+                    FaultCellResult,
+                    strategy="StartParNotExceed-s",
+                    workflow="montage",
+                    intensity=x,
+                    fault_seed=s,
+                    recovery="retry",
+                ),
             )
             for x in (0.5, 1.0)
             for s in (0, 1)
         ]
         per_backend = []
         for name in ("serial", "thread", "process"):
-            results = make_backend(name, 2).map(run_fault_cell, cells)
+            results = make_backend(name, 2).map(run_replay_cell, cells)
             per_backend.append(
                 [(r.makespan, r.cost, r.stats.decisions) for r in results]
             )

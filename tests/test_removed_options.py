@@ -16,7 +16,7 @@ from repro.core.allocation.ranking import heft_order, level_order, upward_rank
 from repro.core.builder import ScheduleBuilder
 from repro.core.provisioning.start_par import StartParNotExceed
 from repro.experiments.faults import run_fault_sweep
-from repro.experiments.parallel import make_backend, map_guarded
+from repro.experiments.parallel import ProcessBackend, make_backend, map_guarded
 from repro.experiments.pricing import run_pricing_sweep
 from repro.experiments.runner import run_sweep
 from repro.experiments.service import run_service_sweep
@@ -60,6 +60,9 @@ REMOVED = {
     "run_pricing_sweep(retries)": lambda: run_pricing_sweep(seeds=[], retries=0),
     "run_service_sweep(retries)": lambda: run_service_sweep(seeds=[], retries=0),
     "autotune(retries)": lambda: autotune(n_candidates=0, retries=0),
+    "ProcessBackend(min_parallel_seconds)": lambda: ProcessBackend(
+        jobs=2, min_parallel_seconds=-0.1
+    ),
 }
 
 

@@ -78,3 +78,10 @@ class TestTuneSpace:
         assert TuneSpace.from_json(space.to_json()) == space
         with pytest.raises(ExperimentError, match="policies"):
             TuneSpace.from_json({"polices": ["AllParExceed"]})
+
+    def test_empty_or_repeated_axis_is_refused(self):
+        with pytest.raises(ExperimentError, match="at least one value on axis 'purchases'"):
+            TuneSpace(purchases=())
+        # "s" normalizes to "small", so the axis repeats after validation
+        with pytest.raises(ExperimentError, match="axis 'flavors' repeats 'small'"):
+            TuneSpace(flavors=("small", "s"))
