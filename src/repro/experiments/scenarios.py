@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.cloud.platform import CloudPlatform
 from repro.errors import ExperimentError
@@ -67,10 +67,6 @@ def scenario(name: str, platform: CloudPlatform | None = None) -> Scenario:
     raise ExperimentError(
         unknown_name_message("scenario", name, (s.name for s in scenarios))
     )
-
-
-def scenario_map(platform: CloudPlatform | None = None) -> Dict[str, Scenario]:
-    return {s.name: s for s in paper_scenarios(platform)}
 
 
 # ----------------------------------------------------------------------

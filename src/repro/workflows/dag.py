@@ -17,6 +17,8 @@ may mutate the returned lists freely.
 Generated workflows are built straight into their columnar form
 (:meth:`Workflow.from_arrays`); their :class:`Task` objects and
 adjacency dicts are made once, on the first query that needs them.
+Imposing a scenario on such a shape (:meth:`Workflow.with_works`)
+copies its columns, so the object form is never made.
 """
 
 from __future__ import annotations
@@ -77,8 +79,7 @@ class Workflow:
         they make (a duplicate edge keeps its first position and its
         last volume).  Only the :class:`ColumnarDAG` is built; the
         :class:`Task` objects and adjacency dicts are made on the first
-        object-level query (:meth:`task`, iteration, :meth:`edges`,
-        :meth:`pred_map`, :meth:`with_works`, ...).
+        object-level query (:meth:`task`, iteration, :meth:`edges`, ...).
         """
         wf = cls(name)
         ids = list(ids)
@@ -508,32 +509,39 @@ class Workflow:
         *works* must cover every task; used to impose an execution-time
         scenario (Pareto, best case, worst case) on a fixed shape.
         """
-        missing = set(self._tasks) - set(works)
-        if missing:
-            raise WorkflowError(f"works missing for tasks: {sorted(missing)}")
-        out = Workflow(self.name)
-        for task in self._tasks.values():
-            out.add_task(task.with_work(works[task.id]))
-        for u, v, gb in self.edges():
-            out.add_dependency(u, v, gb)
-        return out.validate()
+        return self._copy(works, {})
 
     def with_data_sizes(self, sizes: Mapping[Tuple[str, str], float]) -> "Workflow":
         """Copy with edge data volumes replaced (missing edges keep theirs)."""
-        out = Workflow(self.name)
-        for task in self._tasks.values():
-            out.add_task(task)
-        for u, v, gb in self.edges():
-            out.add_dependency(u, v, sizes.get((u, v), gb))
-        return out.validate()
+        return self._copy(None, sizes)
 
-    def relabeled(self, name: str) -> "Workflow":
-        out = Workflow(name)
-        for task in self._tasks.values():
-            out.add_task(task)
-        for u, v, gb in self.edges():
-            out.add_dependency(u, v, gb)
-        return out
+    def _copy(self, works, sizes) -> "Workflow":
+        """Validated copy with *works* (``None``: kept) and *sizes*
+        imposed, edges re-added parent-major.  An array build with no
+        object form yet copies its columns, edges stable-sorted by parent
+        into that order; any other copies its tasks, ``attrs`` included."""
+        ids = self.task_ids
+        if works is not None:
+            missing = set(ids) - set(works)
+            if missing:
+                raise WorkflowError(f"works missing for tasks: {sorted(missing)}")
+            works = list(map(works.__getitem__, ids))
+        lazy = self.__dict__.get("_lazy")
+        if lazy is None:
+            tasks = self.tasks
+            out = Workflow(self.name)
+            out.add_tasks(tasks if works is None else map(Task.with_work, tasks, works))
+            edges = self.edges()
+            out.add_dependencies((u, v, sizes.get((u, v), g)) for u, v, g in edges)
+            return out.validate()
+        cd, categories, (src, dst, gb) = lazy
+        if sizes:
+            id_of = ids.__getitem__
+            pairs = zip(map(id_of, src.tolist()), map(id_of, dst.tolist()))
+            gb = np.array(list(map(sizes.get, pairs, gb.tolist())), dtype=np.float64)
+        cols = (ids, cd.works if works is None else works, categories)
+        p = np.argsort(src, kind="stable")  # parent-major, as edges() lists them
+        return Workflow.from_arrays(self.name, *cols, src[p], dst[p], gb[p])
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, object]:

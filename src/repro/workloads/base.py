@@ -35,9 +35,5 @@ class ExecutionTimeModel(abc.ABC):
 
 def apply_model(wf: Workflow, model: ExecutionTimeModel, seed=None) -> Workflow:
     """Return a copy of *wf* with the model's runtimes (and data sizes,
-    when it provides them) imposed on the fixed shape."""
-    out = wf.with_works(model.runtimes(wf, seed))
-    sizes = model.data_sizes(wf, seed)
-    if sizes:
-        out = out.with_data_sizes(sizes)
-    return out
+    when it provides them) imposed on the fixed shape, in one copy."""
+    return wf._copy(model.runtimes(wf, seed), model.data_sizes(wf, seed))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.platform import CloudPlatform
 from repro.errors import ExperimentError
-from repro.experiments.scenarios import paper_scenarios, scenario, scenario_map
+from repro.experiments.scenarios import paper_scenarios, scenario
 from repro.workflows.generators import montage
 
 
@@ -24,7 +24,8 @@ class TestPaperScenarios:
             scenario("typical", platform)
 
     def test_map(self, platform):
-        assert set(scenario_map(platform)) == {"pareto", "best", "worst"}
+        names = {s.name for s in paper_scenarios(platform)}
+        assert names == {"pareto", "best", "worst"}
 
 
 class TestApply:

@@ -182,8 +182,3 @@ class TestTransformation:
         new = wf.with_data_sizes({("a", "b"): 9.0})
         assert new.data_gb("a", "b") == 9.0
         assert new.data_gb("a", "c") == 2.0  # untouched edges keep volume
-
-    def test_relabeled(self):
-        new = _simple().relabeled("other")
-        assert new.name == "other"
-        assert len(new) == 4

@@ -8,13 +8,16 @@ run with ``from_arrays`` patched to do that).  The two must be
 indistinguishable: the same columnar fields, the same materialized
 tasks and edges, the same structural queries, the same behaviour after
 later mutation and a pickle round-trip, and the same error class on
-every bad input.
+every bad input.  Their copies (:meth:`Workflow.with_works`,
+:meth:`Workflow.with_data_sizes`, ``apply_model``) must equal the
+per-call copy of the object twin, which re-adds edges parent-major.
 """
 
 from __future__ import annotations
 
 import math
 import pickle
+import re
 from unittest import mock
 
 import numpy as np
@@ -22,11 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.allocation.locality import pin_regions
 from repro.errors import WorkflowError
 from repro.kernels.columnar import ColumnarDAG, get_columnar
 from repro.workflows.dag import Workflow
 from repro.workflows.generators import mapreduce, montage
 from repro.workflows.task import Task
+from repro.workloads.base import apply_model
+from repro.workloads.pareto import ParetoDataModel, ParetoModel
 
 
 def _object_build(name, ids, works, cats, src, dst, gb) -> Workflow:
@@ -219,3 +225,174 @@ def test_cycle_error_names_the_stuck_tasks(n):
         f"workflow 'cyc' has a cycle: {n} task(s) never become ready, first {first}"
     )
     assert str(arrays.value) == str(objects.value)
+
+
+# ----------------------------------------------------------------------
+# copies: with_works / with_data_sizes / apply_model
+# ----------------------------------------------------------------------
+def _reference_copy(wf, works=None, sizes=None) -> Workflow:
+    """The per-call copy every workflow copy must agree with: tasks in
+    order, then edges parent-major (``edges()`` order)."""
+    sizes = sizes or {}
+    out = Workflow(wf.name)
+    for t in wf.tasks:
+        out.add_task(t if works is None else t.with_work(works[t.id]))
+    for u, v, g in wf.edges():
+        out.add_dependency(u, v, sizes.get((u, v), g))
+    return out.validate()
+
+
+def _copies(objects: Workflow):
+    """``(name, copy, reference)`` triples; *objects* is object-built,
+    so it may be read freely to make the arguments."""
+    works = {t.id: 100.0 + 7 * k for k, t in enumerate(objects)}
+    edges = objects.edges()
+    sizes = {(u, v): 0.5 + k for k, (u, v, _) in enumerate(edges[::2])}
+    sizes[("no-such", "edge")] = 3.0
+    drawn = ParetoModel().runtimes(objects, 11)
+    return [
+        ("works", lambda wf: wf.with_works(works), _reference_copy(objects, works)),
+        (
+            "sizes",
+            lambda wf: wf.with_data_sizes(sizes),
+            _reference_copy(objects, sizes=sizes),
+        ),
+        (
+            "pareto",
+            lambda wf: apply_model(wf, ParetoModel(), 11),
+            _reference_copy(objects, drawn),
+        ),
+    ]
+
+
+def _check_copies(build) -> None:
+    objects = _object_twin(build)
+    for label, copy, reference in _copies(objects):
+        shape = build()
+        out = copy(shape)
+        assert "_tasks" not in vars(shape), label  # input left as arrays
+        assert "_tasks" not in vars(out), label  # the copy is array-built
+        clone = pickle.loads(pickle.dumps(out))
+        assert "_tasks" not in vars(clone), label
+        _assert_twins(clone, reference)
+        _assert_twins(out, reference)
+        _assert_twins(copy(objects), reference)
+
+
+@pytest.mark.parametrize("p", [2, 3, 6, 40])
+def test_montage_copies_match_object_copies(p):
+    _check_copies(lambda: montage(p))
+
+
+@pytest.mark.parametrize("m,r", [(1, 1), (4, 2), (10, 3)])
+def test_mapreduce_copies_match_object_copies(m, r):
+    _check_copies(lambda: mapreduce(m, r))
+
+
+def test_montage_copy_reorders_edges_parent_major():
+    """Montage inserts ``mProject_{p-1} -> mDiffFit_{p-1}`` before
+    ``mProject_0 -> mDiffFit_{p-1}``; the copy re-adds edges parent-major,
+    so its predecessor rows differ from the shape's."""
+    shape = _object_twin(lambda: montage(3))
+    copied = montage(3).with_works({t.id: t.work for t in shape})
+    assert _rows(copied._pred) != _rows(shape._pred)
+    assert _rows(copied._pred) == _rows(_reference_copy(shape)._pred)
+
+
+def test_data_model_copy_matches_two_step_copy():
+    shape = montage(4)
+    out = apply_model(shape, ParetoDataModel(), 5)
+    model = ParetoDataModel()
+    ref = _reference_copy(
+        _reference_copy(montage(4), model.runtimes(shape, 5)),
+        sizes=model.data_sizes(shape, 5),
+    )
+    _assert_twins(out, ref)
+
+
+def _sides(p=3):
+    """An array-built montage and its object-built twin."""
+    return montage(p), _object_twin(lambda: montage(p))
+
+
+def _same_error(sides, copy, match) -> None:
+    """*copy* raises the same :class:`WorkflowError` on both *sides*."""
+    errors = []
+    for wf in sides:
+        with pytest.raises(WorkflowError, match=match) as err:
+            copy(wf)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+def test_copy_missing_works_raises():
+    arrays, objects = _sides()
+    first = arrays.task_ids[0]
+    copy = lambda wf: wf.with_works({first: 1.0})  # noqa: E731
+    _same_error((arrays, objects), copy, "works missing")
+    assert "_tasks" not in vars(arrays)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -5.0, math.inf])
+def test_copy_bad_work_names_the_task(bad):
+    arrays, objects = _sides()
+    victim = arrays.task_ids[4]
+    works = {t: 100.0 for t in arrays.task_ids}
+    works[victim] = bad
+    match = re.escape(f"task {victim!r}: work must be a positive finite number")
+    _same_error((arrays, objects), lambda wf: wf.with_works(works), match)
+
+
+def _out_of_order_pair(objects):
+    """``(early, late, child)``: two parents of one child whose edges
+    were inserted late-parent first (montage has such pairs)."""
+    pos = {t: k for k, t in enumerate(objects.task_ids)}
+    for child, row in objects._pred.items():
+        parents = list(row)
+        for late, early in zip(parents, parents[1:]):
+            if pos[early] < pos[late]:
+                return early, late, child
+    raise AssertionError("no out-of-order predecessor row")
+
+
+@pytest.mark.parametrize(
+    "bad,words",
+    [(-1.0, "negative data size"), (math.nan, "non-finite data size nan"),
+     (math.inf, "non-finite data size inf")],
+)
+def test_copy_bad_size_names_the_first_edge_parent_major(bad, words):
+    """Two bad volumes: both copies name the edge ``edges()`` lists
+    first, not the one the generator inserted first."""
+    arrays, objects = _sides()
+    early, late, child = _out_of_order_pair(objects)
+    sizes = {(late, child): bad, (early, child): bad}
+    match = re.escape(f"{words} on {early!r}->{child!r}")
+    _same_error((arrays, objects), lambda wf: wf.with_data_sizes(sizes), match)
+
+
+def test_copy_ignores_sizes_of_missing_edges():
+    arrays, objects = _sides()
+    first, second = arrays.task_ids[:2]
+    sizes = {(second, first): 9.0, ("ghost", first): -1.0, (first, "ghost"): math.nan}
+    out = arrays.with_data_sizes(sizes)
+    assert "_tasks" not in vars(out)
+    _assert_twins(out, _reference_copy(objects))
+
+
+def test_copy_keeps_task_attrs():
+    """A workflow carrying ``attrs`` (here region pins) keeps them
+    through every copy."""
+    shape = montage(3)
+    entry = shape.entry_tasks()[0]
+    pinned = pin_regions(shape, {entry: "eu-west"})
+    attrs = {t.id: dict(t.attrs) for t in pinned}
+    assert attrs[entry] == {"region": "eu-west"}
+    works = {t.id: 2 * t.work for t in pinned}
+    copies = (
+        pinned.with_works(works),
+        pinned.with_data_sizes({}),
+        apply_model(pinned, ParetoModel(), 3),
+    )
+    for out in copies:
+        assert {t.id: dict(t.attrs) for t in out} == attrs
+    assert copies[0].task(entry).work == 2 * pinned.task(entry).work
