@@ -6,7 +6,10 @@ fleet (the oracle in ``tests/oracles/fleet_scan.py``) at 1k, and records
 wall time, per-size speedup, simulated throughput, tail latency and
 fleet utilization to ``BENCH_service.json`` at the repo root —
 appending one dated row to ``BENCH_history.jsonl``, the same
-trajectory log the sweep and scaling benchmarks feed.
+trajectory log the sweep and scaling benchmarks feed.  The sizes run
+in ascending order in one process with the garbage collector on; each
+records the process's max RSS so far (``ru_maxrss``), and the record
+holds the 10k/1k throughput ratio.  Both are recorded, not gated.
 
 The reference path is O(tasks x fleet) — a full-roster scan per
 placement — so it is only timed at the smallest size; per-size
@@ -31,6 +34,7 @@ import datetime
 import json
 import os
 import platform as platform_module
+import resource
 import sys
 import time
 from pathlib import Path
@@ -93,10 +97,15 @@ def _run_cell(args, count: int, tenants: int, repeats: int, indexed: bool = True
     return result, best
 
 
+def _max_rss_mib() -> float:
+    """This process's peak resident set so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def bench(args) -> dict:
     sizes = {}
     results = {}
-    for label, (count, tenants) in SIZES.items():
+    for label, (count, tenants) in SIZES.items():  # ascending
         # best-of repeats at the gated 1k cell; single shot at the
         # larger sizes to bound total bench time
         repeats = args.repeats if label == "1k" else 1
@@ -108,6 +117,7 @@ def bench(args) -> dict:
             "repeats_best_of": repeats,
             "wall_seconds": round(best, 4),
             "workflows_per_wall_second": round(result.completed / best, 1),
+            "max_rss_mib_after": round(_max_rss_mib(), 1),
             "simulated": {
                 "completed": result.completed,
                 "makespan_s": round(result.makespan, 1),
@@ -154,6 +164,11 @@ def bench(args) -> dict:
             "speedups divide indexed throughput by the 1k reference "
             "throughput; the scan path is O(tasks x fleet), so larger "
             "sizes understate the true ratio"
+        ),
+        "throughput_ratio_10k_vs_1k": round(
+            sizes["10k"]["workflows_per_wall_second"]
+            / sizes["1k"]["workflows_per_wall_second"],
+            3,
         ),
         "sizes": sizes,
     }
@@ -259,10 +274,12 @@ def main(argv=None) -> int:
             f"{label:>3s}: {sim['completed']} workflows in "
             f"{entry['wall_seconds']:.2f}s wall "
             f"({entry['workflows_per_wall_second']:.0f} wf/s, "
-            f"{entry['speedup_vs_reference_1k']:.0f}x ref) | simulated "
+            f"{entry['speedup_vs_reference_1k']:.0f}x ref, max RSS "
+            f"{entry['max_rss_mib_after']:.0f} MiB) | simulated "
             f"p99 {sim['latency_p99_s']:.0f}s, util {sim['utilization']:.3f}, "
             f"{sim['vms_rented']} VMs"
         )
+    print(f"10k/1k throughput: {record['throughput_ratio_10k_vs_1k']:.3f}")
     ref = record["reference"]
     print(
         f"ref: 1k scan-based in {ref['wall_seconds']:.2f}s wall "

@@ -48,12 +48,27 @@ fills the AllPar* pool, and an AllPar* run never fills the rank heap.
 The original full scans live on as the property-test oracle in
 ``tests/oracles/fleet_scan.py``: decision logs, service rollups and
 metric counters are byte-identical between the two paths.
+
+Closed VMs
+----------
+A service run rents one VM per task or so, and all but a few dozen are
+dead at any moment.  The manager keeps a :class:`FleetVM` record only
+while a VM is *open* (alive, or crashed and still being reclaimed by
+the crash listeners).  When a VM dies it is *closed*: what its bill
+needs goes into flat per-id columns (``array('d')`` times, a code into
+a small table of ``(flavor, renter, purchase)`` triples, a flags byte)
+and the record is dropped, together with its task roster.
+:attr:`FleetManager.vms` is a sequence over every id ever rented: a
+live id yields its record, a closed id a frozen :class:`ClosedVM` row
+view made on demand.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -64,6 +79,19 @@ from repro.errors import SimulationError
 
 #: reap/idle comparisons share the executor's float slack
 _EPS = 1e-9
+
+#: closed-row flag bits
+_CRASHED = 1
+_PREEMPTED = 2
+
+#: rows the close-time columns grow by when the rentals reach their end
+_GROW = 4096
+
+#: a rank heap holding more than this many entries per live VM (plus
+#: ``_PRUNE_SLACK``) drops its stale ones; rebuild cost is amortized
+#: over the pushes that made them
+_PRUNE_FACTOR = 2
+_PRUNE_SLACK = 64
 
 
 @dataclass(slots=True)
@@ -82,7 +110,6 @@ class FleetVM:
     free_at: float
     busy_seconds: float = 0.0
     tasks: List[str] = field(default_factory=list)
-    finished_at: float = 0.0
     dead: bool = False
     crashed: bool = False
     crashed_at: float = 0.0
@@ -95,13 +122,63 @@ class FleetVM:
     purchase: object | None = None
     #: whether the crash was a spot reclamation (price crossing)
     preempted: bool = False
-    #: whether the acquisition hit the warm pool (cold-start scenarios)
-    booted_warm: bool = False
 
     def horizon(self, btu: float) -> float:
         """End of the last started BTU — deprovision time when idle."""
         uptime = max(self.free_at - self.started_at, 1e-9)
         return self.started_at + math.ceil(uptime / btu - 1e-9) * btu
+
+
+@dataclass(frozen=True, slots=True)
+class ClosedVM:
+    """Read-only row view of a closed (dead) VM: the billed fields of
+    its :class:`FleetVM` record at death, without the task roster.
+    :attr:`FleetManager.vms` makes one on demand per access."""
+
+    id: int
+    itype: InstanceType
+    started_at: float
+    free_at: float
+    busy_seconds: float
+    useful_seconds: float
+    owner: str
+    purchase: object | None
+    crashed: bool
+    crashed_at: float
+    preempted: bool
+
+    #: the record's own arithmetic: when the VM was deprovisioned
+    horizon = FleetVM.horizon
+
+    @property
+    def dead(self) -> bool:
+        return True
+
+
+class FleetRoster(Sequence):
+    """:attr:`FleetManager.vms`: every VM ever rented, indexed by id.
+
+    An open id yields its live :class:`FleetVM` record, a closed id a
+    fresh :class:`ClosedVM` view of its bill row."""
+
+    __slots__ = ("_fleet",)
+
+    def __init__(self, fleet: "FleetManager") -> None:
+        self._fleet = fleet
+
+    def __len__(self) -> int:
+        return len(self._fleet._start)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError(f"fleet index {index} out of range ({n} VMs)")
+        vm = self._fleet._open.get(index)
+        return vm if vm is not None else self._fleet._row(index)
 
 
 @dataclass(frozen=True)
@@ -144,7 +221,26 @@ class FleetManager:
 
     def __init__(self, region: Region | None = None) -> None:
         self.region = region
-        self.vms: List[FleetVM] = []
+        #: every VM ever rented, by id (records for open ids, row views
+        #: for closed ones)
+        self.vms = FleetRoster(self)
+        #: records of the VMs not closed yet, by id
+        self._open: Dict[int, FleetVM] = {}
+        # --- per-id bill columns: start and kind are written at rent;
+        # the rest when the VM closes (or by finalize), into rows that
+        # _grow() adds ahead of the rentals ---------------------------
+        self._start = array("d")
+        self._free = array("d")
+        self._busy = array("d")
+        self._useful = array("d")
+        #: index into ``_kinds``: the (flavor, renter, purchase) triple
+        self._kind = array("i")
+        #: ``_CRASHED`` | ``_PREEMPTED`` bits
+        self._flags = array("B")
+        #: crash times of the crashed closed VMs
+        self._crashed_at: Dict[int, float] = {}
+        self._kinds: List[Tuple[InstanceType, str, object]] = []
+        self._kind_code: Dict[tuple, int] = {}
         #: executors (or any callables) notified when a VM crashes, so
         #: every run with work on the VM can recover its own tasks
         self._crash_listeners: List[Callable[[FleetVM], None]] = []
@@ -188,18 +284,30 @@ class FleetManager:
         purchase: object | None = None,
     ) -> FleetVM:
         """Create the next VM record; ids are fleet-global and dense."""
+        vid = len(self._start)
         vm = FleetVM(
-            id=len(self.vms),
+            id=vid,
             itype=itype,
             started_at=started_at,
             free_at=free_at,
             owner=owner,
             purchase=purchase,
         )
-        self.vms.append(vm)
-        self._live.add(vm.id)
+        self._open[vid] = vm
+        # flavors are shared objects (keyed by identity); purchases are
+        # frozen values, so each rebid's fresh option reuses its code
+        key = (id(itype), owner, purchase)
+        code = self._kind_code.get(key)
+        if code is None:
+            code = self._kind_code[key] = len(self._kinds)
+            self._kinds.append((itype, owner, purchase))
+        self._start.append(started_at)
+        self._kind.append(code)
+        if vid == len(self._flags):
+            self._grow()
+        self._live.add(vid)
         self._stamp.append(0)
-        self._fresh.append(vm.id)
+        self._fresh.append(vid)
         return vm
 
     def note_use(self, vm: FleetVM) -> None:
@@ -218,18 +326,33 @@ class FleetManager:
         exists yet.  ``free_at`` never exceeds the BTU horizon, so it is
         a valid expiry lower bound; reap() re-arms at the true horizon."""
         heapq.heappush(self._expiry, (vm.free_at, vm.id, stamp))
-        if self._rank is not None:
-            heapq.heappush(self._rank, (-vm.busy_seconds, vm.id, stamp))
+        rank = self._rank
+        if rank is not None:
+            heapq.heappush(rank, (-vm.busy_seconds, vm.id, stamp))
+            if len(rank) > _PRUNE_FACTOR * len(self._live) + _PRUNE_SLACK:
+                self._prune(rank)
         if self._free_pool is not None:
             heapq.heappush(self._free_pool, (vm.free_at, vm.id, stamp))
+
+    def _prune(self, heap: List[Tuple[float, int, int]]) -> None:
+        """Drop *heap*'s stale entries; callers prune a rank heap once
+        it holds more than ``_PRUNE_FACTOR`` entries per live VM.
+
+        Peeks pop stale entries only off the top, so without this a
+        rank heap keeps one entry per past reservation, dead VMs' too.
+        A query answers the smallest current entry (ids make them
+        distinct), so pruning never changes an answer."""
+        stamps = self._stamp
+        heap[:] = [e for e in heap if stamps[e[1]] == e[2]]
+        heapq.heapify(heap)
 
     def _index_fresh(self) -> None:
         """Index the rentals no reservation has noted yet and that are
         still alive (stamp 0), as the first ``note_use`` would have."""
-        stamps = self._stamp
+        stamps, records = self._stamp, self._open
         for vid in self._fresh:
             if stamps[vid] == 0:
-                self._push(self.vms[vid], 0)
+                self._push(records[vid], 0)
         self._fresh.clear()
 
     def take_warm(self, itype: InstanceType, pool: int) -> bool:
@@ -256,24 +379,74 @@ class FleetManager:
     def alive(self, owner: str | None = None) -> List[FleetVM]:
         """Living VMs in rental order; *owner* restricts to one tenant's
         rentals (tenant-scoped sharing)."""
-        vms = self.vms
-        live = [vms[i] for i in sorted(self._live)]
+        records = self._open
+        live = [records[i] for i in sorted(self._live)]
         if owner is None:
             return live
         return [vm for vm in live if vm.owner == owner]
 
-    def _retire(self, vm: FleetVM, finished_at: float) -> None:
-        """Mark *vm* dead at *finished_at* and invalidate its indexes
-        (the single kill path shared by reap and crash)."""
+    def live_vm(self, vm_id: int) -> Optional[FleetVM]:
+        """The record of VM *vm_id* if it is alive, else ``None`` —
+        liveness without a row view."""
+        vm = self._open.get(vm_id)
+        return None if vm is None or vm.dead else vm
+
+    def itype_of(self, vm_id: int) -> InstanceType:
+        """The flavor of VM *vm_id*, open or closed, without a row view."""
+        return self._kinds[self._kind[vm_id]][0]
+
+    def _retire(self, vm: FleetVM) -> None:
+        """Mark *vm* dead and invalidate its indexes (the single kill
+        path shared by reap and crash)."""
         vm.dead = True
-        vm.finished_at = finished_at
         self._live.discard(vm.id)
         self._stamp[vm.id] += 1
 
+    def _grow(self) -> None:
+        """Add ``_GROW`` zeroed rows to the columns written at close, so
+        a rental appends to two columns only."""
+        zeros = bytes(8 * _GROW)
+        for column in (self._free, self._busy, self._useful):
+            column.frombytes(zeros)
+        self._flags.frombytes(bytes(_GROW))
+
+    def _write_row(self, vm: FleetVM) -> None:
+        """Copy *vm*'s changing billed fields into its column row."""
+        vid = vm.id
+        self._free[vid] = vm.free_at
+        self._busy[vid] = vm.busy_seconds
+        self._useful[vid] = vm.useful_seconds
+        self._flags[vid] = vm.crashed * _CRASHED | vm.preempted * _PREEMPTED
+        if vm.crashed:
+            self._crashed_at[vid] = vm.crashed_at
+
+    def _close(self, vm: FleetVM) -> None:
+        """Bill-row *vm* (dead) into the columns and drop its record."""
+        self._write_row(vm)
+        del self._open[vm.id]
+
+    def _row(self, vid: int) -> ClosedVM:
+        """A row view of closed VM *vid*."""
+        itype, owner, purchase = self._kinds[self._kind[vid]]
+        flags = self._flags[vid]
+        return ClosedVM(
+            id=vid,
+            itype=itype,
+            started_at=self._start[vid],
+            free_at=self._free[vid],
+            busy_seconds=self._busy[vid],
+            useful_seconds=self._useful[vid],
+            owner=owner,
+            purchase=purchase,
+            crashed=bool(flags & _CRASHED),
+            crashed_at=self._crashed_at.get(vid, 0.0),
+            preempted=bool(flags & _PREEMPTED),
+        )
+
     def reap(self, now: float, btu: float) -> List[FleetVM]:
-        """Mark VMs idle past their BTU horizon dead; returns the newly
-        dead ones in roster order (callers record their own ``vm_stop``
-        events).
+        """Mark VMs idle past their BTU horizon dead and close them;
+        returns the newly dead records in roster order (callers record
+        their own ``vm_stop`` events).
 
         Pops the expiry heap while the top entry's lower bound has
         passed.  A popped entry whose VM is current (stamp match)
@@ -288,16 +461,17 @@ class FleetManager:
             self._index_fresh()
         reaped: List[FleetVM] = []
         heap = self._expiry
-        stamps = self._stamp
+        stamps, records = self._stamp, self._open
         cutoff = now - _EPS
         while heap and heap[0][0] < cutoff:
             _, vid, stamp = heapq.heappop(heap)
             if stamp != stamps[vid]:
                 continue  # superseded by reuse or death
-            vm = self.vms[vid]
+            vm = records[vid]
             horizon = vm.horizon(btu)
             if vm.free_at <= now and horizon < cutoff:
-                self._retire(vm, vm.free_at)
+                self._retire(vm)
+                self._close(vm)
                 self.reaped_count += 1
                 reaped.append(vm)
             else:
@@ -327,7 +501,7 @@ class FleetManager:
             if stamp != stamps[vid]:
                 heapq.heappop(heap)
                 continue
-            return self.vms[vid]
+            return self._open[vid]
         return None
 
     def best_idle(
@@ -343,7 +517,7 @@ class FleetManager:
         """
         if self._fresh:
             self._index_fresh()
-        pool, stamps = self._free_pool, self._stamp
+        pool, stamps, records = self._free_pool, self._stamp, self._open
         if pool is None:
             pool = self._free_pool = self._live_entries(lambda vm: vm.free_at)
         idle = self._idle_rank
@@ -351,8 +525,10 @@ class FleetManager:
             _, vid, stamp = heapq.heappop(pool)
             if stamp != stamps[vid]:
                 continue
-            vm = self.vms[vid]
+            vm = records[vid]
             heapq.heappush(idle, (-vm.busy_seconds, vid, stamp))
+        if len(idle) > _PRUNE_FACTOR * len(self._live) + _PRUNE_SLACK:
+            self._prune(idle)
         rejected: List[Tuple[float, int, int]] = []
         found: Optional[FleetVM] = None
         while idle:
@@ -360,7 +536,7 @@ class FleetManager:
             _, vid, stamp = entry
             if stamp != stamps[vid]:
                 continue
-            vm = self.vms[vid]
+            vm = records[vid]
             if fits is not None and not fits(vm):
                 rejected.append(entry)
                 continue
@@ -377,8 +553,8 @@ class FleetManager:
         """A heap holding the current entry of every live VM — what a
         heap fed by every ``note_use`` since the start would hold, minus
         the stale entries."""
-        vms, stamps = self.vms, self._stamp
-        heap = [(key(vms[vid]), vid, stamps[vid]) for vid in self._live]
+        records, stamps = self._open, self._stamp
+        heap = [(key(records[vid]), vid, stamps[vid]) for vid in self._live]
         heapq.heapify(heap)
         return heap
 
@@ -386,7 +562,7 @@ class FleetManager:
         """Void a VM at *now*; reservations are reclaimed by listeners."""
         vm.crashed = True
         vm.crashed_at = now
-        self._retire(vm, now)
+        self._retire(vm)
         self.crashed_count += 1
 
     # ------------------------------------------------------------------
@@ -397,11 +573,15 @@ class FleetManager:
 
     def notify_crash(self, vm: FleetVM) -> None:
         """Let every attached run reclaim its victims on *vm* (in
-        attachment order, so recovery interleaving is deterministic)."""
+        attachment order, so recovery interleaving is deterministic),
+        then close the crashed VM: the listeners read its roster and
+        correct its ``busy_seconds``, so it stays open until they all
+        return."""
         if vm.preempted:
             self.preempted_count += 1
         for listener in self._crash_listeners:
             listener(vm)
+        self._close(vm)
 
     def add_warning_listener(self, listener: Callable[[FleetVM], None]) -> None:
         self._warning_listeners.append(listener)
@@ -415,7 +595,7 @@ class FleetManager:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def uptime(self, vm: FleetVM) -> float:
+    def uptime(self, vm: "FleetVM | ClosedVM") -> float:
         """Billable uptime: rent stops at the crash for crashed VMs."""
         end = vm.crashed_at if vm.crashed else vm.free_at
         return max(end - vm.started_at, 0.0)
@@ -424,7 +604,7 @@ class FleetManager:
         """O(1) fleet tallies, maintained incrementally (no roster
         scan): total rentals, live/crashed/preempted/reaped counts."""
         return {
-            "vms": len(self.vms),
+            "vms": len(self._start),
             "alive": len(self._live),
             "crashed": self.crashed_count,
             "preempted": self.preempted_count,
@@ -438,49 +618,65 @@ class FleetManager:
         market: object | None = None,
         seed: int = 0,
     ) -> FleetRollup:
-        """Bills, utilization and conservation in **one** roster pass.
+        """Bills, utilization and conservation in **one** pass over the
+        bill columns, in id order.
 
         Each VM's cost goes to the tenant that rented it (reuse by
         another tenant's tasks extends ``busy_seconds`` but never moves
         the bill — the renter keeps the meter).  With a *market* (a
         :class:`~repro.market.spot.Market`), VMs carrying a purchase
         option are billed at the realized price integral under *seed*;
-        all others keep the fixed-price arithmetic.
+        all others keep the fixed-price arithmetic.  Records still open
+        are written to their rows first: dead ones are closed, live ones
+        stay open.
 
         Raises :class:`SimulationError` unless the fleet bookkeeping is
         conserved: dense ids, crashed ⊆ dead, and no VM freed before it
         started.
         """
         region = region or self.region
-        if region is None and self.vms:
+        n = len(self._start)
+        if region is None and n:
             raise SimulationError("finalize() needs a region (none configured)")
+        for vid, vm in list(self._open.items()):
+            if vm.id != vid:
+                raise SimulationError(f"fleet ids not dense: vm{vm.id} at slot {vid}")
+            if vm.crashed and not vm.dead:
+                raise SimulationError(f"vm{vid} crashed but not dead")
+            if vm.dead:
+                self._close(vm)
+            else:
+                self._write_row(vm)
+        starts, frees, busies = self._start, self._free, self._busy
+        kinds, kind, flags = self._kinds, self._kind, self._flags
+        crashed_at = self._crashed_at
         rows: Dict[str, Dict[str, float]] = {}
         busy_total = 0.0
         paid_total = 0.0
-        for idx, vm in enumerate(self.vms):
-            if vm.id != idx:
-                raise SimulationError(f"fleet ids not dense: vm{vm.id} at slot {idx}")
-            if vm.crashed and not vm.dead:
-                raise SimulationError(f"vm{vm.id} crashed but not dead")
-            if vm.free_at < vm.started_at - _EPS:
+        for vid in range(n):
+            started, free = starts[vid], frees[vid]
+            if free < started - _EPS:
                 raise SimulationError(
-                    f"vm{vm.id} freed at {vm.free_at} before start {vm.started_at}"
+                    f"vm{vid} freed at {free} before start {started}"
                 )
-            up = self.uptime(vm)
+            end = crashed_at[vid] if flags[vid] & _CRASHED else free
+            up = max(end - started, 0.0)
+            itype, owner, purchase = kinds[kind[vid]]
             paid = billing.paid_seconds(up)
             cost = billing.realized_cost(
-                up, vm.itype, region, vm.started_at, vm.purchase, market, seed
+                up, itype, region, started, purchase, market, seed
             )
+            busy = busies[vid]
             acc = rows.setdefault(
-                vm.owner,
+                owner,
                 {"vms": 0, "btus": 0, "cost": 0.0, "busy": 0.0, "paid": 0.0},
             )
             acc["vms"] += 1
             acc["btus"] += billing.btus(up)
             acc["cost"] += cost
-            acc["busy"] += vm.busy_seconds
+            acc["busy"] += busy
             acc["paid"] += paid
-            busy_total += vm.busy_seconds
+            busy_total += busy
             paid_total += paid
         bills = {
             owner: OwnerBill(
@@ -501,5 +697,5 @@ class FleetManager:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FleetManager(vms={len(self.vms)}, alive={len(self._live)})"
+        return f"FleetManager(vms={len(self._start)}, alive={len(self._live)})"
 

@@ -32,7 +32,7 @@ the task against the fleet state at recovery time.  With ``fault_plan``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cloud.instance import SMALL, InstanceType
 from repro.cloud.platform import CloudPlatform
@@ -43,7 +43,7 @@ from repro.errors import SchedulingError, SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import current as current_metrics
 from repro.obs.tracer import Tracer, ensure_tracer
-from repro.service.fleet import FleetManager, FleetVM
+from repro.service.fleet import ClosedVM, FleetManager, FleetVM
 from repro.simulator.engine import Simulator
 from repro.simulator.faults import FaultPlan, FaultRuntime, FaultStats, actual_duration
 from repro.simulator.trace import TraceEvent
@@ -156,8 +156,9 @@ class OnlineCloudExecutor:
                 self._fleet_mgr.add_warning_listener(self._checkpoint_victims)
 
     @property
-    def fleet(self) -> List[FleetVM]:
-        """The (possibly shared) VM records, in rental order."""
+    def fleet(self) -> "Sequence[FleetVM | ClosedVM]":
+        """The (possibly shared) fleet by VM id: live records, and row
+        views of the VMs the manager has closed."""
         return self._fleet_mgr.vms
 
     def _roster_key(self, task_id: str) -> str:
@@ -190,7 +191,7 @@ class OnlineCloudExecutor:
         faults = self.faults
         nominal = 0.0 if self.platform.prebooted else self.platform.boot_seconds
         boot = nominal
-        vm_id = len(self.fleet)
+        mgr = self._fleet_mgr
         boot_active = (
             faults is not None
             and not self.platform.prebooted
@@ -200,11 +201,11 @@ class OnlineCloudExecutor:
                 or faults.plan.boot_warm_pool > 0
             )
         )
-        warm = False
         if boot_active:
             # boot failures re-issue the request; the delays accumulate
             plan = faults.plan
-            warm = self._fleet_mgr.take_warm(self.itype, plan.boot_warm_pool)
+            vm_id = len(mgr.vms)  # the id the rental below will get
+            warm = mgr.take_warm(self.itype, plan.boot_warm_pool)
             total, attempt = 0.0, 0
             while True:
                 attempt += 1
@@ -219,25 +220,27 @@ class OnlineCloudExecutor:
             boot = total
         if purchase is None and faults is not None:
             purchase = faults.default_purchase
-        vm = self._fleet_mgr.rent(
+        vm = mgr.rent(
             self.itype,
             started_at=self.sim.now,
             free_at=self.sim.now + boot,
             owner=self.owner,
             purchase=purchase,
         )
-        vm.booted_warm = warm
         self._record(self.sim.now, "vm_start", "", vm.id)
         if faults is not None:
+            # the armed events carry the id, not the record, so a VM
+            # reaped before its crash draw is not kept alive by it
+            vm_id = vm.id
             faults.arm(
                 self.sim,
-                f"vm{vm.id}",
+                f"vm{vm_id}",
                 self.itype,
                 self.region,
                 vm.purchase,
-                crash=lambda: self._on_vm_crash(vm),
-                warning=lambda: self._on_spot_warning(vm),
-                kill=lambda: self._on_vm_crash(vm, preempt=True),
+                crash=lambda: self._on_vm_crash(vm_id),
+                warning=lambda: self._on_spot_warning(vm_id),
+                kill=lambda: self._on_vm_crash(vm_id, preempt=True),
                 at=self.sim.at,
             )
         return vm
@@ -286,7 +289,6 @@ class OnlineCloudExecutor:
             # utilized qualifying idle VM, served from the idle pool
             if (
                 pred_vm is not None
-                and not pred_vm.dead
                 and pred_vm.free_at <= now + 1e-9
                 and (fits is None or fits(pred_vm))
             ):
@@ -294,20 +296,22 @@ class OnlineCloudExecutor:
             best = mgr.best_idle(now, fits)
             return best if best is not None else self._rent()
         # singleton level: only the predecessor's VM is ever reusable
-        if pred_vm is None or pred_vm.dead:
+        if pred_vm is None:
             return self._rent()
         if fits is not None and not fits(pred_vm):
             return self._rent()
         return pred_vm
 
     def _largest_pred_vm(self, task_id: str) -> Optional[FleetVM]:
+        """The VM of the longest-running placed predecessor, if it is
+        still alive."""
         preds = [p for p in self._preds[task_id] if p in self.task_vm]
         if not preds:
             return None
         largest = max(
             preds, key=lambda p: (self.task_finish[p] - self.task_start[p], p)
         )
-        return self.fleet[self.task_vm[largest]]
+        return self._fleet_mgr.live_vm(self.task_vm[largest])
 
     # ------------------------------------------------------------------
     # event handlers
@@ -323,12 +327,12 @@ class OnlineCloudExecutor:
         # input staging: the largest predecessor transfer, paid after
         # placement (destination only now known)
         transfer = 0.0
-        vms = self.fleet
+        itype_of = self._fleet_mgr.itype_of
         for pred in self._preds[task_id]:
             pred_vm = self.task_vm[pred]
             dt = self.platform.transfer_time(
                 self._edge_gb[pred, task_id],
-                vms[pred_vm].itype,
+                itype_of(pred_vm),
                 vm.itype,
                 same_vm=pred_vm == vm.id,
             )
@@ -353,8 +357,9 @@ class OnlineCloudExecutor:
         key = self._roster_key(task_id)
         if prev is not None and prev != vm.id:
             # re-placement after a failure: leave the old VM's roster
-            old = self.fleet[prev]
-            if key in old.tasks:
+            # (a dead VM's roster is never read again)
+            old = self._fleet_mgr.live_vm(prev)
+            if old is not None and key in old.tasks:
                 old.tasks.remove(key)
         if key not in vm.tasks:
             vm.tasks.append(key)
@@ -383,8 +388,9 @@ class OnlineCloudExecutor:
     def _on_finish(self, task_id: str, attempt: int = 0) -> None:
         if attempt and attempt != self._attempt.get(task_id, 1):
             return  # attempt superseded by a VM crash
-        vm = self.fleet[self.task_vm[task_id]]
-        if vm.crashed:
+        # a VM outlives its reservations unless it crashes
+        vm = self._fleet_mgr.live_vm(self.task_vm[task_id])
+        if vm is None:
             return  # the crash already failed this attempt
         self._completed.add(task_id)
         vm.useful_seconds += self.task_finish[task_id] - self.task_start[task_id]
@@ -448,15 +454,16 @@ class OnlineCloudExecutor:
         if attempt != self._attempt.get(task_id, 1):
             return
         assert self.faults is not None
-        vm = self.fleet[self.task_vm[task_id]]
-        if vm.crashed:
-            return
+        vm = self._fleet_mgr.live_vm(self.task_vm[task_id])
+        if vm is None:
+            return  # crashed
         self.faults.attempt_failed(wasted)
         self._record(self.sim.now, "task_fail", task_id, vm.id, f"attempt:{attempt}")
         self._recover(task_id, vm, "task")
 
-    def _on_vm_crash(self, vm: FleetVM, preempt: bool = False) -> None:
-        if vm.dead or vm.crashed:
+    def _on_vm_crash(self, vm_id: int, preempt: bool = False) -> None:
+        vm = self._fleet_mgr.live_vm(vm_id)
+        if vm is None:
             return  # released before the crash would have hit
         assert self.faults is not None
         now = self.sim.now
@@ -465,10 +472,11 @@ class OnlineCloudExecutor:
         self._record(now, self.faults.vm_killed(preempt), "", vm.id)
         self._fleet_mgr.notify_crash(vm)
 
-    def _on_spot_warning(self, vm: FleetVM) -> None:
+    def _on_spot_warning(self, vm_id: int) -> None:
         """The provider's reclamation warning for a VM this run rented:
         count it and fan it out so every run checkpoints its work."""
-        if vm.dead or vm.crashed:
+        vm = self._fleet_mgr.live_vm(vm_id)
+        if vm is None:
             return
         assert self.faults is not None
         self.faults.stats.grace_warnings += 1

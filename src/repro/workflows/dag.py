@@ -534,14 +534,25 @@ class Workflow:
             edges = self.edges()
             out.add_dependencies((u, v, sizes.get((u, v), g)) for u, v, g in edges)
             return out.validate()
-        cd, categories, (src, dst, gb) = lazy
+        cd, categories, edges = lazy
+        src, dst, gb = _parent_major(*edges)
         if sizes:
             id_of = ids.__getitem__
             pairs = zip(map(id_of, src.tolist()), map(id_of, dst.tolist()))
             gb = np.array(list(map(sizes.get, pairs, gb.tolist())), dtype=np.float64)
         cols = (ids, cd.works if works is None else works, categories)
-        p = np.argsort(src, kind="stable")  # parent-major, as edges() lists them
-        return Workflow.from_arrays(self.name, *cols, src[p], dst[p], gb[p])
+        return Workflow.from_arrays(self.name, *cols, src, dst, gb)
+
+    def _edge_pairs(self) -> List[Tuple[str, str]]:
+        """``(parent, child)`` of every dependency in :meth:`edges`
+        order; an array build with no object form yet reads its
+        columns and stays lazy."""
+        lazy = self.__dict__.get("_lazy")
+        if lazy is None:
+            return [(u, v) for u, v, _ in self.edges()]
+        src, dst, _ = _parent_major(*lazy[2])
+        id_of = lazy[0].ids.__getitem__
+        return list(zip(map(id_of, src.tolist()), map(id_of, dst.tolist())))
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, object]:
@@ -626,6 +637,14 @@ class _ArrayWorkflow(Workflow):
 
     def total_work(self) -> float:
         return sum(self._lazy[0].works.tolist())
+
+
+def _parent_major(src: np.ndarray, dst: np.ndarray, gb: np.ndarray):
+    """Deduplicated edge columns stable-sorted by parent position: the
+    order :meth:`Workflow.edges` lists them once the object form is made
+    (rows in task order, children in insertion order)."""
+    p = np.argsort(src, kind="stable")
+    return src[p], dst[p], gb[p]
 
 
 def _check_volume(parent: str, child: str, gb: float) -> None:

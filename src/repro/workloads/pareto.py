@@ -112,6 +112,6 @@ class ParetoDataModel(ParetoModel):
                 # derive a child without disturbing the caller's stream
                 seed = int(seed.bit_generator.state["state"]["state"]) % 2**63
             rng = ensure_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
-        edges = [(u, v) for u, v, _ in wf.edges()]
+        edges = wf._edge_pairs()  # read from the columns of an array build
         draws = pareto_sample(rng, len(edges), self.size_shape, self.size_scale_mb)
         return {e: float(mb) / 1024.0 for e, mb in zip(edges, draws)}

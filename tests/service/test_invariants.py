@@ -206,11 +206,16 @@ def test_fleet_owners_are_tenants(platform, captured):
     result = service.run(_stream(5, count=10, tenants=3))
     tenants = set(result.tenants)
     assert {vm.owner for vm in service.fleet.vms} <= tenants
-    # attribution: each VM's owner is the tenant whose run rented it
+    # attribution: each VM's owner is the tenant whose run rented it;
+    # a VM's placements are counted from the runs' task_vm maps (a
+    # closed VM keeps no roster)
     rented_by = {}
+    placements = {}
     for ex in captured(service):
         for vid in set(ex.task_vm.values()):
             rented_by.setdefault(vid, ex.owner)
+        for vid in ex.task_vm.values():
+            placements[vid] = placements.get(vid, 0) + 1
     for vm in service.fleet.vms:
-        if vm.id in rented_by and len(vm.tasks) == 1:
+        if vm.id in rented_by and placements[vm.id] == 1:
             assert vm.owner == rented_by[vm.id]

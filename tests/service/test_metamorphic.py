@@ -62,7 +62,7 @@ def test_zero_arrival_run_is_a_noop(platform):
     assert result.vm_count == 0 and result.btus == 0
     assert result.rent_cost == 0.0
     assert result.tenants == {} and result.workflows == []
-    assert service.fleet.vms == []
+    assert len(service.fleet.vms) == 0
 
 
 def test_service_refuses_a_second_run(platform):

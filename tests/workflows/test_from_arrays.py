@@ -299,6 +299,31 @@ def test_montage_copy_reorders_edges_parent_major():
     assert _rows(copied._pred) == _rows(_reference_copy(shape)._pred)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: montage(3), id="montage3-reordered"),
+        pytest.param(lambda: montage(40), id="montage40"),
+        pytest.param(lambda: mapreduce(1, 1), id="mapreduce1x1"),
+        pytest.param(lambda: mapreduce(10, 3), id="mapreduce10x3"),
+    ],
+)
+def test_data_sizes_draw_over_array_edges(build):
+    """``ParetoDataModel.data_sizes`` reads an array build's edge pairs
+    from its columns: the same dict (keys, order, values) as the draw
+    over the object twin's ``edges()``, and the input stays lazy.
+    Montage's insertion order is not parent-major, so a draw in column
+    order would give edges other sizes."""
+    model = ParetoDataModel()
+    shape = build()
+    got = model.data_sizes(shape, 7)
+    assert "_lazy" in vars(shape)
+    objects = _object_twin(build)
+    want = model.data_sizes(objects, 7)
+    assert list(got.items()) == list(want.items())
+    assert list(got) == [(u, v) for u, v, _ in objects.edges()]
+
+
 def test_data_model_copy_matches_two_step_copy():
     shape = montage(4)
     out = apply_model(shape, ParetoDataModel(), 5)
