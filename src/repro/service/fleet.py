@@ -54,7 +54,7 @@ Closed VMs
 A service run rents one VM per task or so, and all but a few dozen are
 dead at any moment.  The manager keeps a :class:`FleetVM` record only
 while a VM is *open* (alive, or crashed and still being reclaimed by
-the crash listeners).  When a VM dies it is *closed*: what its bill
+the runs on its roster).  When a VM dies it is *closed*: what its bill
 needs goes into flat per-id columns (``array('d')`` times, a code into
 a small table of ``(flavor, renter, purchase)`` triples, a flags byte)
 and the record is dropped, together with its task roster.
@@ -109,7 +109,10 @@ class FleetVM:
     started_at: float
     free_at: float
     busy_seconds: float = 0.0
-    tasks: List[str] = field(default_factory=list)
+    #: the unfinished reservations on this VM, in placement order, keyed
+    #: ``(run, task id)``: a crash or spot warning reaches exactly the
+    #: runs named here (values unused)
+    tasks: Dict[Tuple[object, str], None] = field(default_factory=dict)
     dead: bool = False
     crashed: bool = False
     crashed_at: float = 0.0
@@ -241,11 +244,8 @@ class FleetManager:
         self._crashed_at: Dict[int, float] = {}
         self._kinds: List[Tuple[InstanceType, str, object]] = []
         self._kind_code: Dict[tuple, int] = {}
-        #: executors (or any callables) notified when a VM crashes, so
-        #: every run with work on the VM can recover its own tasks
-        self._crash_listeners: List[Callable[[FleetVM], None]] = []
-        #: notified at a spot reclamation *warning* (checkpoint hook)
-        self._warning_listeners: List[Callable[[FleetVM], None]] = []
+        #: attach numbers handed out so far (see attach())
+        self._attached = 0
         #: warm-pool acquisitions consumed so far, by flavor name
         self.warm_used: Dict[str, int] = {}
         # --- incremental fleet indexes ------------------------------
@@ -559,7 +559,8 @@ class FleetManager:
         return heap
 
     def mark_crashed(self, vm: FleetVM, now: float) -> None:
-        """Void a VM at *now*; reservations are reclaimed by listeners."""
+        """Void a VM at *now*; notify_crash() has its runs reclaim their
+        reservations."""
         vm.crashed = True
         vm.crashed_at = now
         self._retire(vm)
@@ -568,29 +569,34 @@ class FleetManager:
     # ------------------------------------------------------------------
     # crash fan-out (shared fleets host tasks of many runs)
     # ------------------------------------------------------------------
-    def add_crash_listener(self, listener: Callable[[FleetVM], None]) -> None:
-        self._crash_listeners.append(listener)
+    def attach(self) -> int:
+        """The next attach number, which a run sharing this fleet takes
+        at construction (as ``attach_no``): crash and warning fan-out
+        reach a VM's runs in this order, so recovery interleaving is
+        deterministic."""
+        self._attached += 1
+        return self._attached
+
+    @staticmethod
+    def _runs_on(vm: FleetVM) -> list:
+        """The distinct runs holding reservations on *vm*, attach order."""
+        return sorted({run for run, _ in vm.tasks}, key=lambda run: run.attach_no)
 
     def notify_crash(self, vm: FleetVM) -> None:
-        """Let every attached run reclaim its victims on *vm* (in
-        attachment order, so recovery interleaving is deterministic),
-        then close the crashed VM: the listeners read its roster and
-        correct its ``busy_seconds``, so it stays open until they all
-        return."""
+        """Have every run on *vm*'s roster reclaim its reservations, then
+        close the crashed VM: the runs read its roster and correct its
+        ``busy_seconds``, so it stays open until they all return."""
         if vm.preempted:
             self.preempted_count += 1
-        for listener in self._crash_listeners:
-            listener(vm)
+        for run in self._runs_on(vm):
+            run.reclaim(vm)
         self._close(vm)
 
-    def add_warning_listener(self, listener: Callable[[FleetVM], None]) -> None:
-        self._warning_listeners.append(listener)
-
     def notify_warning(self, vm: FleetVM) -> None:
-        """Fan a spot reclamation warning out to every attached run, so
-        each can checkpoint its own work on *vm* before the kill."""
-        for listener in self._warning_listeners:
-            listener(vm)
+        """Fan a spot reclamation warning out to every run on *vm*'s
+        roster, so each can checkpoint its work before the kill."""
+        for run in self._runs_on(vm):
+            run.checkpoint(vm)
 
     # ------------------------------------------------------------------
     # accounting

@@ -246,7 +246,6 @@ class WorkflowService:
         self._commit: Dict[int, float] = {}
         self._estimates: Dict[int, float] = {}
         self._started_at: Dict[int, float] = {}
-        self._seq = 0
         self._finished = False
         # streaming rollup accumulators: totals and the latency list
         # grow as workflows finish, so _finish() never re-walks the
@@ -306,8 +305,6 @@ class WorkflowService:
         acct.running += 1
         self.running += 1
         self._started_at[id(request)] = self.sim.now
-        self._seq += 1
-        run_name = request.name or f"req{self._seq}"
         executor = OnlineCloudExecutor(
             request.workflow,
             self.platform,
@@ -321,7 +318,6 @@ class WorkflowService:
             sim=self.sim,
             fleet=self.fleet,
             owner=request.tenant,
-            run_name=run_name,
             on_complete=lambda r=request: self._on_workflow_done(r),
         )
         executor.start()

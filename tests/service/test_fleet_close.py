@@ -202,7 +202,8 @@ def test_finalize_closes_lazily_crashed_records(platform):
 def test_no_record_survives_a_reaped_vm(platform):
     """Memory regression without reading RSS: after a seeded service run
     of a few hundred workflows, the only ``FleetVM`` objects left are
-    the fleet's still-open records."""
+    the fleet's still-open records, and no finished run's executor
+    outlives its reservations (with or without a crash plan)."""
     cell = ServiceCell(
         platform=platform,
         policy="StartParNotExceed",
@@ -215,15 +216,26 @@ def test_no_record_survives_a_reaped_vm(platform):
     )
     requests = build_requests(cell)
 
-    def records() -> int:
+    def count(kind) -> int:
         gc.collect()
-        return sum(isinstance(o, FleetVM) for o in gc.get_objects())
+        return sum(isinstance(o, kind) for o in gc.get_objects())
 
-    before = records()
-    service = WorkflowService(
-        platform, policy=cell.policy, admission="fair", max_concurrent=32
-    )
-    result = service.run(requests)
-    open_records = len(service.fleet.alive())
-    assert records() - before == open_records
-    assert result.vm_count > 20 * open_records  # most VMs were closed
+    crash_plan = FaultPlan(seed=1, vm_crash_rate=1 / 40000)
+    for faults in (None, crash_plan):
+        before = count(FleetVM)
+        service = WorkflowService(
+            platform,
+            policy=cell.policy,
+            admission="fair",
+            max_concurrent=32,
+            fault_plan=faults,
+            recovery="resubmit" if faults is not None else None,
+        )
+        result = service.run(requests)
+        open_records = len(service.fleet.alive())
+        assert count(FleetVM) - before == open_records
+        assert result.vm_count > 20 * open_records  # most VMs were closed
+        assert count(OnlineCloudExecutor) == 0
+        if faults is not None:
+            assert service.fleet.counters()["crashed"] > 0
+        del service  # its open records must not count in the next case

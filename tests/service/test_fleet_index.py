@@ -109,7 +109,7 @@ def test_online_trace_identical(platform, shape, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_online_trace_identical_under_faults(platform, seed):
     """Crashes, boot failures and retries hit the index maintenance
-    paths (mark_crashed, reclaim listeners); the traces must still
+    paths (mark_crashed, the roster fan-out to reclaim); the traces must still
     match event for event."""
     plan = FaultPlan(
         seed=seed, task_fail_prob=0.15, vm_crash_rate=1 / 20000, boot_fail_prob=0.1

@@ -85,7 +85,7 @@ def _intervals_by_vm(executors):
     for ex in executors:
         for tid, vid in ex.task_vm.items():
             by_vm.setdefault(vid, []).append(
-                (ex.task_start[tid], ex.task_finish[tid], f"{ex.run_name}:{tid}")
+                (ex.task_start[tid], ex.task_finish[tid], f"{ex.attach_no}:{tid}")
             )
     for intervals in by_vm.values():
         intervals.sort()
