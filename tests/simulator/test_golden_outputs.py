@@ -211,18 +211,18 @@ GOLDEN = {
     ("static", "spike-fallback"): "7ed5334fe71471b3d7364fb8f93d5912d53b447891deab3feb5e908c5a6679fd",
     ("static", "cold-warm-pool"): "39dfdde34430c637b2405f5a0e824e28e5a075cebcc23151ca02acf3da8934f8",
     ("online", "plain"): "34d4b013c235979bb2af3c85998e4a995b60e6715adec1c4e6245de7aab99861",
-    ("online", "faults-retry"): "3e2b9c2bd7cdf447204a838ba4c1d32773d70a4e69b8087b525dc6d935568bbd",
-    ("online", "faults-resubmit"): "ae8f457f1e80521399d5e99be95178e5b04b38af6a5db59ba88defe7eb5d89a4",
-    ("online", "faults-replan"): "52f9bf67e0eabe39e802cfaf7d347e47c073a648233a5111e198b210a1e478a0",
-    ("online", "spike-rebid"): "0c664217b1443a64ee880256f775756eeef3ae5897472ad9b7a7fa5b86d3fac3",
-    ("online", "spike-fallback"): "26e9eb01ac7becc65c32ab289333711ff543a2aef515590fe76e21c18e339866",
+    ("online", "faults-retry"): "5ab0689822ed0b67aed43b489cf1e1e2892793671156c819a8ffbb6111ce6c53",
+    ("online", "faults-resubmit"): "2d1f13054ea9b3db9774174ed62b73fd3ec77fc8624a58be7c738e406bf6571a",
+    ("online", "faults-replan"): "08e5d6f9c1d62616a4fee67061fa38f77039a93e90c305da52e456097530640c",
+    ("online", "spike-rebid"): "ffe4a49282773e62e929d95bd25185cdc1cf18ca1729d520df63eba77c4eef0f",
+    ("online", "spike-fallback"): "38321aad7010fa5ade6d31f58169d5407dacee09c69769b48e0dd33d3e134fd5",
     ("online", "cold-warm-pool"): "4dd96f4fee485696b2619f23d157d072590bc640385a79a9c99e7fae54a5eaf0",
     ("service", "plain"): "96fbc09ff7d393e79855da678632057b4bfcac5182328ee7dd6b5664bc48aa13",
-    ("service", "faults-retry"): "02a383b74721cc9aa8b54a2b526fb66ef4373ce064687206153730bdf0c7bf4d",
-    ("service", "faults-resubmit"): "68f5329661841d08aebe8c78206edf10b27a877e95dda6fb45c7e70baa158c81",
-    ("service", "faults-replan"): "ce24ee5bf1c010ff281fde1452ce82e13d1b15ae3961bdcfed03c2c65e3d9505",
-    ("service", "spike-rebid"): "01daaf6781c6aeed34efd873c755876201ab96225573059a18bba62530e8b76e",
-    ("service", "spike-fallback"): "6d14441fb6f925fdbf7ea106f5eff69b09d9134a582d7e62b8addb474813b594",
+    ("service", "faults-retry"): "7cb76194debc6c0faa4e4e73f890fafdc0078f2a35c9f87e90bd89c9128f3e07",
+    ("service", "faults-resubmit"): "62bb72b438857b374deb94695bcee7dcf6865edfead9dd3fba3f4d8bfaa745d2",
+    ("service", "faults-replan"): "6a1e19b39469871e8e10bc52b524e6a4bdf7c0502c23f57871d51d2025d5302f",
+    ("service", "spike-rebid"): "55cf49dcfbf6f4985a3fed58d27db05712b9818f0dbed0b55e87a9fc48880d3f",
+    ("service", "spike-fallback"): "2c6639daf1f6eea51e91e59dab1054d7083c17a67c43372bba6496c986182087",
     ("service", "cold-warm-pool"): "af853b1bd3762e9d5fff8a5a52004dfe59d8168f1c6f37797be294fef31a08aa",
 }
 
