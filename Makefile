@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow lint check coverage loc bench bench-all bench-scaling \
+.PHONY: install test test-slow lint check coverage loc bench bench-all bench-pair bench-scaling \
   bench-service bench-pricing bench-tune bench-check profile profile-service report \
   artifacts examples faults-smoke service-smoke pricing-smoke tune-smoke clean
 
@@ -67,6 +67,16 @@ bench:
 
 bench-all:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# N alternating fresh-process pairs of one end-to-end workload: REF
+# (default HEAD, checked out with git worktree in a temporary directory,
+# removed afterwards) against this working tree; prints each side's
+# wall_s, median and spread.
+WORKLOAD ?= paper-sweep
+REF ?= HEAD
+N ?= 10
+bench-pair:
+	$(PYTHON) benchmarks/bench_pair.py --workload $(WORKLOAD) --ref $(REF) --pairs $(N)
 
 # Refreshes BENCH_scaling.json: full pipeline at 1k/10k/50k tasks per
 # provisioning family, with measured speedups vs the *Reference kernels.

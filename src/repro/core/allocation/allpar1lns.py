@@ -79,20 +79,22 @@ class AllPar1LnSBase(SchedulingAlgorithm):
         builder: ScheduleBuilder,
         bin_tasks: List[str],
         itype: InstanceType,
-        level: int,
         used_this_level: List[BuilderVM],
     ) -> BuilderVM:
         """Pick a VM for a whole bin, AllParNotExceed style: reuse an
         idle VM of the right flavor not already claimed by this level and
-        whose remaining BTU absorbs the full bin, else rent."""
+        whose remaining BTU absorbs the full bin, else rent.
+
+        Levels are placed one after another, so every VM hosting a task
+        of this level is already in *used_this_level*; membership is by
+        identity (``BuilderVM`` equality compares every field)."""
         bin_exec = sum(builder.exec_time(t, itype) for t in bin_tasks)
         candidates = [
             vm
             for vm in builder.vms
             if not vm.empty
             and vm.itype is itype
-            and vm not in used_this_level
-            and all(builder.level_of(t) != level for t in vm.order)
+            and not any(vm is u for u in used_this_level)
             and builder.is_reusable(bin_tasks[0], vm)
         ]
         billing = builder.platform.billing
@@ -103,7 +105,7 @@ class AllPar1LnSBase(SchedulingAlgorithm):
             if start + bin_exec <= horizon + _EPS:
                 fitting.append(vm)
         pred_vm = builder.vm_of_largest_predecessor(bin_tasks[0])
-        if pred_vm is not None and pred_vm in fitting:
+        if pred_vm is not None and any(pred_vm is vm for vm in fitting):
             return pred_vm
         if fitting:
             return max(fitting, key=lambda vm: (vm.busy_seconds, -vm.id))
@@ -121,14 +123,14 @@ class AllPar1LnSBase(SchedulingAlgorithm):
         reg = region or platform.default_region
         builder = ScheduleBuilder(workflow, platform, itype, reg)
         levels = level_order(workflow, platform, itype)
-        for level_idx, level_tasks in enumerate(levels):
+        for level_tasks in levels:
             bins = pack_level(
                 level_tasks, lambda t: platform.runtime(workflow.task(t), itype)
             )
             types = self._bin_types(workflow, platform, reg, bins, itype)
             used: List[BuilderVM] = []
             for bin_tasks, bin_type in zip(bins, types):
-                vm = self._choose_vm(builder, bin_tasks, bin_type, level_idx, used)
+                vm = self._choose_vm(builder, bin_tasks, bin_type, used)
                 used.append(vm)
                 for tid in bin_tasks:
                     # A later bin member can become ready only after the

@@ -149,9 +149,10 @@ class Schedule:
             d["_vm_region"],
             d["_vm_boot"],
         ) = columns
-        # made on demand: the VM views and the per-VM BTUs
+        # made on demand: the VM views, the per-VM BTUs and the cost
         d["_vms"] = None
         d["_btus"] = None
+        d["_total_cost"] = None
         #: feasibility memo — the schedule is immutable, so one
         #: successful :meth:`validate` holds for its lifetime
         d["_checked"] = checked
@@ -346,7 +347,11 @@ class Schedule:
 
     @property
     def total_cost(self) -> float:
-        return self.rent_cost + self.transfer_cost
+        """Rent plus egress (memoized: the schedule is immutable)."""
+        cost = self._total_cost
+        if cost is None:
+            cost = self.__dict__["_total_cost"] = self.rent_cost + self.transfer_cost
+        return cost
 
     @property
     def total_idle_seconds(self) -> float:

@@ -40,11 +40,11 @@ from repro.workflows.dag import Workflow
 def verify_schedule(sched: Schedule, tracer: Tracer | None = None) -> None:
     """Check that executing *sched* reproduces its planned timings.
 
-    Homogeneous no-fault plans of any size verify by recurrence replay:
-    the same observed timings the DES would produce, minus the event
-    machinery.  Anything the replay does not model (tracing, metrics,
-    cold boots, markets, mixed fleets, non-stock models) takes the real
-    simulator.  Raises :class:`~repro.errors.SimulationError` on
+    Single-region no-fault plans of any size, mixed flavors included,
+    verify by recurrence replay: the same observed timings the DES would
+    produce, minus the event machinery.  Anything the replay does not
+    model (tracing, metrics, cold boots, markets, multi-region fleets,
+    non-stock models) takes the real simulator.  Raises :class:`~repro.errors.SimulationError` on
     divergence either way.
     """
     from repro.kernels.replay import replay_verify

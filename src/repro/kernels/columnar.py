@@ -30,6 +30,10 @@ from repro.workflows.dag import _cycle_error
 __all__ = [
     "ColumnarDAG",
     "get_columnar",
+    "pred_lists",
+    "succ_lists",
+    "pred_transfer_seconds",
+    "succ_transfer_seconds",
     "level_of_columnar",
     "upward_rank_values",
     "critical_path_columnar",
@@ -215,6 +219,38 @@ def get_columnar(workflow) -> ColumnarDAG:
     return workflow._memo("columnar_dag", lambda: ColumnarDAG(workflow))
 
 
+def pred_lists(workflow) -> Tuple[List[int], List[int]]:
+    """``(pred_ptr, pred_idx)`` of *workflow*'s :class:`ColumnarDAG` as
+    Python lists, memoized with it (read-only, uncopied) — the per-edge
+    sweeps index them item by item."""
+    cd = get_columnar(workflow)
+    return workflow._memo(
+        "pred_lists", lambda: (cd.pred_ptr.tolist(), cd.pred_idx.tolist())
+    )  # type: ignore[return-value]
+
+
+def succ_lists(workflow) -> Tuple[List[int], List[int]]:
+    """``(succ_ptr, succ_idx)`` as lists, memoized like
+    :func:`pred_lists` — a separate entry, so the placement kernels,
+    which only walk predecessors, never hold them."""
+    cd = get_columnar(workflow)
+    return workflow._memo(
+        "succ_lists", lambda: (cd.succ_ptr.tolist(), cd.succ_idx.tolist())
+    )  # type: ignore[return-value]
+
+
+def _flavor_key(name: str, platform, itype) -> tuple:
+    """Workflow-memo key of a per-flavor vector: everything the vector
+    reads besides the workflow — the flavor (speed-up, link) and the
+    stock network's intra-region latency."""
+    return (name, itype, platform.network.intra_region_latency_s)
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 # ----------------------------------------------------------------------
 # vectorized sweeps
 # ----------------------------------------------------------------------
@@ -229,19 +265,44 @@ def level_of_columnar(workflow) -> Dict[str, int]:
     return dict(zip(cd.ids, cd.levels.tolist()))
 
 
-def remote_transfer_seconds(gb: np.ndarray, platform, itype) -> np.ndarray:
-    """Per-edge cross-VM transfer time at a uniform flavor, intra-region.
+def transfer_seconds(gb: np.ndarray, lat: float, bw) -> np.ndarray:
+    """Per-edge cross-VM transfer time, intra-region, over edge volumes
+    *gb* at latency *lat* and bottleneck link *bw* (a scalar, or one
+    value per edge).
 
     Inlines ``NetworkModel.transfer_time`` (the dispatch layer only
-    engages for the stock model): ``gb * 8 / bottleneck_gbps + latency``,
-    with a pure latency for zero-size control edges.  Identical
-    elementwise IEEE operations to the scalar formula.
+    engages for the stock model): ``gb * 8 / bw + lat``, with a pure
+    latency for zero-size control edges.  Identical elementwise IEEE
+    operations to the scalar formula.
     """
-    lat = platform.network.intra_region_latency_s
-    bw = itype.link_gbps
     if gb.size == 0:
         return gb.copy()
     return np.where(gb == 0.0, lat, gb * 8.0 / bw + lat)
+
+
+def _uniform_transfer(gb: np.ndarray, platform, itype) -> np.ndarray:
+    return transfer_seconds(gb, platform.network.intra_region_latency_s, itype.link_gbps)
+
+
+def pred_transfer_seconds(workflow, platform, itype) -> List[float]:
+    """Transfer times between two VMs of flavor *itype* over the
+    predecessor CSR's edges, as a list memoized per (workflow, flavor,
+    latency); read-only."""
+    cd = get_columnar(workflow)
+    return workflow._memo(
+        _flavor_key("pred_transfer", platform, itype),
+        lambda: _uniform_transfer(cd.pred_gb, platform, itype).tolist(),
+    )  # type: ignore[return-value]
+
+
+def succ_transfer_seconds(workflow, platform, itype) -> np.ndarray:
+    """:func:`pred_transfer_seconds` over the successor CSR's edges,
+    memoized the same way; a read-only array."""
+    cd = get_columnar(workflow)
+    return workflow._memo(
+        _flavor_key("succ_transfer", platform, itype),
+        lambda: _frozen(_uniform_transfer(cd.succ_gb, platform, itype)),
+    )  # type: ignore[return-value]
 
 
 def upward_rank_values(workflow, platform, itype) -> np.ndarray:
@@ -249,13 +310,22 @@ def upward_rank_values(workflow, platform, itype) -> np.ndarray:
 
     Byte-identical to :func:`repro.core.allocation.ranking.upward_rank`
     — same per-edge ``transfer + rank`` additions, max over the same
-    operands, same final ``runtime + best`` addition.
+    operands, same final ``runtime + best`` addition.  Memoized per
+    (workflow, flavor, latency) — the values read nothing else — and
+    returned read-only; a mutation of the workflow drops the entry.
     """
+    return workflow._memo(
+        _flavor_key("upward_rank", platform, itype),
+        lambda: _frozen(_upward_rank_sweep(workflow, platform, itype)),
+    )  # type: ignore[return-value]
+
+
+def _upward_rank_sweep(workflow, platform, itype) -> np.ndarray:
     cd = get_columnar(workflow)
     n = cd.n
     runt = cd.works / itype.speedup
     succ_cnt = np.diff(cd.succ_ptr)
-    tr = remote_transfer_seconds(cd.succ_gb, platform, itype)
+    tr = succ_transfer_seconds(workflow, platform, itype)
     ranks = np.empty(n, dtype=np.float64)
     order, starts = cd.level_groups()
     for lvl in range(cd.n_levels - 1, -1, -1):

@@ -42,7 +42,9 @@ from repro.core.schedule import Schedule
 from repro.errors import InvalidScheduleError
 from repro.kernels.columnar import (
     get_columnar,
-    remote_transfer_seconds,
+    pred_lists,
+    pred_transfer_seconds,
+    succ_transfer_seconds,
     upward_rank_values,
 )
 from repro.obs.metrics import current as current_metrics
@@ -86,13 +88,12 @@ class _State:
         "reuse_pool",
     )
 
-    def __init__(self, cd, platform, itype) -> None:
+    def __init__(self, workflow, cd, platform, itype) -> None:
         self.n = cd.n
         self.runt_v = cd.works / itype.speedup
         self.runt = self.runt_v.tolist()
-        self.pp = cd.pred_ptr.tolist()
-        self.pi = cd.pred_idx.tolist()
-        self.rtr = remote_transfer_seconds(cd.pred_gb, platform, itype).tolist()
+        self.pp, self.pi = pred_lists(workflow)
+        self.rtr = pred_transfer_seconds(workflow, platform, itype)
         self.sr = cd.str_rank.tolist()
         n = self.n
         self.tstart = [0.0] * n
@@ -381,7 +382,7 @@ def fused_level_schedule(
 ) -> Schedule:
     """Level-ranked AllPar[Not]Exceed as one fused pass."""
     cd = get_columnar(workflow)
-    st = _State(cd, platform, itype)
+    st = _State(workflow, cd, platform, itype)
     es = st.es
     place = st.place
     runt = st.runt
@@ -464,7 +465,7 @@ def fused_heft_schedule(
     the former.
     """
     cd = get_columnar(workflow)
-    st = _State(cd, platform, itype)
+    st = _State(workflow, cd, platform, itype)
     es = st.es
     place = st.place
     runt = st.runt
@@ -599,7 +600,7 @@ def _assemble(
         dt = np.where(
             tvm_v[u] == tvm_v[v],
             0.0,
-            remote_transfer_seconds(cd.succ_gb, platform, itype),
+            succ_transfer_seconds(workflow, platform, itype),
         )
         viol = starts[v] + _EPS < ends[u] + dt
         if viol.any():

@@ -28,7 +28,7 @@ import operator
 from collections import Counter
 from itertools import chain
 from math import inf, isfinite
-from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -240,7 +240,7 @@ class Workflow:
         if not self._validated:
             self.validate()
 
-    def _memo(self, key: str, compute: Callable[[], object]) -> object:
+    def _memo(self, key: Hashable, compute: Callable[[], object]) -> object:
         """Return the cached value for *key*, computing it on a miss."""
         try:
             return self._cache[key]

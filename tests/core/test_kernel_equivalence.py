@@ -178,6 +178,53 @@ def test_non_stock_models_take_the_scalar_rank(shape, seed, platform):
     assert scalar == upward_rank(wf, platform, SMALL)
 
 
+def test_rank_memo_drops_on_mutation(platform):
+    """Ranks are memoized on the workflow; adding a task after ranking
+    must not return the stale vector."""
+    from repro.kernels.columnar import upward_rank_values
+
+    wf = _chain(6, 3)
+    before = upward_rank_values(wf, platform, SMALL)
+    assert upward_rank_values(wf, platform, SMALL) is before  # memoized
+    wf.add_task(Task("tail", 900.0, "w"))
+    wf.add_dependency("t5", "tail", 0.5)
+    after = upward_rank_values(wf, platform, SMALL)
+    assert after is not before and len(after) == len(before) + 1
+    slow = upward_rank_reference(wf, platform, SMALL)
+    assert upward_rank(wf, platform, SMALL) == slow
+    assert after[0] > before[0]  # the new tail lengthens every path
+
+
+def test_rank_memo_is_keyed_on_network_latency(platform):
+    """Two platforms that differ only in latency rank the same workflow
+    and flavor differently; each agrees with the oracle."""
+    from repro.kernels.columnar import upward_rank_values
+
+    wf = _diamond(2)
+    slow_net = dataclasses.replace(
+        platform, network=NetworkModel(intra_region_latency_s=5.0)
+    )
+    fast = upward_rank_values(wf, platform, SMALL)
+    slow = upward_rank_values(wf, slow_net, SMALL)
+    assert (fast != slow).any()
+    for plat in (platform, slow_net):
+        assert upward_rank(wf, plat, SMALL) == upward_rank_reference(wf, plat, SMALL)
+
+
+@pytest.mark.parametrize("shape,seed", _dag_cases())
+def test_memoized_ranks_agree_with_the_oracle_on_every_flavor(shape, seed, platform):
+    """Ranking one workflow on every flavor, twice, interleaved: each
+    flavor keeps its own memo entry, byte-identical to the oracle."""
+    from repro.cloud.instance import INSTANCE_TYPES
+
+    wf = SHAPES[shape](seed)
+    for _ in range(2):
+        for itype in INSTANCE_TYPES.values():
+            assert upward_rank(wf, platform, itype) == upward_rank_reference(
+                wf, platform, itype
+            ), itype.name
+
+
 @pytest.mark.parametrize("shape,seed", _dag_cases())
 def test_level_of_identical_to_reference(shape, seed):
     wf = SHAPES[shape](seed)
@@ -319,6 +366,26 @@ def _shifted(schedule, by: float = 123.0):
     return Schedule(wf, schedule.platform, vms)
 
 
+def _two_region(schedule):
+    """*schedule* rebuilt with every odd VM moved to a second region."""
+    from repro.cloud.vm import VM
+    from repro.core.schedule import Schedule
+
+    home = schedule.vms[0].region
+    away = next(r for r in schedule.platform.regions.values() if r.name != home.name)
+    vms = [
+        VM(
+            id=vm.id,
+            itype=vm.itype,
+            region=away if k % 2 else vm.region,
+            boot_seconds=vm.boot_seconds,
+            placements=list(vm.placements),
+        )
+        for k, vm in enumerate(schedule.vms)
+    ]
+    return Schedule(schedule.workflow, schedule.platform, vms)
+
+
 def test_replay_verify_catches_divergence(platform):
     """A plan whose timings cannot be realized must raise with the
     DES-identical message shape, not silently pass."""
@@ -330,6 +397,70 @@ def test_replay_verify_catches_divergence(platform):
     # dependencies allow: the replayed start diverges from the plan
     with pytest.raises(SimulationError, match="simulated start"):
         replay_verify(_shifted(s))
+
+
+def _mixed_strategies():
+    from repro.core.allocation.allpar1lns import AllPar1LnSDynScheduler
+    from repro.core.allocation.cpa_eager import CpaEagerScheduler
+    from repro.core.allocation.gain import GainScheduler
+
+    return {
+        "CPA-Eager": CpaEagerScheduler,
+        "GAIN": GainScheduler,
+        "AllPar1LnSDyn": AllPar1LnSDynScheduler,
+    }
+
+
+def _montage(seed: int, platform) -> Workflow:
+    """The paper's 24-task Montage on seeded Pareto runtimes."""
+    from repro.experiments.scenarios import scenario
+    from repro.workflows.generators import montage
+
+    return scenario("pareto", platform).apply(montage(), seed)
+
+
+MIXED_SHAPES = ("chain", "wide", "diamond", "montage", "mapreduce")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", MIXED_SHAPES)
+@pytest.mark.parametrize("strategy", sorted(_mixed_strategies()))
+def test_mixed_flavor_replay_matches_des(strategy, shape, seed, platform):
+    """The dynamic strategies rent mixed fleets; the replay must observe
+    the DES's per-task start and finish times bit for bit, and reject a
+    tampered plan with the DES's own message."""
+    from repro.errors import SimulationError
+    from repro.kernels.replay import _replay, replay_verify
+    from repro.simulator.executor import simulate_schedule
+
+    wf = _montage(seed, platform) if shape == "montage" else SHAPES[shape](seed)
+    sched = _mixed_strategies()[strategy]().schedule(wf, platform)
+    assert replay_verify(sched)
+    got_s, got_f = _replay(sched)
+    observed = simulate_schedule(sched)
+    ids = sched.workflow.task_ids
+    assert got_s == [observed.task_start[t] for t in ids]
+    assert got_f == [observed.task_finish[t] for t in ids]
+
+    tampered = _shifted(sched)
+    with pytest.raises(SimulationError) as replayed:
+        replay_verify(tampered)
+    with pytest.raises(SimulationError) as simulated:
+        simulate_schedule(tampered, check=True)
+    assert str(replayed.value) == str(simulated.value)
+
+
+def test_mixed_flavor_cases_are_mixed(platform):
+    """Most of the cases above really rent more than one flavor."""
+    mixed = cases = 0
+    for make in _mixed_strategies().values():
+        for shape in MIXED_SHAPES:
+            for seed in SEEDS:
+                wf = _montage(seed, platform) if shape == "montage" else SHAPES[shape](seed)
+                sched = make().schedule(wf, platform)
+                mixed += len({it.name for it in sched._vm_itype}) > 1
+                cases += 1
+    assert mixed > cases // 2, (mixed, cases)
 
 
 def test_replay_verify_defers_ineligible_cases(platform):
@@ -350,7 +481,12 @@ def test_replay_verify_defers_ineligible_cases(platform):
     assert replay_verify(small)
     with pytest.raises(SimulationError):
         replay_verify(_shifted(small))
-    # CPA-Eager upgrades some tasks: a mixed-flavor fleet needs the DES
+    # CPA-Eager upgrades some tasks: a mixed-flavor fleet replays too,
+    # each task at its own VM's flavor
     mixed = CpaEagerScheduler().schedule(_wide(1), platform)
     assert len({vm.itype.name for vm in mixed.vms}) > 1
-    assert not replay_verify(mixed)
+    assert replay_verify(mixed)
+    with pytest.raises(SimulationError):
+        replay_verify(_shifted(mixed))
+    # a mixed fleet spread over two regions still needs the DES
+    assert not replay_verify(_two_region(mixed))
