@@ -128,13 +128,13 @@ profile-service:
 	  --out artifacts/profile_service.txt
 
 report:
-	$(PYTHON) -m repro.experiments.cli all
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli all
 
 artifacts:
-	$(PYTHON) -m repro.experiments.cli export --out-dir artifacts
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli export --out-dir artifacts
 
 examples:
-	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 # Fast end-to-end check of the fault-injection pipeline: the five
 # provisioning policies under a reduced fault grid, through the CLI.

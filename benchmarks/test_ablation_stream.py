@@ -10,9 +10,8 @@ see.
 """
 
 from benchmarks.conftest import save_artifact
-from repro.simulator.stream import poisson_stream, run_stream
+from repro import mapreduce, poisson_arrivals, run_service
 from repro.util.tables import format_table
-from repro.workflows.generators import mapreduce
 
 INSTANCES = 8
 POLICY = "AllParExceed"
@@ -23,15 +22,18 @@ def _study(platform):
     wf = mapreduce(mappers=4, reducers=2)
     rows = []
     for mean_gap in INTERARRIVALS:
-        subs = poisson_stream(wf, INSTANCES, mean_gap, seed=7)
-        result = run_stream(subs, platform, policy=POLICY)
+        requests = poisson_arrivals(
+            wf, INSTANCES, tenants=1, mean_interarrival=mean_gap, seed=7
+        )
+        result = run_service(requests, platform, policy=POLICY, admission="fifo")
+        latencies = [w.latency for w in result.workflows]
         rows.append(
             (
                 f"{mean_gap:.0f}s",
-                result.total_cost / INSTANCES,
+                result.rent_cost / INSTANCES,
                 result.vm_count,
-                result.mean_response,
-                result.idle_seconds / INSTANCES,
+                sum(latencies) / len(latencies),
+                result.utilization,
             )
         )
     return rows
@@ -62,7 +64,7 @@ def test_stream_ablation(benchmark, platform, artifact_dir):
         artifact_dir,
         "ablation_stream.txt",
         format_table(
-            ["mean gap", "cost/instance $", "VMs", "mean response s", "idle/instance s"],
+            ["mean gap", "cost/instance $", "VMs", "mean response s", "utilization"],
             rows,
             float_fmt=".2f",
             title=f"Instance-intensive stream ({INSTANCES}x MapReduce, {POLICY})",

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Instance-intensive workflow streams (the Liu et al. scenario from the
 paper's related work): many MapReduce instances arriving over time onto
-one shared elastic fleet, scheduled online.
+one shared elastic fleet, scheduled online by the service loop (one
+tenant, first-come first-served).
 
 Shows the throughput economics the single-instance evaluation cannot:
 as arrivals densify, instances reuse VMs still alive inside their BTU
@@ -10,8 +11,7 @@ horizons and the cost per instance drops.
 Run:  python examples/instance_intensive.py
 """
 
-from repro import CloudPlatform, mapreduce
-from repro.simulator.stream import poisson_stream, run_stream
+from repro import CloudPlatform, mapreduce, poisson_arrivals, run_service
 from repro.util.tables import format_table
 
 
@@ -27,16 +27,21 @@ def main() -> None:
         ("every 10 min", 600.0),
         ("burst (all at once)", 0.0),
     ):
-        subs = poisson_stream(workflow, instances, mean_gap, seed=42)
-        result = run_stream(subs, platform, policy="AllParExceed")
+        requests = poisson_arrivals(
+            workflow, instances, tenants=1, mean_interarrival=mean_gap, seed=42
+        )
+        result = run_service(
+            requests, platform, policy="AllParExceed", admission="fifo"
+        )
+        latencies = [w.latency for w in result.workflows]
         rows.append(
             (
                 label,
-                result.total_cost,
-                result.total_cost / instances,
+                result.rent_cost,
+                result.rent_cost / instances,
                 result.vm_count,
-                result.mean_response,
-                result.max_response,
+                sum(latencies) / len(latencies),
+                max(latencies),
             )
         )
 

@@ -63,12 +63,12 @@ class CloudPlatform:
         # caches stay small while removing the dispatch overhead from
         # the hot path.  The dataclass is frozen, hence the
         # object.__setattr__; both inputs and the platform itself are
-        # immutable, so entries never go stale.  Keys identify instance
-        # types by *name* — the catalog convention (names are unique
-        # identifiers, see ``itype``) — because CPython caches string
-        # hashes while hashing the frozen dataclass re-hashes all five
-        # fields per call, which profiles slower than the lookups the
-        # cache is meant to save.
+        # immutable, so entries never go stale.  Keys hold the flavor
+        # fields each value reads (speed-up, link speeds), never the
+        # flavor's name, so a custom flavor that reuses a catalog name
+        # gets its own entry; hashing the frozen dataclass instead
+        # re-hashes all five fields per call, which profiles slower
+        # than the lookups the cache is meant to save.
         object.__setattr__(self, "_runtime_cache", {})
         object.__setattr__(self, "_transfer_cache", {})
 
@@ -103,10 +103,10 @@ class CloudPlatform:
     def runtime(self, task: Task, itype: InstanceType) -> float:
         """Execution time of *task* on *itype* (reference work / speedup).
 
-        Memoized on ``(work, itype)``; see ``__post_init__``.
+        Memoized on ``(work, speedup)``; see ``__post_init__``.
         """
-        cache: Dict[Tuple[float, str], float] = self._runtime_cache
-        key = (task.work, itype.name)
+        cache: Dict[Tuple[float, float], float] = self._runtime_cache
+        key = (task.work, itype.speedup)
         try:
             return cache[key]
         except KeyError:
@@ -125,13 +125,14 @@ class CloudPlatform:
     ) -> float:
         """Data-shipping time between two placements on this platform.
 
-        Memoized on ``(size, flavors, locality)``; see ``__post_init__``.
+        Memoized on ``(size, link speeds, locality)``; see
+        ``__post_init__``.
         """
         src_region = src_region or self.default_region
         dst_region = dst_region or self.default_region
         same_region = src_region.name == dst_region.name
         cache = self._transfer_cache
-        key = (size_gb, src.name, dst.name, same_vm, same_region)
+        key = (size_gb, src.link_gbps, dst.link_gbps, same_vm, same_region)
         try:
             return cache[key]
         except KeyError:

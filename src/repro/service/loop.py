@@ -190,7 +190,6 @@ class WorkflowService:
         runtime_fn: Callable[[str, float], float] | None = None,
         fault_plan: FaultPlan | None = None,
         recovery: "str | RecoveryPolicy | None" = None,
-        max_events: int = 10_000_000,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         fleet: FleetManager | None = None,
@@ -231,7 +230,7 @@ class WorkflowService:
         self.recovery = recovery
         self.tracer = ensure_tracer(tracer)
         self.metrics = metrics if metrics is not None else current_metrics()
-        self.sim = Simulator(max_events=max_events, tracer=tracer)
+        self.sim = Simulator(tracer=tracer)
         #: the shared fleet; inject one to inspect it after the run, or
         #: to run against the scan oracle of the property tests
         self.fleet = fleet if fleet is not None else FleetManager(region=self.region)

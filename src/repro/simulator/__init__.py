@@ -23,13 +23,6 @@ from repro.simulator.online import (
     online_to_schedule,
     run_online,
 )
-from repro.simulator.stream import (
-    Submission,
-    StreamResult,
-    merge_stream,
-    poisson_stream,
-    run_stream,
-)
 
 __all__ = [
     "Simulator",
@@ -49,9 +42,4 @@ __all__ = [
     "OnlineResult",
     "online_to_schedule",
     "run_online",
-    "Submission",
-    "StreamResult",
-    "merge_stream",
-    "poisson_stream",
-    "run_stream",
 ]

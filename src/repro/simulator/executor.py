@@ -105,7 +105,6 @@ class ScheduleExecutor:
     def __init__(
         self,
         schedule: Schedule,
-        max_events: int = 10_000_000,
         runtime_fn: Callable[[str, float], float] | None = None,
         fault_plan: FaultPlan | None = None,
         recovery: "str | RecoveryPolicy | None" = None,
@@ -119,7 +118,7 @@ class ScheduleExecutor:
         plan = self.faults.plan if self.faults is not None else None
         self.tracer = ensure_tracer(tracer)
         self.metrics = metrics if metrics is not None else current_metrics()
-        self.sim = Simulator(max_events=max_events, tracer=tracer)
+        self.sim = Simulator(tracer=tracer)
         self.result = SimulationResult()
         wf = schedule.workflow
         # Remaining input count per task; entry tasks are ready at t=0.
@@ -804,7 +803,6 @@ def run_with_faults(
     fault_plan: FaultPlan,
     recovery: "str | RecoveryPolicy | None" = "retry",
     runtime_fn: Callable[[str, float], float] | None = None,
-    max_events: int = 10_000_000,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> SimulationResult:
@@ -815,7 +813,6 @@ def run_with_faults(
     """
     return ScheduleExecutor(
         schedule,
-        max_events=max_events,
         runtime_fn=runtime_fn,
         fault_plan=fault_plan,
         recovery=recovery,

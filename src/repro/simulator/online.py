@@ -50,6 +50,34 @@ from repro.simulator.trace import TraceEvent
 from repro.workflows.dag import Workflow
 
 
+#: a dispatched task's phases, and the phases each may move to next
+PLACED, RETRY, REDISPATCH, DONE = "placed", "retry", "redispatch", "done"
+_MOVES = {
+    PLACED: (DONE, RETRY, REDISPATCH),
+    RETRY: (PLACED, REDISPATCH),
+    REDISPATCH: (PLACED,),
+    DONE: (),
+}
+
+
+@dataclass(slots=True)
+class _TaskRecord:
+    """One dispatched task's recovery state.
+
+    ``phase`` is ``placed`` (an attempt holds a reservation), ``retry``
+    (backing off on the same VM, still on its roster), ``redispatch``
+    (backing off until re-placed; crashes and warnings pass it by) or
+    ``done``.  An event carrying another ``attempt`` than the record's
+    is stale.  ``fresh`` makes the next placement rent a new VM, bought
+    as ``purchase`` (``None``: the run's default).
+    """
+
+    phase: str = PLACED
+    attempt: int = 1
+    fresh: bool = False
+    purchase: object | None = None
+
+
 @dataclass
 class OnlineResult:
     """Outcome of one online run."""
@@ -89,8 +117,6 @@ class OnlineCloudExecutor:
         itype: InstanceType = SMALL,
         region: Region | None = None,
         runtime_fn: Callable[[str, float], float] | None = None,
-        max_events: int = 10_000_000,
-        release_times: Dict[str, float] | None = None,
         fault_plan: FaultPlan | None = None,
         recovery: "str | RecoveryPolicy | None" = None,
         tracer: Tracer | None = None,
@@ -112,11 +138,9 @@ class OnlineCloudExecutor:
         self.itype = itype
         self.region = region or platform.default_region
         self.runtime_fn = runtime_fn
-        #: optional per-entry-task earliest-ready times (workflow streams)
-        self.release_times = dict(release_times or {})
         self.tracer = ensure_tracer(tracer)
         self.metrics = metrics if metrics is not None else current_metrics()
-        self.sim = sim if sim is not None else Simulator(max_events=max_events, tracer=tracer)
+        self.sim = sim if sim is not None else Simulator(tracer=tracer)
         self._fleet_mgr = fleet if fleet is not None else FleetManager(region=self.region)
         self.owner = owner
         #: this run's place in the fleet's crash and warning fan-out
@@ -131,6 +155,7 @@ class OnlineCloudExecutor:
         self._succs = workflow.succ_map()
         self._edge_gb = workflow.edge_data_map()
         self._pending = {tid: len(preds) for tid, preds in self._preds.items()}
+        self._unfinished = len(self._pending)
         self.task_start: Dict[str, float] = {}
         self.task_finish: Dict[str, float] = {}
         self.task_vm: Dict[str, int] = {}
@@ -140,15 +165,8 @@ class OnlineCloudExecutor:
         self._log = sim is None
         #: the fault/market/recovery layer; ``None`` on the zero-fault path
         self.faults = FaultRuntime.for_run(fault_plan, platform, recovery)
-        #: current attempt number per task (1-based)
-        self._attempt: Dict[str, int] = {}
-        self._completed: set = set()
-        #: tasks whose next placement must rent a fresh VM (resubmit)
-        self._force_fresh: set = set()
-        #: purchase override for a task's next fresh rental (rebids)
-        self._force_purchase: Dict[str, object] = {}
-        #: failed tasks whose re-placement waits out a backoff
-        self._redispatching: set = set()
+        #: the recovery state of every dispatched task
+        self._state: Dict[str, _TaskRecord] = {}
 
     @property
     def fleet(self) -> "Sequence[FleetVM | ClosedVM]":
@@ -308,10 +326,10 @@ class OnlineCloudExecutor:
     def _on_ready(self, task_id: str) -> None:
         now = self.sim.now
         planned = self.platform.runtime(self.workflow.task(task_id), self.itype)
-        self._redispatching.discard(task_id)
-        if task_id in self._force_fresh:
-            self._force_fresh.discard(task_id)
-            vm = self._rent(self._force_purchase.pop(task_id, None))
+        rec = self._state.get(task_id)
+        if rec is not None and rec.fresh:
+            rec.fresh = False
+            vm = self._rent(rec.purchase)
         else:
             vm = self._select_vm(task_id, planned)
         # input staging: the largest predecessor transfer, paid after
@@ -332,6 +350,11 @@ class OnlineCloudExecutor:
 
     def _execute(self, task_id: str, vm: FleetVM, earliest: float) -> None:
         """Reserve and run the next attempt of *task_id* on *vm*."""
+        rec = self._state.get(task_id)
+        if rec is None:
+            rec = self._state[task_id] = _TaskRecord()
+        else:
+            self._move(task_id, rec, PLACED)
         start = max(earliest, vm.free_at)
         duration = self.platform.runtime(self.workflow.task(task_id), vm.itype)
         faults = self.faults
@@ -356,7 +379,7 @@ class OnlineCloudExecutor:
         self.task_start[task_id] = start
         self.task_finish[task_id] = finish
         self._record(start, "task_start", task_id, vm.id)
-        attempt = self._attempt.get(task_id, 1)
+        attempt = rec.attempt
         frac = (
             faults.plan.task_attempt(task_id, attempt) if faults is not None else None
         )
@@ -374,14 +397,22 @@ class OnlineCloudExecutor:
                 f"fail:{task_id}",
             )
 
-    def _on_finish(self, task_id: str, attempt: int = 0) -> None:
-        if attempt and attempt != self._attempt.get(task_id, 1):
+    def _move(self, task_id: str, rec: _TaskRecord, phase: str) -> None:
+        """The one way a task changes phase; an illegal move is a bug."""
+        if phase not in _MOVES[rec.phase]:
+            raise SimulationError(
+                f"task {task_id!r} cannot move from {rec.phase!r} to {phase!r}"
+            )
+        rec.phase = phase
+
+    def _on_finish(self, task_id: str, attempt: int) -> None:
+        rec = self._state[task_id]
+        if attempt != rec.attempt:
             return  # attempt superseded by a VM crash
-        # a VM outlives its reservations unless it crashes
+        self._move(task_id, rec, DONE)
+        # a crash of the VM would have bumped the attempt: it is alive
         vm = self._fleet_mgr.live_vm(self.task_vm[task_id])
-        if vm is None:
-            return  # the crash already failed this attempt
-        self._completed.add(task_id)
+        self._unfinished -= 1
         del vm.tasks[self, task_id]
         vm.useful_seconds += self.task_finish[task_id] - self.task_start[task_id]
         self._record(self.sim.now, "task_end", task_id, vm.id)
@@ -389,7 +420,7 @@ class OnlineCloudExecutor:
             self._pending[succ] -= 1
             if self._pending[succ] == 0:
                 self.sim.at(self.sim.now, lambda s=succ: self._on_ready(s), f"ready:{succ}")
-        if self.on_complete is not None and len(self._completed) == len(self._pending):
+        if self.on_complete is not None and not self._unfinished:
             self.on_complete()
 
     # ------------------------------------------------------------------
@@ -400,7 +431,8 @@ class OnlineCloudExecutor:
         schedule the re-dispatch."""
         faults = self.faults
         assert faults is not None
-        attempt = self._attempt.get(task_id, 1)
+        rec = self._state[task_id]
+        attempt = rec.attempt
         action = faults.decide(
             task_id,
             vm.id,
@@ -410,10 +442,11 @@ class OnlineCloudExecutor:
             vm_alive=not vm.dead,
             purchase=vm.purchase,
         )
-        self._attempt[task_id] = attempt + 1
+        rec.attempt = attempt + 1
         if action.kind == "retry" and not vm.dead:
             # same VM, inputs staged: wait out the backoff (the slot
             # reservation makes the start no earlier than vm.free_at)
+            self._move(task_id, rec, RETRY)
             faults.stats.retries += 1
             self.sim.after(
                 action.delay,
@@ -423,13 +456,11 @@ class OnlineCloudExecutor:
             return
         # off the VM's roster walks until placed again (a crash during
         # the backoff must not recover it twice)
-        self._redispatching.add(task_id)
+        self._move(task_id, rec, REDISPATCH)
         if action.kind == "resubmit" or (action.kind == "retry" and vm.dead):
             faults.stats.resubmits += 1
-            self._force_fresh.add(task_id)
-            if action.purchase is not None:
-                # the bidding decision rides to the replacement rental
-                self._force_purchase[task_id] = action.purchase
+            # the bidding decision rides to the replacement rental
+            rec.fresh, rec.purchase = True, action.purchase
         else:  # replan: the online policy re-places against the fleet
             faults.stats.replans += 1
         self.sim.after(
@@ -437,23 +468,21 @@ class OnlineCloudExecutor:
         )
 
     def _retry(self, task_id: str, vm: FleetVM, attempt: int) -> None:
-        if attempt != self._attempt.get(task_id, 1):
+        rec = self._state[task_id]
+        if attempt != rec.attempt:
             return  # a crash re-dispatched the task meanwhile
-        if vm.crashed:
-            return  # likewise: the crash handler owns the re-dispatch
         if not vm.dead:
             self._execute(task_id, vm, self.sim.now)
         else:  # reaped idle during the backoff: a fresh VM, as in _recover
-            self._force_fresh.add(task_id)
+            self._move(task_id, rec, REDISPATCH)
+            rec.fresh, rec.purchase = True, None
             self._on_ready(task_id)
 
     def _on_task_fail(self, task_id: str, attempt: int, wasted: float) -> None:
-        if attempt != self._attempt.get(task_id, 1):
-            return
+        if attempt != self._state[task_id].attempt:
+            return  # attempt superseded by a VM crash
         assert self.faults is not None
         vm = self._fleet_mgr.live_vm(self.task_vm[task_id])
-        if vm is None:
-            return  # crashed
         self.faults.attempt_failed(wasted)
         self._record(self.sim.now, "task_fail", task_id, vm.id, f"attempt:{attempt}")
         self._recover(task_id, vm, "task")
@@ -485,8 +514,12 @@ class OnlineCloudExecutor:
     def _own_reservations(self, vm: FleetVM) -> List[str]:
         """This run's unfinished reservations on *vm* that a crash must
         recover (not those already waiting out a backoff), roster order."""
-        waiting = self._redispatching
-        return [tid for run, tid in vm.tasks if run is self and tid not in waiting]
+        state = self._state
+        return [
+            tid
+            for run, tid in vm.tasks
+            if run is self and state[tid].phase != REDISPATCH
+        ]
 
     def checkpoint(self, vm: FleetVM) -> None:
         """Checkpoint this run's attempts running on *vm* at a spot
@@ -585,12 +618,10 @@ class OnlineCloudExecutor:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Schedule the entry-task ready events.  On a shared simulator
-        the caller owns the event loop; entry tasks released in the past
-        become ready *now* (the clock never rewinds)."""
+        """Make the entry tasks ready now.  On a shared simulator the
+        caller owns the event loop."""
         for tid in self.workflow.entry_tasks():
-            at = max(self.release_times.get(tid, 0.0), self.sim.now)
-            self.sim.at(at, lambda t=tid: self._on_ready(t), f"ready:{tid}")
+            self.sim.at(self.sim.now, lambda t=tid: self._on_ready(t), f"ready:{tid}")
 
     def run(self) -> OnlineResult:
         self.start()

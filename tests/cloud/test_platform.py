@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud.billing import BillingModel
-from repro.cloud.instance import LARGE, SMALL
+from repro.cloud.instance import LARGE, SMALL, InstanceType
 from repro.cloud.platform import CloudPlatform
 from repro.cloud.region import EC2_REGIONS
 from repro.errors import PlatformError
@@ -83,7 +83,7 @@ class TestHotPathCaches:
         p = CloudPlatform.ec2()
         t = Task("t", 2100.0)
         first = p.runtime(t, LARGE)
-        assert (2100.0, "large") in p._runtime_cache
+        assert (2100.0, LARGE.speedup) in p._runtime_cache
         assert p.runtime(t, LARGE) == first == pytest.approx(1000.0)
         # a same-work different task shares the cache entry
         assert p.runtime(Task("u", 2100.0), LARGE) == first
@@ -107,6 +107,18 @@ class TestHotPathCaches:
         assert p.transfer_time(1.0, SMALL, SMALL) == local
         assert p.transfer_time(1.0, SMALL, SMALL, same_vm=True) == same_vm
         assert len(p._transfer_cache) == 3
+
+    def test_flavor_reusing_a_catalog_name_gets_its_own_entries(self):
+        """Regression: the memos were keyed on the flavor's name, so a
+        custom flavor named like a catalog one read the catalog's
+        cached runtime and transfer time."""
+        p = CloudPlatform.ec2()
+        fast = InstanceType(speedup=3.0, cores=1, name="small", short="s", link_gbps=10.0)
+        task = Task("a", 600.0, "w")
+        assert p.runtime(task, SMALL) == 600.0
+        assert p.runtime(task, fast) == 200.0
+        assert p.transfer_time(1.0, SMALL, SMALL) == pytest.approx(8.1)
+        assert p.transfer_time(1.0, fast, fast) == pytest.approx(0.9)
 
     def test_caches_are_per_instance(self):
         a, b = CloudPlatform.ec2(), CloudPlatform.ec2()

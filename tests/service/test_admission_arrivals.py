@@ -51,6 +51,8 @@ class TestArrivals:
             poisson_arrivals(diamond, count=1, tenants=0, mean_interarrival=1.0)
         with pytest.raises(ExperimentError, match="at least one workflow"):
             poisson_arrivals([], count=1, tenants=1, mean_interarrival=1.0)
+        with pytest.raises(ExperimentError, match="mean_interarrival"):
+            poisson_arrivals(diamond, count=1, tenants=1, mean_interarrival=-1.0)
 
     def test_trace_arrivals_parses_rows(self, diamond, chain3):
         catalog = {"diamond": diamond, "chain3": chain3}

@@ -1,0 +1,76 @@
+"""A fault grid over the recovery paths of the online executor.
+
+Heavy task failures and VM crashes with long backoffs reach every
+recovery phase (retry on the same VM, re-dispatch, crashes during a
+backoff, VMs reaped while a retry waits), on a shared fleet and on a
+private one.  Every cell must either complete or give up with
+:class:`~repro.errors.FaultError`; anything else (a wedged service, a
+lost or doubled task, an illegal phase move) is an executor bug.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from repro.core.recovery import ReplanRemaining, ResubmitFresh, RetrySameVM
+from repro.errors import FaultError
+from repro.service.arrivals import poisson_arrivals
+from repro.service.loop import WorkflowService
+from repro.simulator.faults import FaultPlan
+from repro.simulator.online import run_online
+from repro.workflows.generators import mapreduce, montage
+
+POLICIES = (
+    "OneVMperTask",
+    "StartParNotExceed",
+    "StartParExceed",
+    "AllParNotExceed",
+    "AllParExceed",
+)
+RECOVERIES = (RetrySameVM, ResubmitFresh, ReplanRemaining)
+
+
+def _plan(seed):
+    return FaultPlan(seed=seed, task_fail_prob=0.3, vm_crash_rate=1 / 3000)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("recovery", RECOVERIES, ids=lambda cls: cls.__name__)
+def test_every_cell_completes_or_gives_up(platform, recovery, seed):
+    requests = poisson_arrivals(
+        [montage(), mapreduce()],
+        count=6,
+        tenants=2,
+        mean_interarrival=600.0,
+        seed=seed,
+    )
+    for policy in POLICIES:
+        service = WorkflowService(
+            platform,
+            policy=policy,
+            fault_plan=_plan(seed),
+            recovery=recovery(backoff_base=200.0),
+        )
+        try:
+            result = service.run(requests)
+        except FaultError:
+            pass
+        else:
+            assert result.completed == result.admitted == len(requests)
+
+        try:
+            solo = run_online(
+                montage(),
+                platform,
+                policy=policy,
+                fault_plan=_plan(seed),
+                recovery=recovery(backoff_base=200.0),
+            )
+        except FaultError:
+            continue
+        # every task ends exactly once
+        ends = Counter(e.task_id for e in solo.events if e.kind == "task_end")
+        assert set(ends) == set(montage().task_ids)
+        assert set(ends.values()) == {1}

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.platform import CloudPlatform
 from repro.core.allocation.heft import HeftScheduler
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, SimulationError
 from repro.simulator.online import OnlineCloudExecutor, run_online
 from repro.simulator.perturb import lognormal_jitter
 from repro.workloads.base import apply_model
@@ -59,6 +59,19 @@ class TestBasics:
             )
             for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
                 assert e1 <= s2 + 1e-6
+
+
+class TestTaskRecord:
+    def test_second_done_is_an_illegal_move(self, platform):
+        """Every phase change goes through one checked move: finishing a
+        task that already ended names the task and both phases."""
+        executor = OnlineCloudExecutor(sequential(2), platform)
+        executor.run()
+        attempt = executor._state["step_000"].attempt
+        with pytest.raises(
+            SimulationError, match="task 'step_000' cannot move from 'done' to 'done'"
+        ):
+            executor._on_finish("step_000", attempt)
 
 
 class TestPolicySemantics:

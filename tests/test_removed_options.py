@@ -23,12 +23,16 @@ from repro.experiments.runner import run_sweep
 from repro.experiments.service import run_service_sweep
 from repro.kernels.columnar import upward_rank_values
 from repro.service.fleet import FleetManager
+from repro.service.loop import WorkflowService
+from repro.simulator.executor import ScheduleExecutor, run_with_faults
+from repro.simulator.faults import FaultPlan
 from repro.simulator.online import OnlineCloudExecutor
 from repro.tune.search import autotune
 from repro.workflows.generators import sequential
 
 PLATFORM = CloudPlatform.ec2()
 WF = sequential()
+SCHEDULE = HeftScheduler("OneVMperTask").schedule(WF, PLATFORM)
 
 REMOVED = {
     "StartParNotExceed(try_all_vms)": lambda: StartParNotExceed(try_all_vms=True),
@@ -68,6 +72,17 @@ REMOVED = {
     ),
     "OnlineCloudExecutor(run_name)": lambda: OnlineCloudExecutor(
         WF, PLATFORM, run_name="x"
+    ),
+    "OnlineCloudExecutor(release_times)": lambda: OnlineCloudExecutor(
+        WF, PLATFORM, release_times={}
+    ),
+    "OnlineCloudExecutor(max_events)": lambda: OnlineCloudExecutor(
+        WF, PLATFORM, max_events=10
+    ),
+    "WorkflowService(max_events)": lambda: WorkflowService(PLATFORM, max_events=10),
+    "ScheduleExecutor(max_events)": lambda: ScheduleExecutor(SCHEDULE, max_events=10),
+    "run_with_faults(max_events)": lambda: run_with_faults(
+        SCHEDULE, FaultPlan(), max_events=10
     ),
 }
 
