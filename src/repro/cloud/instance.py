@@ -7,6 +7,7 @@ for the two small types vs 10 Gb for the two large ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -29,7 +30,8 @@ class InstanceType:
     link_gbps: float
 
     def __post_init__(self) -> None:
-        if self.speedup <= 0 or self.cores <= 0 or self.link_gbps <= 0:
+        finite = 0 < self.speedup < math.inf and 0 < self.link_gbps < math.inf
+        if not finite or self.cores <= 0:  # a range test also rejects NaN
             raise PlatformError(f"invalid instance type parameters: {self}")
 
     def runtime(self, reference_seconds: float) -> float:

@@ -9,6 +9,7 @@ Transfers between tasks on the *same VM* are free and instantaneous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.cloud.instance import InstanceType
@@ -25,8 +26,9 @@ class NetworkModel:
     inter_region_latency_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.intra_region_latency_s < 0 or self.inter_region_latency_s < 0:
-            raise PlatformError("latencies must be >= 0")
+        latencies = (self.intra_region_latency_s, self.inter_region_latency_s)
+        if not all(0 <= x < math.inf for x in latencies):  # rejects NaN too
+            raise PlatformError(f"latencies must be finite and >= 0: {latencies}")
 
     def bandwidth_gbps(self, src: InstanceType, dst: InstanceType) -> float:
         """Bottleneck link speed between two instance types."""

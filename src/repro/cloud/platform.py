@@ -4,6 +4,7 @@ network — the single object schedulers and the simulator consult.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
@@ -53,8 +54,8 @@ class CloudPlatform:
             raise PlatformError(
                 f"default region {self.default_region.name!r} not in regions"
             )
-        if self.boot_seconds < 0:
-            raise PlatformError("boot_seconds must be >= 0")
+        if not 0 <= self.boot_seconds < math.inf:  # rejects NaN too
+            raise PlatformError("boot_seconds must be finite and >= 0")
         for r in self.regions.values():
             for itype in self.catalog.values():
                 r.price(itype)  # raises if a price is missing

@@ -31,7 +31,6 @@ __all__ = [
     "ColumnarDAG",
     "get_columnar",
     "pred_lists",
-    "succ_lists",
     "pred_transfer_seconds",
     "succ_transfer_seconds",
     "level_of_columnar",
@@ -51,6 +50,8 @@ class ColumnarDAG:
         "pred_ptr",
         "pred_idx",
         "pred_gb",
+        "pred_dst",
+        "pred_rows",
         "succ_ptr",
         "succ_idx",
         "succ_gb",
@@ -110,6 +111,10 @@ class ColumnarDAG:
         # consumer observes: every successor sweep is a max/indegree
         # fold, and each (child, gb) pairing is preserved per edge.
         dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(pred_ptr))
+        #: per predecessor edge its child, and the offsets of the
+        #: nonempty predecessor rows (``np.maximum.reduceat`` segments)
+        self.pred_dst = dst
+        self.pred_rows = pred_ptr[:-1][np.diff(pred_ptr) > 0]
         by_src = np.argsort(pred_idx, kind="stable")
         self.succ_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(pred_idx, minlength=n), out=self.succ_ptr[1:])
@@ -226,16 +231,6 @@ def pred_lists(workflow) -> Tuple[List[int], List[int]]:
     cd = get_columnar(workflow)
     return workflow._memo(
         "pred_lists", lambda: (cd.pred_ptr.tolist(), cd.pred_idx.tolist())
-    )  # type: ignore[return-value]
-
-
-def succ_lists(workflow) -> Tuple[List[int], List[int]]:
-    """``(succ_ptr, succ_idx)`` as lists, memoized like
-    :func:`pred_lists` — a separate entry, so the placement kernels,
-    which only walk predecessors, never hold them."""
-    cd = get_columnar(workflow)
-    return workflow._memo(
-        "succ_lists", lambda: (cd.succ_ptr.tolist(), cd.succ_idx.tolist())
     )  # type: ignore[return-value]
 
 

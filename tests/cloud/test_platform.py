@@ -1,9 +1,12 @@
 """Tests for the CloudPlatform facade."""
 
+import math
+
 import pytest
 
 from repro.cloud.billing import BillingModel
 from repro.cloud.instance import LARGE, SMALL, InstanceType
+from repro.cloud.network import NetworkModel
 from repro.cloud.platform import CloudPlatform
 from repro.cloud.region import EC2_REGIONS
 from repro.errors import PlatformError
@@ -33,6 +36,23 @@ class TestConstruction:
     def test_negative_boot_rejected(self):
         with pytest.raises(PlatformError):
             CloudPlatform.ec2(boot_seconds=-1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: InstanceType(bad, 1, "x", "x", 1.0),
+            lambda bad: InstanceType(1.0, 1, "x", "x", bad),
+            lambda bad: NetworkModel(intra_region_latency_s=bad),
+            lambda bad: NetworkModel(inter_region_latency_s=bad),
+            lambda bad: CloudPlatform.ec2(boot_seconds=bad),
+        ],
+        ids=["speedup", "link_gbps", "intra_latency", "inter_latency", "boot"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_parameters_rejected(self, build, bad):
+        # ``nan < 0`` is false, so a sign test alone let these through
+        with pytest.raises(PlatformError):
+            build(bad)
 
 
 class TestQueries:

@@ -326,13 +326,24 @@ def test_run_sweep_metrics_identical_columnar_vs_indexed():
 
 @pytest.mark.parametrize("shape,seed", _dag_cases())
 def test_replay_verify_matches_des(shape, seed, platform):
-    """The recurrence replay accepts exactly what the DES accepts."""
+    """The certificate accepts the plan, and the DES observes the plan's
+    own start and finish columns bit for bit."""
     from repro.kernels.replay import replay_verify
-    from repro.simulator.executor import simulate_schedule
 
     s = HeftScheduler("StartParNotExceed").schedule(SHAPES[shape](seed), platform)
     assert replay_verify(s)
-    simulate_schedule(s, check=True)
+    _assert_des_observes_plan(s)
+
+
+def _assert_des_observes_plan(schedule):
+    """A no-fault DES run of *schedule* starts and finishes every task
+    exactly when the plan says (exact ``==``, no tolerance)."""
+    from repro.simulator.executor import simulate_schedule
+
+    observed = simulate_schedule(schedule, check=True)
+    ids = schedule.workflow.task_ids
+    assert [observed.task_start[t] for t in ids] == schedule._start
+    assert [observed.task_finish[t] for t in ids] == schedule._end
 
 
 def _shifted(schedule, by: float = 123.0):
@@ -387,16 +398,20 @@ def _two_region(schedule):
 
 
 def test_replay_verify_catches_divergence(platform):
-    """A plan whose timings cannot be realized must raise with the
-    DES-identical message shape, not silently pass."""
+    """A plan whose timings cannot be realized is refused by the
+    certificate and rejected by the DES it defers to, not silently
+    passed."""
     from repro.errors import SimulationError
+    from repro.experiments.runner import verify_schedule
     from repro.kernels.replay import replay_verify
 
     s = HeftScheduler("StartParExceed").schedule(_wide(7), platform)
     # push one non-entry task's planned window later than its
-    # dependencies allow: the replayed start diverges from the plan
+    # dependencies allow: the executed start diverges from the plan
+    tampered = _shifted(s)
+    assert not replay_verify(tampered)
     with pytest.raises(SimulationError, match="simulated start"):
-        replay_verify(_shifted(s))
+        verify_schedule(tampered)
 
 
 def _mixed_strategies():
@@ -426,28 +441,27 @@ MIXED_SHAPES = ("chain", "wide", "diamond", "montage", "mapreduce")
 @pytest.mark.parametrize("shape", MIXED_SHAPES)
 @pytest.mark.parametrize("strategy", sorted(_mixed_strategies()))
 def test_mixed_flavor_replay_matches_des(strategy, shape, seed, platform):
-    """The dynamic strategies rent mixed fleets; the replay must observe
-    the DES's per-task start and finish times bit for bit, and reject a
-    tampered plan with the DES's own message."""
+    """The dynamic strategies rent mixed fleets; the certificate must
+    accept exactly the plans whose start and finish times the DES
+    observes bit for bit, and a tampered plan must be rejected through
+    ``verify_schedule`` with the DES's own message."""
     from repro.errors import SimulationError
-    from repro.kernels.replay import _replay, replay_verify
+    from repro.experiments.runner import verify_schedule
+    from repro.kernels.replay import replay_verify
     from repro.simulator.executor import simulate_schedule
 
     wf = _montage(seed, platform) if shape == "montage" else SHAPES[shape](seed)
     sched = _mixed_strategies()[strategy]().schedule(wf, platform)
     assert replay_verify(sched)
-    got_s, got_f = _replay(sched)
-    observed = simulate_schedule(sched)
-    ids = sched.workflow.task_ids
-    assert got_s == [observed.task_start[t] for t in ids]
-    assert got_f == [observed.task_finish[t] for t in ids]
+    _assert_des_observes_plan(sched)
 
     tampered = _shifted(sched)
-    with pytest.raises(SimulationError) as replayed:
-        replay_verify(tampered)
+    assert not replay_verify(tampered)
+    with pytest.raises(SimulationError) as verified:
+        verify_schedule(tampered)
     with pytest.raises(SimulationError) as simulated:
         simulate_schedule(tampered, check=True)
-    assert str(replayed.value) == str(simulated.value)
+    assert str(verified.value) == str(simulated.value)
 
 
 def test_mixed_flavor_cases_are_mixed(platform):
@@ -468,6 +482,7 @@ def test_replay_verify_defers_ineligible_cases(platform):
     takes over) instead of guessing; workflow size is not one of them."""
     from repro.core.allocation.cpa_eager import CpaEagerScheduler
     from repro.errors import SimulationError
+    from repro.experiments.runner import verify_schedule
     from repro.kernels.replay import replay_verify
     from repro.obs.metrics import MetricsRegistry
 
@@ -479,14 +494,117 @@ def test_replay_verify_defers_ineligible_cases(platform):
     small = BuilderHeft("StartParExceed").schedule(_wide(2), platform)
     assert len(small.workflow) < 100
     assert replay_verify(small)
+    assert not replay_verify(_shifted(small))
     with pytest.raises(SimulationError):
-        replay_verify(_shifted(small))
+        verify_schedule(_shifted(small))
     # CPA-Eager upgrades some tasks: a mixed-flavor fleet replays too,
     # each task at its own VM's flavor
     mixed = CpaEagerScheduler().schedule(_wide(1), platform)
     assert len({vm.itype.name for vm in mixed.vms}) > 1
     assert replay_verify(mixed)
+    assert not replay_verify(_shifted(mixed))
     with pytest.raises(SimulationError):
-        replay_verify(_shifted(mixed))
+        verify_schedule(_shifted(mixed))
     # a mixed fleet spread over two regions still needs the DES
     assert not replay_verify(_two_region(mixed))
+
+
+#: work small enough that ``1000.0 + work == 1000.0`` in float64
+TINY = 1e-300
+
+
+def _hand_plan(platform, tasks, edges, queues, stretch=None):
+    """A schedule through the public constructor: *tasks* ``{id: work}``,
+    *edges* ``(parent, child)`` with no data, and *queues* one list of
+    ``(task, start)`` per small VM, each end at ``start + runtime``
+    plus the task's *stretch* seconds, if any."""
+    from repro.cloud.vm import VM, Placement
+    from repro.core.schedule import Schedule
+
+    stretch = stretch or {}
+    wf = Workflow("hand")
+    for tid, work in tasks.items():
+        wf.add_task(Task(tid, work, "w"))
+    for parent, child in edges:
+        wf.add_dependency(parent, child, 0.0)
+    vms = [
+        VM(
+            id=v,
+            itype=SMALL,
+            region=platform.default_region,
+            placements=[
+                Placement(t, s, s + tasks[t] + stretch.get(t, 0.0))
+                for t, s in queue
+            ],
+        )
+        for v, queue in enumerate(queues)
+    ]
+    return Schedule(wf.validate(), platform, vms)
+
+
+def test_replay_verify_refuses_a_queue_order_against_the_dag(platform):
+    """A chain placed backwards on one VM deadlocks the execution.  With
+    zero-length tasks its planned starts even satisfy the recurrence, so
+    only the strict-increase check stands between it and acceptance."""
+    from repro.errors import SimulationError
+    from repro.experiments.runner import verify_schedule
+    from repro.kernels.replay import replay_verify
+
+    sched = _hand_plan(
+        platform,
+        {"x": 1000.0, "a": TINY, "b": TINY},
+        [("x", "a"), ("a", "b")],
+        [[("x", 0.0), ("b", 1000.0), ("a", 1000.0)]],
+    )
+    assert sched._end == [1000.0, 1000.0, 1000.0]
+    assert not replay_verify(sched)
+    with pytest.raises(SimulationError, match="never completed"):
+        verify_schedule(sched)
+
+
+@pytest.mark.parametrize("edge", ["queue", "dag"])
+def test_replay_verify_defers_a_zero_length_task(edge, platform):
+    """``start + runtime == start`` for a tiny task: its successor — on
+    the same VM queue, or across a zero-latency DAG edge — starts when
+    it starts, which breaks strictness on that edge alone.  The plan is
+    sound; the certificate defers it and the DES accepts it."""
+    from repro.experiments.runner import verify_schedule
+    from repro.kernels.replay import replay_verify
+
+    tasks = {"x": 1000.0, "a": TINY, "b": 500.0}
+    if edge == "queue":  # b waits only on its VM, behind a
+        sched = _hand_plan(
+            platform, tasks, [("x", "a")],
+            [[("x", 0.0), ("a", 1000.0), ("b", 1000.0)]],
+        )
+    else:  # b waits only on a's data, which arrives in zero time
+        free = dataclasses.replace(
+            platform, network=NetworkModel(intra_region_latency_s=0.0)
+        )
+        sched = _hand_plan(
+            free, tasks, [("x", "a"), ("a", "b")],
+            [[("x", 0.0), ("a", 1000.0)], [("b", 1000.0)]],
+        )
+    assert not replay_verify(sched)
+    verify_schedule(sched)
+    _assert_des_observes_plan(sched)
+
+
+def test_replay_verify_refuses_a_stretched_exit_task(platform):
+    """An exit task planned to run longer than its runtime: every start
+    is consistent, only ``finish == start + runtime`` fails."""
+    from repro.errors import SimulationError
+    from repro.experiments.runner import verify_schedule
+    from repro.kernels.replay import replay_verify
+
+    def plan(stretch):
+        return _hand_plan(
+            platform, {"x": 1000.0, "y": 500.0}, [("x", "y")],
+            [[("x", 0.0), ("y", 1000.0)]], stretch,
+        )
+
+    assert replay_verify(plan({}))
+    stretched = plan({"y": 50.0})
+    assert not replay_verify(stretched)
+    with pytest.raises(SimulationError, match="simulated finish"):
+        verify_schedule(stretched)
