@@ -26,6 +26,7 @@ import json
 import pytest
 
 from repro.cloud.platform import CloudPlatform
+from repro.core.recovery import ReplanRemaining, ResubmitFresh
 from repro.errors import ReproError
 from repro.experiments.config import strategy
 from repro.experiments.scenarios import price_scenario
@@ -74,6 +75,8 @@ def _environment(name):
         "faults-retry": (ec2, CRASHY, "retry"),
         "faults-resubmit": (ec2, CRASHY, "resubmit"),
         "faults-replan": (ec2, CRASHY, "replan"),
+        "faults-resubmit-backoff": (ec2, CRASHY, ResubmitFresh(backoff_base=200.0)),
+        "faults-replan-backoff": (ec2, CRASHY, ReplanRemaining(backoff_base=200.0)),
         "spike-rebid": (ec2.with_market(spike), None, RebidHigher(**ckpt)),
         "spike-fallback": (
             ec2.with_market(spike),
@@ -142,11 +145,15 @@ def _online(platform, plan, recovery):
     for wf_name, make in WORKFLOWS.items():
         for policy in POLICIES:
             registry = MetricsRegistry()
-            with registry.activate():
-                res = run_online(
-                    make(), platform, policy=policy, fault_plan=plan,
-                    recovery=recovery,
-                )
+            try:
+                with registry.activate():
+                    res = run_online(
+                        make(), platform, policy=policy, fault_plan=plan,
+                        recovery=recovery,
+                    )
+            except ReproError as exc:
+                out.append([wf_name, policy, _error(exc), _counters(registry)])
+                continue
             out.append(
                 [
                     wf_name,
@@ -176,11 +183,15 @@ def _service(platform, plan, recovery):
     out = []
     for policy in POLICIES:
         registry = MetricsRegistry()
-        with registry.activate():
-            res = run_service(
-                requests, platform, policy=policy, admission="fair",
-                max_concurrent=2, fault_plan=plan, recovery=recovery,
-            )
+        try:
+            with registry.activate():
+                res = run_service(
+                    requests, platform, policy=policy, admission="fair",
+                    max_concurrent=2, fault_plan=plan, recovery=recovery,
+                )
+        except ReproError as exc:
+            out.append([policy, _error(exc), _counters(registry)])
+            continue
         out.append(
             [
                 policy,
@@ -207,6 +218,10 @@ GOLDEN = {
     # crashed VM's ghost: both montage25 AllPar* replans used to raise
     # "does not belong to this builder" and now complete
     ("static", "faults-replan"): "2e1701a3dbdf11568c4f04c2e1d73641a05cf155922a9459f8fcf328f6d5b689",
+    # the two backoff environments were pinned before the static replay
+    # kept one state record per task
+    ("static", "faults-resubmit-backoff"): "b41bea6813fbf98af16945e27fa8db0004e170785f7e105e158cef6cdab2b12e",
+    ("static", "faults-replan-backoff"): "8d1bdea7350831f683703334c2619bac7f8836a70a8ae1c19a6c100b0450d6cd",
     ("static", "spike-rebid"): "ee735ce1ee4bd6e36a6ff3be431ccaa466de2ce07ec51978c2f017162ba76e6e",
     ("static", "spike-fallback"): "7ed5334fe71471b3d7364fb8f93d5912d53b447891deab3feb5e908c5a6679fd",
     ("static", "cold-warm-pool"): "39dfdde34430c637b2405f5a0e824e28e5a075cebcc23151ca02acf3da8934f8",
@@ -214,6 +229,8 @@ GOLDEN = {
     ("online", "faults-retry"): "5ab0689822ed0b67aed43b489cf1e1e2892793671156c819a8ffbb6111ce6c53",
     ("online", "faults-resubmit"): "2d1f13054ea9b3db9774174ed62b73fd3ec77fc8624a58be7c738e406bf6571a",
     ("online", "faults-replan"): "08e5d6f9c1d62616a4fee67061fa38f77039a93e90c305da52e456097530640c",
+    ("online", "faults-resubmit-backoff"): "9a740e9be117981145731224df9b4664a283e94ecd5d3ababa3086f61c2b1eb2",
+    ("online", "faults-replan-backoff"): "6455e418a522c87cad2eec6a83e22fec7bc52f4e6e985d706ed95631609f3d2d",
     ("online", "spike-rebid"): "ffe4a49282773e62e929d95bd25185cdc1cf18ca1729d520df63eba77c4eef0f",
     ("online", "spike-fallback"): "38321aad7010fa5ade6d31f58169d5407dacee09c69769b48e0dd33d3e134fd5",
     ("online", "cold-warm-pool"): "4dd96f4fee485696b2619f23d157d072590bc640385a79a9c99e7fae54a5eaf0",
@@ -221,6 +238,8 @@ GOLDEN = {
     ("service", "faults-retry"): "7cb76194debc6c0faa4e4e73f890fafdc0078f2a35c9f87e90bd89c9128f3e07",
     ("service", "faults-resubmit"): "62bb72b438857b374deb94695bcee7dcf6865edfead9dd3fba3f4d8bfaa745d2",
     ("service", "faults-replan"): "6a1e19b39469871e8e10bc52b524e6a4bdf7c0502c23f57871d51d2025d5302f",
+    ("service", "faults-resubmit-backoff"): "413539f7925b5c34e79b5dd39ac9efdc152f029b2fb07273890c702f4e38a9e1",
+    ("service", "faults-replan-backoff"): "3bf2b0cb8a412a999d403f9a2d5e1d2ecc23dafd84765d9605785f12affed051",
     ("service", "spike-rebid"): "55cf49dcfbf6f4985a3fed58d27db05712b9818f0dbed0b55e87a9fc48880d3f",
     ("service", "spike-fallback"): "2c6639daf1f6eea51e91e59dab1054d7083c17a67c43372bba6496c986182087",
     ("service", "cold-warm-pool"): "af853b1bd3762e9d5fff8a5a52004dfe59d8168f1c6f37797be294fef31a08aa",
