@@ -16,7 +16,6 @@ first object-level query.  It knows how to check its own feasibility
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from itertools import repeat
 from operator import attrgetter, eq, mul, sub
 from typing import Dict, List, Tuple
 
@@ -291,12 +290,7 @@ class Schedule:
     def rent_cost(self) -> float:
         """Sum over VMs of ``btus * price`` (the paper's fixed-price BTU
         arithmetic, ``BillingModel.vm_cost``)."""
-        regions = self._vm_region
-        itypes = self._vm_itype
-        if len(set(map(id, regions))) == 1 == len(set(map(id, itypes))):
-            prices = repeat(regions[0].price(itypes[0]))  # a uniform fleet
-        else:
-            prices = map(Region.price, regions, itypes)
+        prices = map(Region.price, self._vm_region, self._vm_itype)
         return sum(map(mul, self._vm_btus(), prices))
 
     def check_constraints(self, constraints) -> tuple:

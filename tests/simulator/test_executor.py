@@ -95,6 +95,19 @@ class TestCorruptedSchedules:
             ScheduleExecutor(bad).run()
 
 
+def test_second_finish_is_an_illegal_move(chain3, platform):
+    """Every phase change goes through one checked move: finishing a
+    task that already ended names the task and both phases."""
+    sched = HeftScheduler("StartParExceed").schedule(chain3, platform)
+    executor = ScheduleExecutor(sched)
+    executor.run()
+    attempt = executor._state["X"].attempt
+    with pytest.raises(
+        SimulationError, match="task 'X' cannot move from 'done' to 'done'"
+    ):
+        executor._finish("X", attempt)
+
+
 class TestTraceRecord:
     def test_record_updates_maps(self):
         r = SimulationResult()
