@@ -1,7 +1,10 @@
 """Alternating end-to-end pairs: a git ref against the working tree.
 
 Checks out REF (default ``HEAD``) with ``git worktree add`` in a
-temporary directory, then runs N pairs of fresh-process
+temporary directory, byte-compiles ``src`` and ``benchmarks`` in both
+trees (``compileall`` writes the cache even under
+``PYTHONDONTWRITEBYTECODE``, so neither side's ``setup_s`` includes
+compiling the source), then runs N pairs of fresh-process
 ``benchmarks/e2e/run.py --workload W --trace 0`` — one from the ref's
 checkout, one from this tree, the order alternating pair by pair so a
 drift in machine speed lands on both sides — and prints, for each
@@ -9,8 +12,9 @@ end-to-end metric (``setup_s``, ``wall_s``, ``tasks_per_s``,
 ``peak_rss_mb``), each side's median and interquartile range (also as
 a share of the median) and the tree's median change, plus each side's ``wall_s``
 per run and how many pairs the working tree won on it.  The worktree is
-removed afterwards, also on failure.  Nothing under ``benchmarks/e2e/``
-is read from or written to besides running ``run.py``.
+removed afterwards, also on failure.  Besides running ``run.py``,
+nothing under ``benchmarks/e2e/`` is read, and only its bytecode cache
+is written.
 
 Usage::
 
@@ -77,8 +81,12 @@ def _report(workload: str, label: str, ref: list, new: list) -> None:
 
 
 def _pairs(ref_tree: str, tree: str, workload: str, n: int) -> tuple:
-    """*n* alternating pairs of runs, *ref_tree* first in even pairs:
-    ``(ref, new)`` lists of metric dicts."""
+    """*n* alternating pairs of runs, *ref_tree* first in even pairs,
+    after byte-compiling both trees: ``(ref, new)`` lists of metric
+    dicts."""
+    for where in (ref_tree, tree):
+        compile_cmd = [sys.executable, "-m", "compileall", "-q", "src", "benchmarks"]
+        subprocess.run(compile_cmd, cwd=where, check=True)
     ref, new = [], []
     for i in range(n):
         sides = [(ref_tree, ref), (tree, new)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.cloud.instance import InstanceType
+from repro.cloud.instance import InstanceType, sealed
 from repro.cloud.region import Region
 from repro.errors import BillingError
 
@@ -24,6 +24,7 @@ TRANSFER_FREE_GB = 1.0
 TRANSFER_BAND_CEILING_GB = 10_240.0  # 10 TB
 
 
+@sealed
 @dataclass(frozen=True)
 class BillingModel:
     """Pure billing arithmetic, shared by scheduler and simulator."""

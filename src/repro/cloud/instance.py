@@ -14,6 +14,26 @@ from typing import Dict, List
 from repro.errors import PlatformError
 
 
+def sealed(cls):
+    """Refuse subclasses of the platform model *cls* at class creation.
+
+    The paper fixes the formulas (BTU rounding, ``work / speedup``,
+    store-and-forward over the slower link) and the kernels inline them,
+    so a model varies by its fields only: ``dataclasses.replace`` or
+    the constructor, never an override.
+    """
+
+    def refuse(sub, **kwargs):
+        raise PlatformError(
+            f"{cls.__name__} cannot be subclassed ({sub.__name__}); "
+            f"vary its fields instead"
+        )
+
+    cls.__init_subclass__ = classmethod(refuse)
+    return cls
+
+
+@sealed
 @dataclass(frozen=True, order=True)
 class InstanceType:
     """An IaaS instance flavor.

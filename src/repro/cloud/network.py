@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.cloud.instance import InstanceType
+from repro.cloud.instance import InstanceType, sealed
 from repro.errors import PlatformError
 
 _GB_TO_GBIT = 8.0
 
 
+@sealed
 @dataclass(frozen=True)
 class NetworkModel:
     """Latency/bandwidth parameters of the simulated interconnect."""

@@ -141,9 +141,7 @@ class AllPar1LnSBase(SchedulingAlgorithm):
                         vm = builder.new_vm(bin_type)
                         used.append(vm)
                     builder.place(tid, vm)
-        return builder.build(
-            algorithm=self.name, provisioning="AllParNotExceed"
-        ).validate()
+        return builder.build(algorithm=self.name, provisioning="AllParNotExceed")
 
 
 @register_algorithm

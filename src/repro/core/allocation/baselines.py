@@ -45,7 +45,7 @@ class _FixedPoolScheduler(SchedulingAlgorithm):
         pool = [builder.new_vm() for _ in range(min(self.pool_size, len(workflow)))]
         for i, tid in enumerate(heft_order(workflow, platform, itype)):
             builder.place(tid, self._pick(i, builder, tid) or pool[0])
-        return builder.build(algorithm=self.name, provisioning="FixedPool").validate()
+        return builder.build(algorithm=self.name, provisioning="FixedPool")
 
 
 @register_algorithm

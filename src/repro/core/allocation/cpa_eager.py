@@ -165,4 +165,4 @@ class CpaEagerScheduler(SchedulingAlgorithm):
 
         return one_vm_schedule(
             workflow, platform, task_types, region, algorithm=self.name
-        ).validate()
+        )

@@ -115,9 +115,7 @@ class DeadlineScheduler(SchedulingAlgorithm):
                         improved = True
                         break
 
-        sched = one_vm_schedule(
-            workflow, platform, types, region, algorithm=self.name
-        ).validate()
+        sched = one_vm_schedule(workflow, platform, types, region, algorithm=self.name)
         if not self.best_effort and sched.makespan > self.deadline + 1e-6:
             # transfers between concrete VMs can exceed the critical-path
             # estimate only through rounding; guard anyway

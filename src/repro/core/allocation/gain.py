@@ -129,6 +129,4 @@ class GainScheduler(SchedulingAlgorithm):
                 workflow, platform, reg, tid, task_types[tid], rent[tid], blocked
             )
 
-        return one_vm_schedule(
-            workflow, platform, task_types, reg, algorithm=self.name
-        ).validate()
+        return one_vm_schedule(workflow, platform, task_types, reg, algorithm=self.name)

@@ -18,7 +18,6 @@ from repro.core.provisioning.base import ProvisioningPolicy, provisioning_policy
 from repro.core.provisioning.one_vm_per_task import OneVMperTask
 from repro.core.provisioning.start_par import StartParExceed, StartParNotExceed
 from repro.core.schedule import Schedule
-from repro.kernels.dispatch import platform_eligible
 from repro.workflows.dag import Workflow
 
 
@@ -48,7 +47,7 @@ class HeftScheduler(SchedulingAlgorithm):
         itype: InstanceType = SMALL,
         region: Region | None = None,
     ) -> Schedule:
-        # Stock-model runs take the fused columnar kernel (see
+        # Stock runs take the fused columnar kernel (see
         # LevelScheduler.schedule).  Exact-type checks keep subclasses
         # (e.g. LocalityHeftScheduler's region chooser) on the indexed
         # kernels.
@@ -60,11 +59,7 @@ class HeftScheduler(SchedulingAlgorithm):
             if type(policy) in (StartParExceed, StartParNotExceed)
             else None
         )
-        if (
-            type(self) is HeftScheduler
-            and fused_policy is not None
-            and platform_eligible(platform, itype)
-        ):
+        if type(self) is HeftScheduler and fused_policy is not None:
             from repro.kernels.provision import fused_heft_schedule
 
             return fused_heft_schedule(
@@ -82,6 +77,4 @@ class HeftScheduler(SchedulingAlgorithm):
             builder.begin_task(tid)
             vm = self.provisioning.select_vm(tid, builder)
             builder.place(tid, vm)
-        return builder.build(
-            algorithm=self.name, provisioning=self.provisioning.name
-        ).validate()
+        return builder.build(algorithm=self.name, provisioning=self.provisioning.name)

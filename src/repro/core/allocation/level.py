@@ -18,7 +18,6 @@ from repro.core.builder import ScheduleBuilder
 from repro.core.provisioning.all_par import AllParExceed, AllParNotExceed
 from repro.core.provisioning.base import ProvisioningPolicy, provisioning_policy
 from repro.core.schedule import Schedule
-from repro.kernels.dispatch import platform_eligible
 from repro.workflows.dag import Workflow
 
 
@@ -43,16 +42,13 @@ class LevelScheduler(SchedulingAlgorithm):
         itype: InstanceType = SMALL,
         region: Region | None = None,
     ) -> Schedule:
-        # Stock-model runs take the fused columnar kernel at any size —
+        # Stock runs take the fused columnar kernel at any size —
         # byte-identical schedules and counters (property-tested), one
         # array pass instead of per-object queries.  Exact-type checks:
         # a subclassed scheduler/policy may override behavior the fused
         # kernel inlines.
-        if (
-            type(self) in (LevelScheduler, AllParScheduler)
-            and type(self.provisioning) in (AllParExceed, AllParNotExceed)
-            and platform_eligible(platform, itype)
-        ):
+        stock_policy = type(self.provisioning) in (AllParExceed, AllParNotExceed)
+        if type(self) in (LevelScheduler, AllParScheduler) and stock_policy:
             from repro.kernels.provision import fused_level_schedule
 
             return fused_level_schedule(
@@ -70,9 +66,7 @@ class LevelScheduler(SchedulingAlgorithm):
                 builder.begin_task(tid)
                 vm = self.provisioning.select_vm(tid, builder)
                 builder.place(tid, vm)
-        return builder.build(
-            algorithm=self.name, provisioning=self.provisioning.name
-        ).validate()
+        return builder.build(algorithm=self.name, provisioning=self.provisioning.name)
 
 
 @register_algorithm

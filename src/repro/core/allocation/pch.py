@@ -88,4 +88,4 @@ class PchScheduler(SchedulingAlgorithm):
         for tid in workflow.topological_order():
             builder.begin_task(tid)
             builder.place(tid, vm_of_cluster[cluster_of[tid]])
-        return builder.build(algorithm=self.name, provisioning="PCH").validate()
+        return builder.build(algorithm=self.name, provisioning="PCH")

@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from repro.cloud.instance import InstanceType
 from repro.cloud.platform import CloudPlatform
-from repro.kernels.dispatch import platform_eligible
+from repro.kernels.columnar import get_columnar, upward_rank_values
 from repro.workflows.dag import Workflow
 
 
@@ -30,35 +30,12 @@ def upward_rank(
     flavor; on a homogeneous platform the HEFT "mean across processors"
     reduces to exactly this). Edge weights are the store-and-forward
     transfer times between two VMs of that flavor in the default region.
+    One vectorized level-synchronous sweep
+    (:func:`~repro.kernels.columnar.upward_rank_values`), byte-identical
+    to the oracle in ``tests/oracles/upward_rank.py`` (property-tested).
     """
-    if not workflow.validated:
-        workflow.validate()
-    if platform_eligible(platform, itype):
-        # Vectorized level-synchronous sweep — same per-edge additions
-        # and ``max`` folds, byte-identical ranks (property-tested).
-        from repro.kernels.columnar import get_columnar, upward_rank_values
-
-        vals = upward_rank_values(workflow, platform, itype)
-        return dict(zip(get_columnar(workflow).ids, vals.tolist()))
-    # Single iterative O(V+E) sweep over the cached reversed-topo order,
-    # against the uncopied adjacency/edge maps.  ``max`` over the same
-    # operands is grouping-independent, so the ranks are byte-identical
-    # to the straightforward oracle in tests/oracles/upward_rank.py
-    # (property-tested).
-    succ_map = workflow.succ_map()
-    tasks = workflow._tasks
-    runtime = platform.runtime
-    transfer = platform.transfer_time
-    ranks: Dict[str, float] = {}
-    edge_gb = workflow.edge_data_map()
-    for tid in reversed(workflow.topological_order()):
-        best = 0.0
-        for succ in succ_map[tid]:
-            cand = transfer(edge_gb[tid, succ], itype, itype) + ranks[succ]
-            if cand > best:
-                best = cand
-        ranks[tid] = runtime(tasks[tid], itype) + best
-    return ranks
+    vals = upward_rank_values(workflow, platform, itype)
+    return dict(zip(get_columnar(workflow).ids, vals.tolist()))
 
 
 def heft_order(

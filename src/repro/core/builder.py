@@ -536,7 +536,8 @@ class ScheduleBuilder:
         return max(self.task_finish.values())
 
     def build(self, algorithm: str = "", provisioning: str = "") -> Schedule:
-        """Freeze the builder into an immutable :class:`Schedule`."""
+        """Freeze the builder into an immutable, validated
+        :class:`Schedule`."""
         unplaced = [t for t in self.workflow.task_ids if t not in self.task_vm]
         if unplaced:
             raise SchedulingError(f"unscheduled tasks remain: {unplaced}")
@@ -560,4 +561,4 @@ class ScheduleBuilder:
             vms=vms,
             algorithm=algorithm,
             provisioning=provisioning,
-        )
+        ).validate()

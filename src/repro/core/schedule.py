@@ -16,13 +16,17 @@ first object-level query.  It knows how to check its own feasibility
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from itertools import count
 from operator import attrgetter, eq, mul, sub
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.cloud.platform import CloudPlatform
 from repro.cloud.region import Region
 from repro.cloud.vm import VM, Placement
 from repro.errors import InvalidScheduleError
+from repro.kernels.columnar import fleet_costs, get_columnar
 from repro.workflows.dag import Workflow
 
 _EPS = 1e-6
@@ -125,7 +129,8 @@ class Schedule:
     ) -> "Schedule":
         """A schedule straight from its columns (ordered as
         :data:`_COLUMNS`, laid out on ``workflow``'s task index); the
-        caller guarantees exactly-once coverage."""
+        caller guarantees exactly-once coverage, and *checked* says it
+        has run :func:`check_plan` on them."""
         self = cls.__new__(cls)
         self._fill(workflow, platform, algorithm, provisioning, columns, checked)
         return self
@@ -367,68 +372,110 @@ class Schedule:
     def validate(self) -> "Schedule":
         """Check full feasibility; raises :class:`InvalidScheduleError`.
 
-        Verifies (a) per-VM non-overlap (also enforced at placement
-        time), (b) every task starts no earlier than each predecessor's
-        finish plus the platform transfer time, (c) durations equal the
-        task work divided by the hosting instance's speed-up.
-
         Memoized: the object is immutable, so a second call returns
-        immediately (the fused kernels pre-validate vectorially and set
-        the memo themselves).
+        immediately (the fused kernels run the same :func:`check_plan`
+        on the arrays they hold and set the memo).
         """
-        if self._checked:
-            return self
-        ids = self._ids
-        start = self._start
-        end = self._end
-        seq = self._vm_seq
-        ptr = self._vm_ptr
-        itypes = self._vm_itype
-        regions = self._vm_region
-        runtime = self.platform.runtime
-        task = self.workflow.task
-        for v, (a, b) in enumerate(zip(ptr, ptr[1:])):
-            row = seq[a:b]
-            itype = itypes[v]
-            ordered = sorted(row, key=start.__getitem__)
-            for x, y in zip(ordered, ordered[1:]):
-                if end[x] > start[y] + _EPS:
-                    raise InvalidScheduleError(
-                        f"{self._vm_name(v)}: {ids[x]!r} and {ids[y]!r} overlap"
-                    )
-            for t in row:
-                expect = runtime(task(ids[t]), itype)
-                duration = end[t] - start[t]
-                if abs(duration - expect) > _EPS * max(1.0, expect):
-                    raise InvalidScheduleError(
-                        f"{self._vm_name(v)}: {ids[t]!r} runs {duration:.6f}s, "
-                        f"expected {expect:.6f}s on {itype.name}"
-                    )
-        index = self._index
-        tvm = self._tvm
-        transfer_time = self.platform.transfer_time
-        for u, v, gb in self.workflow.edges():
-            a, b = index[u], index[v]
-            src, dst = tvm[a], tvm[b]
-            dt = transfer_time(
-                gb,
-                itypes[src],
-                itypes[dst],
-                same_vm=src == dst,
-                src_region=regions[src],
-                dst_region=regions[dst],
+        if not self._checked:
+            check_plan(
+                self.workflow,
+                self.platform.network,
+                np.asarray(self._tvm, dtype=np.int64),
+                np.asarray(self._start, dtype=np.float64),
+                np.asarray(self._end, dtype=np.float64),
+                np.asarray(self._vm_seq, dtype=np.int64),
+                self._vm_id,
+                *self._fleet(),
             )
-            if start[b] + _EPS < end[a] + dt:
-                raise InvalidScheduleError(
-                    f"dependency violated: {v!r} starts at {start[b]:.3f} "
-                    f"but {u!r} finishes at {end[a]:.3f} + "
-                    f"transfer {dt:.3f}"
-                )
-        self.__dict__["_checked"] = True
+            self.__dict__["_checked"] = True
         return self
+
+    def _fleet(self) -> tuple:
+        """``(kind, flavors, zone)``: each VM's slot in the list of the
+        fleet's distinct flavors, that list, and each VM's region code
+        (``None`` when every VM is in one region)."""
+        itypes = self._vm_itype
+        nv = len(itypes)
+        first = dict(zip(map(id, itypes), itypes))
+        slot = dict(zip(first, count()))
+        kind = np.fromiter(map(slot.__getitem__, map(id, itypes)), np.int64, nv)
+        names = list(map(_NAME, self._vm_region))
+        code = dict(zip(names, count()))
+        zone = None
+        if len(code) > 1:
+            zone = np.fromiter(map(code.__getitem__, names), np.int64, nv)
+        return kind, list(first.values()), zone
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Schedule({self.label}, vms={self.vm_count}, "
             f"makespan={self.makespan:.0f}s, cost=${self.total_cost:.2f})"
+        )
+
+
+def check_plan(
+    workflow, network, tvm, start, end, seq, vm_ids, kind, flavors, zone=None
+) -> None:
+    """Raise :class:`InvalidScheduleError` on the first infeasibility of
+    a plan given as arrays: per task its VM position *tvm*, *start* and
+    *end*; the tasks VM by VM (*seq*); per VM its id, its slot (*kind*)
+    in *flavors* and its region code *zone* (``None``: one region).
+
+    First every start and finish must be finite (every comparison below
+    is false on NaN).  Then each VM, in VM order, is checked for (a)
+    overlaps between its tasks in start order, then (b) durations equal
+    to the task's work over the VM flavor's speed-up; then (c) every
+    edge, in ``Workflow.edges()`` order, for a child that starts no
+    earlier than its parent's finish plus the transfer time.
+    """
+    cd = get_columnar(workflow)
+    ids = cd.ids
+    unset = ~(np.isfinite(start) & np.isfinite(end))
+    if unset.any():
+        t = unset.argmax()
+        raise InvalidScheduleError(
+            f"{ids[t]!r} runs from {start[t]} to {end[t]}: not a finite time"
+        )
+    runt, moved = fleet_costs(cd, network, tvm, kind, flavors, zone)
+
+    def vm_name(v) -> str:
+        return f"vm{vm_ids[v]}-{flavors[kind[v]].short}"
+
+    vm_at = tvm[seq]
+    inner = vm_at[:-1] == vm_at[1:]
+    by_start = seq
+    s = start[seq]
+    if (inner & (s[1:] < s[:-1])).any():
+        by_start = seq[np.lexsort((s, vm_at))]  # stable within a VM
+    x, y = by_start[:-1], by_start[1:]
+    overlap = inner & (end[x] > start[y] + _EPS)
+    dur = end - start
+    off = np.abs(dur - runt) > _EPS * np.maximum(1.0, runt)
+    if overlap.any() or off.any():
+        off = off[seq]
+        j = off.argmax()  # the first wrong duration, if any
+        if overlap.any():
+            i = overlap.argmax()
+            if not (off[j] and vm_at[j] < vm_at[i]):
+                raise InvalidScheduleError(
+                    f"{vm_name(vm_at[i])}: {ids[x[i]]!r} and {ids[y[i]]!r} overlap"
+                )
+        v, t = vm_at[j], seq[j]
+        raise InvalidScheduleError(
+            f"{vm_name(v)}: {ids[t]!r} runs {dur[t]:.6f}s, "
+            f"expected {runt[t]:.6f}s on {flavors[kind[v]].name}"
+        )
+    src, dst = cd.pred_idx, cd.pred_dst
+    late = start[dst] + _EPS < end[src] + moved
+    if late.any():
+        # the first late edge in ``edges()`` order: the least parent,
+        # then its first late child in its successor row's order
+        u = src[late].min()
+        late &= src == u
+        kids = set(map(ids.__getitem__, dst[late].tolist()))
+        child = next(c for c in workflow._succ[ids[u]] if c in kids)
+        e = (late & (dst == cd.index[child])).argmax()
+        raise InvalidScheduleError(
+            f"dependency violated: {child!r} starts at {start[dst[e]]:.3f} "
+            f"but {ids[u]!r} finishes at {end[u]:.3f} + transfer {moved[e]:.3f}"
         )

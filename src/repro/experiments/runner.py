@@ -45,8 +45,8 @@ def verify_schedule(sched: Schedule, tracer: Tracer | None = None) -> None:
     for bit, and starts strictly increase along every DAG and VM-queue
     edge, which rules out a deadlocking queue order and leaves the plan
     as the recurrence's only solution.  Anything it does not certify or
-    model (tracing, metrics, cold boots, markets, multi-region fleets,
-    non-stock models) runs through the real simulator, which raises
+    model (tracing, metrics, cold boots, markets, multi-region fleets)
+    runs through the real simulator, which raises
     :class:`~repro.errors.SimulationError` on divergence or deadlock.
     """
     from repro.kernels.replay import replay_verify

@@ -15,7 +15,7 @@ Contract: **trace identity**.  Every columnar kernel must reproduce the
 indexed kernels' output byte-for-byte — same VM ids and rent windows,
 same task timing, same makespan/cost, same ``MetricsRegistry`` counters
 — property-tested in ``tests/core/test_kernel_equivalence.py`` over the
-seeded DAG zoo.  The dispatch rule (:mod:`repro.kernels.dispatch`) is
-model types only: stock schedulers on the stock billing, network and
-instance models take the fused kernels at every workflow size.
+seeded DAG zoo.  The platform models are sealed data classes, so the
+kernels may inline their formulas: the stock schedulers and policies
+take the fused kernels on any platform, at every workflow size.
 """

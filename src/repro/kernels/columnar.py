@@ -33,6 +33,7 @@ __all__ = [
     "pred_lists",
     "pred_transfer_seconds",
     "succ_transfer_seconds",
+    "fleet_costs",
     "level_of_columnar",
     "upward_rank_values",
     "critical_path_columnar",
@@ -237,7 +238,7 @@ def pred_lists(workflow) -> Tuple[List[int], List[int]]:
 def _flavor_key(name: str, platform, itype) -> tuple:
     """Workflow-memo key of a per-flavor vector: everything the vector
     reads besides the workflow — the flavor (speed-up, link) and the
-    stock network's intra-region latency."""
+    network's intra-region latency."""
     return (name, itype, platform.network.intra_region_latency_s)
 
 
@@ -265,14 +266,37 @@ def transfer_seconds(gb: np.ndarray, lat: float, bw) -> np.ndarray:
     *gb* at latency *lat* and bottleneck link *bw* (a scalar, or one
     value per edge).
 
-    Inlines ``NetworkModel.transfer_time`` (the dispatch layer only
-    engages for the stock model): ``gb * 8 / bw + lat``, with a pure
-    latency for zero-size control edges.  Identical elementwise IEEE
-    operations to the scalar formula.
+    Inlines ``NetworkModel.transfer_time`` (a sealed class, so the
+    formula is fixed): ``gb * 8 / bw + lat``, with a pure latency for
+    zero-size control edges.  Identical elementwise IEEE operations to
+    the scalar formula; *lat* may also be one value per edge.
     """
     if gb.size == 0:
         return gb.copy()
     return np.where(gb == 0.0, lat, gb * 8.0 / bw + lat)
+
+
+def fleet_costs(cd, network, tvm, kind, flavors, zone=None) -> tuple:
+    """A plan's per-task and per-edge costs, the DES's operands.
+
+    *tvm* gives each task's VM position, *kind* each VM's slot in
+    *flavors*, and *zone* each VM's region code (``None``: one region).
+    Returns each task's runtime ``work / speedup`` on its own VM's
+    flavor, and for each edge in predecessor-CSR order its transfer
+    time: zero on one VM, else the bottleneck of the two links at the
+    intra-region latency, or the inter-region one across zones.
+    """
+    src, dst = cd.pred_idx, cd.pred_dst
+    k = kind[tvm]
+    speed = np.array([x.speedup for x in flavors])[k]
+    link = np.array([x.link_gbps for x in flavors])[k]
+    bw = np.minimum(link[src], link[dst])
+    a, b = tvm[src], tvm[dst]
+    lat = network.intra_region_latency_s
+    if zone is not None:
+        lat = np.where(zone[a] == zone[b], lat, network.inter_region_latency_s)
+    moved = transfer_seconds(cd.pred_gb, lat, bw)
+    return cd.works / speed, np.where(a == b, 0.0, moved)
 
 
 def _uniform_transfer(gb: np.ndarray, platform, itype) -> np.ndarray:

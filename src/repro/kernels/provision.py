@@ -5,7 +5,7 @@ all per-task and per-VM state held in flat Python lists over the
 :class:`~repro.kernels.columnar.ColumnarDAG` index — no ``BuilderVM``
 objects, no per-placement dicts, no memo-dict lookups in
 ``platform.transfer_time`` — and assembles the final :class:`Schedule`
-plus a vectorized feasibility validation at the end.
+and runs its feasibility check on the arrays at the end.
 
 The kernels are *transcriptions*, not re-designs: every branch mirrors
 the corresponding :class:`~repro.core.builder.ScheduleBuilder` query and
@@ -23,9 +23,8 @@ the policy's ``select_vm`` exactly, including
   counters on the exact predecessor-hosting path, totals flushed once
   at the end (key-identical because zero totals are not flushed).
 
-Eligibility is decided by the dispatch sites (stock model types + no
-fleet/region-chooser/metrics-kwarg extras, at any size — see
-:mod:`repro.kernels.dispatch`); the property tests in
+Eligibility is decided by the call sites (the exact stock scheduler
+and policy types, at any size); the property tests in
 ``tests/core/test_kernel_equivalence.py`` assert byte-identical
 schedules and counters against the indexed kernels.
 """
@@ -38,13 +37,11 @@ from typing import List
 
 import numpy as np
 
-from repro.core.schedule import Schedule
-from repro.errors import InvalidScheduleError
+from repro.core.schedule import Schedule, check_plan
 from repro.kernels.columnar import (
     get_columnar,
     pred_lists,
     pred_transfer_seconds,
-    succ_transfer_seconds,
     upward_rank_values,
 )
 from repro.obs.metrics import current as current_metrics
@@ -52,7 +49,6 @@ from repro.obs.metrics import current as current_metrics
 __all__ = ["fused_level_schedule", "fused_heft_schedule"]
 
 _INF = float("inf")
-_EPS = 1e-6
 
 
 class _State:
@@ -535,7 +531,7 @@ def fused_heft_schedule(
 
 
 # ----------------------------------------------------------------------
-# schedule assembly + vectorized validation
+# schedule assembly
 # ----------------------------------------------------------------------
 def _assemble(
     workflow, platform, itype, region, cd, st: _State, algorithm: str, provisioning: str
@@ -545,75 +541,24 @@ def _assemble(
 
     Mirrors ``ScheduleBuilder.build`` (placement end is
     ``start + (finish - start)``, the exact IEEE ops of the indexed
-    freeze) and ``Schedule.validate`` (durations, per-VM serialization,
-    dependency + transfer feasibility), then marks the schedule checked
-    so ``validate()`` short-circuits.  No VM or Placement object is
-    made.
+    freeze) and runs ``Schedule.validate``'s :func:`check_plan` on the
+    arrays held here, before the columns are made.  No VM or Placement
+    object is made.
     """
-    n = st.n
     starts = np.asarray(st.tstart)
     fins = np.asarray(st.tfin)
     ends = starts + (fins - starts)
-    runt_v = st.runt_v
-    ids = cd.ids
-    region = region or platform.default_region
-
-    def vm_name(v: int) -> str:
-        return f"vm{v}-{itype.short}"
-
-    # (c) durations equal work / speedup
-    bad = np.flatnonzero(np.abs((ends - starts) - runt_v) > _EPS * np.maximum(1.0, runt_v))
-    if bad.size:
-        t = int(bad[0])
-        expect = float(runt_v[t])
-        got = float(ends[t] - starts[t])
-        raise InvalidScheduleError(
-            f"{vm_name(st.tvm[t])}: {ids[t]!r} runs {got:.6f}s, "
-            f"expected {expect:.6f}s on {itype.name}"
-        )
-    # (a) per-VM non-overlap: placements are appended in start order, so
-    # adjacent rows of the per-VM sequences are the sorted pairs
     nv = st.nv
-    tvm_v = np.asarray(st.tvm)
+    tvm = np.asarray(st.tvm)
     log = np.asarray(st.log, dtype=np.int64)
     # a stable sort of the placement log by VM: each VM's tasks in the
-    # order they were placed on it
-    seq = log[np.argsort(tvm_v[log], kind="stable")]
+    # order they were placed on it, which is their start order
+    seq = log[np.argsort(tvm[log], kind="stable")]
     ptr = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tvm_v, minlength=nv), out=ptr[1:])
-    if n > 1:
-        inner = np.ones(n - 1, dtype=bool)
-        inner[ptr[1:-1] - 1] = False
-        a = seq[:-1]
-        b = seq[1:]
-        viol = inner & (ends[a] > starts[b] + _EPS)
-        if viol.any():
-            i = int(np.flatnonzero(viol)[0])
-            raise InvalidScheduleError(
-                f"{vm_name(st.tvm[seq[i]])}: {ids[seq[i]]!r} and "
-                f"{ids[seq[i + 1]]!r} overlap"
-            )
-    # (b) dependencies + transfers
-    if cd.n_edges:
-        u = np.repeat(np.arange(n, dtype=np.int64), np.diff(cd.succ_ptr))
-        v = cd.succ_idx
-        dt = np.where(
-            tvm_v[u] == tvm_v[v],
-            0.0,
-            succ_transfer_seconds(workflow, platform, itype),
-        )
-        viol = starts[v] + _EPS < ends[u] + dt
-        if viol.any():
-            i = int(np.flatnonzero(viol)[0])
-            raise InvalidScheduleError(
-                f"dependency violated: {ids[int(v[i])]!r} starts at "
-                f"{float(starts[v[i]]):.3f} but {ids[int(u[i])]!r} finishes at "
-                f"{float(ends[u[i]]):.3f} + transfer {float(dt[i]):.3f}"
-            )
-
-    # the checks above are ``Schedule.validate``'s, so the plan is handed
-    # over as columns, pre-checked; VM/Placement views are made only if
-    # something asks for them
+    np.cumsum(np.bincount(tvm, minlength=nv), out=ptr[1:])
+    kind = np.zeros(nv, dtype=np.int64)
+    network = platform.network
+    check_plan(workflow, network, tvm, starts, ends, seq, range(nv), kind, [itype])
     return Schedule._from_columns(
         workflow,
         platform,
@@ -625,7 +570,7 @@ def _assemble(
             seq.tolist(),
             list(range(nv)),
             [itype] * nv,
-            [region] * nv,
+            [region or platform.default_region] * nv,
             [platform.boot_seconds] * nv,
         ),
         algorithm,

@@ -28,71 +28,40 @@ reports its first divergence or deadlock.
 
 Fleets may mix flavors (the CPA-Eager, GAIN and AllPar1LnSDyn plans):
 each task runs ``work / speedup`` of its own VM's flavor, and each
-cross-VM edge pays ``platform.transfer_time(gb, src_flavor,
-dst_flavor)`` — the bottleneck of the two links — as the DES charges.
+cross-VM edge pays the bottleneck of the two links, as the DES charges
+(:func:`~repro.kernels.columnar.fleet_costs`, shared with
+``Schedule.validate``).
 
 Anything the recurrence does not model goes to the DES (``False``): a
 tracer that records spans or an active metrics registry (the DES emits
-``sim.*``/``executor.*`` counters), multi-region fleets, cold boots,
-spot markets, and non-stock platform models or flavors.  There is no
-size gate: the certificate is exact at any size.
+``sim.*``/``executor.*`` counters), multi-region fleets, cold boots and
+spot markets.  There is no size gate: the certificate is exact at any
+size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cloud.instance import InstanceType
 from repro.core.schedule import Schedule
-from repro.kernels.columnar import get_columnar, transfer_seconds
-from repro.kernels.dispatch import platform_eligible
+from repro.kernels.columnar import fleet_costs, get_columnar
 from repro.obs.metrics import current as current_metrics
 
 __all__ = ["replay_verify"]
 
 
-def _eligible(schedule: Schedule, tracer):
-    """The fleet's distinct flavors, keyed by ``id``, when the
-    certificate models *schedule*, else ``None``."""
+def _eligible(schedule: Schedule, tracer) -> bool:
+    """Whether the recurrence models *schedule*'s run, region aside."""
     if tracer is not None and getattr(tracer, "enabled", True):
-        return None
+        return False
     if current_metrics() is not None:
-        return None
-    itypes = schedule._vm_itype
-    if not itypes:
-        return None
+        return False
     platform = schedule.platform
-    if not platform_eligible(platform, itypes[0]):
-        return None
     if not platform.prebooted and platform.boot_seconds > 0:
-        return None
-    if getattr(platform, "market", None) is not None:
-        # market runs are priced/interrupted through the DES fault
-        # machinery; the recurrence cannot model them
-        return None
-    # stock flavors and one region
-    flavors = {id(x): x for x in itypes}
-    if any(type(x) is not InstanceType for x in flavors.values()):
-        return None
-    if len({r.name for r in schedule._vm_region}) != 1:
-        return None
-    return flavors
-
-
-def _costs(schedule: Schedule, cd, flavors: dict, tvm: np.ndarray) -> tuple:
-    """Per-task runtimes on each task's VM flavor and per-edge (pred CSR
-    order) cross-VM transfer times at the endpoints' bottleneck link: the
-    DES's operands.  A uniform fleet gets its own flavor's values, since
-    ``min(link, link) == link``."""
-    slot = {key: k for k, key in enumerate(flavors)}
-    itypes = schedule._vm_itype
-    vm_kind = np.fromiter(map(slot.__getitem__, map(id, itypes)), np.int64, len(itypes))
-    kind = vm_kind[tvm]
-    speed = np.array([x.speedup for x in flavors.values()])[kind]
-    link = np.array([x.link_gbps for x in flavors.values()])[kind]
-    bw = np.minimum(link[cd.pred_idx], link[cd.pred_dst])
-    lat = schedule.platform.network.intra_region_latency_s
-    return cd.works / speed, transfer_seconds(cd.pred_gb, lat, bw)
+        return False
+    # market runs are priced/interrupted through the DES fault
+    # machinery; the recurrence cannot model them
+    return getattr(platform, "market", None) is None
 
 
 def replay_verify(schedule: Schedule, tracer=None) -> bool:
@@ -105,12 +74,14 @@ def replay_verify(schedule: Schedule, tracer=None) -> bool:
     DES, which judges it.  Never raises on a bad plan.  Reads only the
     schedule's columns, never its VM/Placement views.
     """
-    flavors = _eligible(schedule, tracer)
-    if flavors is None:
+    if not _eligible(schedule, tracer):
+        return False
+    kind, flavors, zone = schedule._fleet()
+    if zone is not None:
         return False
     cd = get_columnar(schedule.workflow)
     tvm = np.asarray(schedule._tvm, dtype=np.int64)
-    runt, rtr = _costs(schedule, cd, flavors, tvm)
+    runt, moved = fleet_costs(cd, schedule.platform.network, tvm, kind, flavors)
     start = np.asarray(schedule._start, dtype=np.float64)
     finish = np.asarray(schedule._end, dtype=np.float64)
     if not np.array_equal(start + runt, finish):
@@ -126,11 +97,10 @@ def replay_verify(schedule: Schedule, tracer=None) -> bool:
     ready = np.zeros(cd.n, dtype=np.float64)
     ready[after] = finish[before]
 
-    # DAG edges: the latest data arrival, a cross-VM edge paying its
-    # transfer after the predecessor's finish
+    # DAG edges: the latest data arrival, each edge paying its transfer
+    # (zero on one VM) after the predecessor's finish
     src, dst = cd.pred_idx, cd.pred_dst
-    arrive = finish[src]
-    arrive = np.where(tvm[src] == tvm[dst], arrive, arrive + rtr)
+    arrive = finish[src] + moved
     waits = dst[cd.pred_rows]
     ready[waits] = np.maximum(ready[waits], np.maximum.reduceat(arrive, cd.pred_rows))
     return (

@@ -149,8 +149,8 @@ class Workflow:
 
     def add_tasks(self, tasks) -> List[Task]:
         """Register many tasks at once — the batch twin of
-        :meth:`add_task` (one cache invalidation), used by the
-        generators for large workflows."""
+        :meth:`add_task` (one cache invalidation), used by the copy and
+        the object build of an array-built workflow."""
         registry = self._tasks
         added: List[Task] = []
         for task in tasks:

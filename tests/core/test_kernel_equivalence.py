@@ -19,12 +19,14 @@ import math
 
 import pytest
 
-from repro.cloud.instance import SMALL
+from repro.cloud.billing import BillingModel
+from repro.cloud.instance import SMALL, InstanceType
 from repro.cloud.network import NetworkModel
 from repro.cloud.platform import CloudPlatform
 from repro.core.allocation import HeftScheduler, LevelScheduler
 from repro.core.allocation.ranking import upward_rank
 from repro.core.provisioning import PROVISIONING_POLICIES
+from repro.errors import PlatformError
 from repro.workflows.dag import Workflow
 from repro.workflows.generators import fork_join, mapreduce, random_layered
 from repro.workflows.task import Task
@@ -164,18 +166,28 @@ def test_upward_rank_identical_to_reference(shape, seed, platform):
         assert fast[tid] == slow[tid], tid
 
 
-class _PlainNetwork(NetworkModel):
-    """The stock network formulas under a non-stock type: every
-    dispatch site keeps such a platform off the fused kernels."""
-
-
 @pytest.mark.parametrize("shape,seed", _dag_cases())
-def test_non_stock_models_take_the_scalar_rank(shape, seed, platform):
-    plain = dataclasses.replace(platform, network=_PlainNetwork())
+def test_rank_reads_the_model_fields(shape, seed, platform):
+    """The one rank sweep honours every field a rank reads: a network
+    and a flavor varied by their fields rank as the oracle does, and an
+    equal but distinct model ranks as the stock one."""
     wf = SHAPES[shape](seed)
-    scalar = upward_rank(wf, plain, SMALL)
-    assert scalar == upward_rank_reference(wf, plain, SMALL)
-    assert scalar == upward_rank(wf, platform, SMALL)
+    fresh = dataclasses.replace(platform, network=NetworkModel())
+    assert upward_rank(wf, fresh, SMALL) == upward_rank(wf, platform, SMALL)
+    varied = dataclasses.replace(
+        platform,
+        network=NetworkModel(intra_region_latency_s=2.5, inter_region_latency_s=9.0),
+    )
+    odd = dataclasses.replace(SMALL, speedup=1.3, link_gbps=0.25)
+    assert upward_rank(wf, varied, odd) == upward_rank_reference(wf, varied, odd)
+
+
+@pytest.mark.parametrize("model", [InstanceType, BillingModel, NetworkModel])
+def test_platform_models_refuse_subclasses(model):
+    """The models are data: a subclass could override a formula the
+    kernels inline, so defining one fails at class creation."""
+    with pytest.raises(PlatformError, match="cannot be subclassed"):
+        type("Custom", (model,), {})
 
 
 def test_rank_memo_drops_on_mutation(platform):

@@ -1,9 +1,9 @@
 """One static scheduling path at every size.
 
-Stock ``HeftScheduler`` and ``LevelScheduler`` runs on the stock models
-take the fused columnar kernels for every workflow, the paper's 12-24
-task shapes included: exact types and ``platform_eligible`` are the
-only dispatch rule, and no task count gates it.  Subclasses, such as
+Stock ``HeftScheduler`` and ``LevelScheduler`` runs take the fused
+columnar kernels for every workflow, the paper's 12-24 task shapes
+included: the exact scheduler and policy types are the only dispatch
+rule, and no task count gates it.  Subclasses, such as
 ``LocalityHeftScheduler``, keep the indexed ``ScheduleBuilder``.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.kernels.dispatch as dispatch
 from repro.cloud.platform import CloudPlatform
 from repro.core.allocation import AllParScheduler, HeftScheduler, LevelScheduler
 from repro.core.allocation.locality import LocalityHeftScheduler
@@ -66,16 +65,3 @@ def test_stock_schedulers_never_make_a_builder(refuse_builder, wf_name):
 def test_subclasses_keep_the_builder(refuse_builder, scheduler):
     with pytest.raises(_BuilderMade):
         scheduler().schedule(paper_workflows()["montage"], PLATFORM)
-
-
-def test_dispatch_keeps_only_the_model_type_rule():
-    """No size threshold, scoped override or switch is left to import:
-    the module holds the model-type rule and what it reads."""
-    names = {n for n in vars(dispatch) if not n.startswith("__")}
-    assert names == {
-        "annotations",
-        "BillingModel",
-        "InstanceType",
-        "NetworkModel",
-        "platform_eligible",
-    }

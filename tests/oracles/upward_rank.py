@@ -1,10 +1,10 @@
 """The straightforward HEFT upward rank, kept as the oracle.
 
-:func:`repro.core.allocation.ranking.upward_rank` sweeps the cached
-reversed-topological order over uncopied adjacency maps (or, on the
-stock models, the columnar kernel).  This version goes through the
-copying public accessors on every visit: identical output, none of the
-indexing.  The kernel-equivalence property tests compare the two (see
+:func:`repro.core.allocation.ranking.upward_rank` is one vectorized
+level-synchronous sweep over the columnar DAG.  This version walks the
+reversed topological order through the copying public accessors and
+the platform's scalar ``runtime``/``transfer_time``: identical output,
+none of the arrays.  The kernel-equivalence property tests compare the two (see
 ``tests/core/test_kernel_equivalence.py`` and DESIGN.md §9).
 """
 
