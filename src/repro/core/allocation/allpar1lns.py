@@ -15,11 +15,22 @@ longest task's VM rung by rung; when the level makespan shifts to some
 other bin it tries to push that bin back below the longest task, rolling
 back to the last valid configuration (within budget *and* makespan
 dictated by the longest task) when it cannot.
+
+Each bin takes a VM AllParNotExceed style from one candidate pool per
+level (:class:`_LevelPool`): per flavor, the VMs rented before the
+level, busiest first, with their ready times and paid horizons.  Only a
+VM the level claims changes while the level is placed, and it leaves
+the pool, so those values are read once per level.  A bin takes its
+first task's largest predecessor's VM if that VM is in the pool and
+its paid BTUs absorb the whole bin, else the first unclaimed candidate
+that does, else a new VM.  Only candidates hosting a predecessor need
+the exact start; the rest of a flavor share one data-ready time, as
+every VM is in the builder's region.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.cloud.instance import SMALL, InstanceType, next_faster
 from repro.cloud.platform import CloudPlatform
@@ -60,6 +71,51 @@ def pack_level(tasks: Sequence[str], exec_time: Callable[[str], float]) -> List[
     return bins
 
 
+class _LevelPool:
+    """One level's reuse candidates: per flavor (by identity), the VMs
+    rented before the level in ``(-busy_seconds, id)`` order, with their
+    ready times and paid horizons (see the module docstring)."""
+
+    __slots__ = ("builder", "flavors", "claimed")
+
+    def __init__(self, builder: ScheduleBuilder) -> None:
+        self.builder = builder
+        self.flavors: Dict[int, List[Tuple[BuilderVM, float, float]]] = {}
+        self.claimed: Set[int] = set()
+        for vm in sorted(builder.vms, key=lambda vm: (-vm.busy_seconds, vm.id)):
+            if not vm.empty:
+                entry = (vm, vm.ready_time, builder.paid_horizon(vm))
+                self.flavors.setdefault(id(vm.itype), []).append(entry)
+
+    def take(self, bin_tasks: List[str], itype: InstanceType) -> BuilderVM:
+        """Claim a VM of *itype* whose paid BTUs absorb the whole bin,
+        or rent one.  A fit implies reuse: ``bin_exec >= 0``."""
+        builder = self.builder
+        head = bin_tasks[0]
+        bin_exec = sum(builder.exec_time(t, itype) for t in bin_tasks)
+        claimed = self.claimed
+        candidates = self.flavors.get(id(itype), [])
+        pred_vm = builder.vm_of_largest_predecessor(head)
+        if pred_vm is not None and pred_vm.itype is itype:
+            # tried first; unclaimed, it is a candidate with current values
+            entry = (pred_vm, pred_vm.ready_time, builder.paid_horizon(pred_vm))
+            candidates = [entry, *candidates]
+        # a rented VM's first task reads the same memoized data-ready
+        hosts = builder.pred_hosts(head)
+        remote = builder.remote_data_ready(head, itype, builder.region)
+        for vm, ready, horizon in candidates:
+            if vm.id in claimed:
+                continue
+            if id(vm) in hosts:
+                start = builder.earliest_start(head, vm)
+            else:
+                start = remote if remote > ready else ready
+            if start + bin_exec <= horizon + _EPS:
+                claimed.add(vm.id)
+                return vm
+        return builder.new_vm(itype)
+
+
 class AllPar1LnSBase(SchedulingAlgorithm):
     """Shared placement loop; subclasses pick the per-bin VM flavors."""
 
@@ -72,44 +128,6 @@ class AllPar1LnSBase(SchedulingAlgorithm):
         base: InstanceType,
     ) -> List[InstanceType]:
         return [base] * len(bins)
-
-    # ------------------------------------------------------------------
-    def _choose_vm(
-        self,
-        builder: ScheduleBuilder,
-        bin_tasks: List[str],
-        itype: InstanceType,
-        used_this_level: List[BuilderVM],
-    ) -> BuilderVM:
-        """Pick a VM for a whole bin, AllParNotExceed style: reuse an
-        idle VM of the right flavor not already claimed by this level and
-        whose remaining BTU absorbs the full bin, else rent.
-
-        Levels are placed one after another, so every VM hosting a task
-        of this level is already in *used_this_level*; membership is by
-        identity (``BuilderVM`` equality compares every field)."""
-        bin_exec = sum(builder.exec_time(t, itype) for t in bin_tasks)
-        candidates = [
-            vm
-            for vm in builder.vms
-            if not vm.empty
-            and vm.itype is itype
-            and not any(vm is u for u in used_this_level)
-            and builder.is_reusable(bin_tasks[0], vm)
-        ]
-        billing = builder.platform.billing
-        fitting = []
-        for vm in candidates:
-            start = builder.earliest_start(bin_tasks[0], vm)
-            horizon = vm.start_time + billing.paid_seconds(vm.uptime_seconds)
-            if start + bin_exec <= horizon + _EPS:
-                fitting.append(vm)
-        pred_vm = builder.vm_of_largest_predecessor(bin_tasks[0])
-        if pred_vm is not None and any(pred_vm is vm for vm in fitting):
-            return pred_vm
-        if fitting:
-            return max(fitting, key=lambda vm: (vm.busy_seconds, -vm.id))
-        return builder.new_vm(itype)
 
     def schedule(
         self,
@@ -128,18 +146,17 @@ class AllPar1LnSBase(SchedulingAlgorithm):
                 level_tasks, lambda t: platform.runtime(workflow.task(t), itype)
             )
             types = self._bin_types(workflow, platform, reg, bins, itype)
-            used: List[BuilderVM] = []
+            pool = _LevelPool(builder)
             for bin_tasks, bin_type in zip(bins, types):
-                vm = self._choose_vm(builder, bin_tasks, bin_type, used)
-                used.append(vm)
-                for tid in bin_tasks:
+                vm = pool.take(bin_tasks, bin_type)
+                builder.place(bin_tasks[0], vm)
+                for tid in bin_tasks[1:]:
                     # A later bin member can become ready only after the
                     # VM's BTU horizon expired (its own predecessors run
                     # late); the VM is gone by then, so the bin splits
                     # onto a fresh VM of the same flavor.
-                    if not vm.empty and not builder.is_reusable(tid, vm):
+                    if not builder.is_reusable(tid, vm):
                         vm = builder.new_vm(bin_type)
-                        used.append(vm)
                     builder.place(tid, vm)
         return builder.build(algorithm=self.name, provisioning="AllParNotExceed")
 

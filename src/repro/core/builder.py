@@ -188,56 +188,49 @@ class ScheduleBuilder:
             self._pred_cache[task_id] = info
         return info
 
-    def _data_ready(self, task_id: str, vm: BuilderVM) -> float:
-        """Latest ``predecessor finish + transfer`` onto *vm*.
+    def pred_hosts(self, task_id: str) -> FrozenSet[int]:
+        """``id()`` of every VM hosting a predecessor of *task_id*."""
+        return self._pred_info(task_id)[1]
 
-        For a candidate VM hosting none of the predecessors the value is
-        a pure function of its (flavor, region) — memoized per task, so
-        scanning many same-flavor candidates costs O(1) each after the
-        first.  A VM hosting a predecessor (``same_vm`` transfer) is
-        computed exactly.  ``max`` over identical operands makes both
-        paths byte-identical to the plain per-predecessor loop.
-        """
-        metrics = self.metrics
-        rows, pred_vm_ids, memo = self._pred_info(task_id)
-        if not rows:
-            return 0.0
+    def _data_ready(self, task_id: str, vm: BuilderVM) -> float:
+        """Latest ``predecessor finish + transfer`` onto *vm*: exact on
+        a VM hosting a predecessor (``same_vm`` transfer), else
+        :meth:`remote_data_ready` of its flavor and region."""
+        rows, pred_vm_ids, _ = self._pred_info(task_id)
         if id(vm) in pred_vm_ids:
-            transfer = self.platform.transfer_time
-            best = 0.0
-            for fin, gb, pvm in rows:
-                cand = fin + transfer(
-                    gb,
-                    pvm.itype,
-                    vm.itype,
-                    same_vm=pvm is vm,
-                    src_region=pvm.region,
-                    dst_region=vm.region,
-                )
-                if cand > best:
-                    best = cand
-            return best
-        key = (vm.itype.name, vm.region.name)
-        if key in memo:
-            if metrics is not None:
-                metrics.inc("builder.data_ready_memo_hits")
-            return memo[key]
-        if metrics is not None:
-            metrics.inc("builder.data_ready_memo_misses")
+            return self._arrival(rows, vm.itype, vm.region, vm)
+        return self.remote_data_ready(task_id, vm.itype, vm.region)
+
+    def remote_data_ready(
+        self, task_id: str, itype: InstanceType, region: Region
+    ) -> float:
+        """Data-ready of *task_id* on a VM of *itype* in *region* that
+        hosts none of its predecessors: every edge pays its transfer.
+        Memoized per task and (flavor, region) names, so scanning many
+        same-flavor candidates costs O(1) each after the first."""
+        rows, _, memo = self._pred_info(task_id)
+        key = (itype.name, region.name)
+        best = memo.get(key)
+        if best is None:
+            best = memo[key] = self._arrival(rows, itype, region, None)
+        return best
+
+    def _arrival(self, rows, itype, region, vm) -> float:
+        """The latest of *rows*' ``finish + transfer`` onto a VM of
+        *itype* in *region*, with no transfer from *vm* itself."""
         transfer = self.platform.transfer_time
         best = 0.0
         for fin, gb, pvm in rows:
             cand = fin + transfer(
                 gb,
                 pvm.itype,
-                vm.itype,
-                same_vm=False,
+                itype,
+                same_vm=pvm is vm,
                 src_region=pvm.region,
-                dst_region=vm.region,
+                dst_region=region,
             )
             if cand > best:
                 best = cand
-        memo[key] = best
         return best
 
     def earliest_start(self, task_id: str, vm: BuilderVM) -> float:
@@ -289,13 +282,11 @@ class ScheduleBuilder:
         (``start + btus(uptime) * BTU``); waiting time on the VM counts
         against the BTU exactly as in the paper's Fig. 1.
         """
-        billing = self.platform.billing
         duration = self.exec_time(task_id, vm.itype)
         if vm.empty:
-            return duration <= billing.btu_seconds + 1e-9
+            return duration <= self.platform.billing.btu_seconds + 1e-9
         finish = self.earliest_start(task_id, vm) + duration
-        paid_horizon = vm.start_time + billing.paid_seconds(vm.uptime_seconds)
-        return finish <= paid_horizon + 1e-9
+        return finish <= self.paid_horizon(vm) + 1e-9
 
     # ------------------------------------------------------------------
     # indexed queries (the O(log V)-per-placement kernels, DESIGN.md §9)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 from itertools import count
 from operator import attrgetter, eq, mul, sub
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class Schedule:
             [vm.region for vm in vms],
             [vm.boot_seconds for vm in vms],
         )
-        self._fill(workflow, platform, algorithm, provisioning, columns, False)
+        self._fill(workflow, platform, algorithm, provisioning, columns, None)
         self.__dict__["_vms"] = vms
 
     @classmethod
@@ -125,17 +125,17 @@ class Schedule:
         columns: tuple,
         algorithm: str = "",
         provisioning: str = "",
-        checked: bool = False,
+        view: Optional["PlanView"] = None,
     ) -> "Schedule":
         """A schedule straight from its columns (ordered as
         :data:`_COLUMNS`, laid out on ``workflow``'s task index); the
-        caller guarantees exactly-once coverage, and *checked* says it
-        has run :func:`check_plan` on them."""
+        caller guarantees exactly-once coverage.  A caller that has run
+        :func:`check_plan` on them passes the *view* it checked."""
         self = cls.__new__(cls)
-        self._fill(workflow, platform, algorithm, provisioning, columns, checked)
+        self._fill(workflow, platform, algorithm, provisioning, columns, view)
         return self
 
-    def _fill(self, workflow, platform, algorithm, provisioning, columns, checked):
+    def _fill(self, workflow, platform, algorithm, provisioning, columns, view):
         d = self.__dict__
         d["workflow"] = workflow
         d["platform"] = platform
@@ -153,13 +153,15 @@ class Schedule:
             d["_vm_region"],
             d["_vm_boot"],
         ) = columns
-        # made on demand: the VM views, the per-VM BTUs and the cost
+        # made on demand: the VM views, the per-VM BTUs and the cost;
+        # the plan as arrays it was checked on, kept for the certificate
         d["_vms"] = None
         d["_btus"] = None
         d["_total_cost"] = None
+        d["_plan"] = view
         #: feasibility memo — the schedule is immutable, so one
         #: successful :meth:`validate` holds for its lifetime
-        d["_checked"] = checked
+        d["_checked"] = view is not None
 
     def relabeled(self, algorithm: str, provisioning: str) -> "Schedule":
         """The same plan under other labels, sharing the columns, the
@@ -374,26 +376,20 @@ class Schedule:
 
         Memoized: the object is immutable, so a second call returns
         immediately (the fused kernels run the same :func:`check_plan`
-        on the arrays they hold and set the memo).
+        and hand the view they checked over).  The checked view is kept
+        for the verify certificate, its next reader.
         """
         if not self._checked:
-            check_plan(
-                self.workflow,
-                self.platform.network,
-                np.asarray(self._tvm, dtype=np.int64),
-                np.asarray(self._start, dtype=np.float64),
-                np.asarray(self._end, dtype=np.float64),
-                np.asarray(self._vm_seq, dtype=np.int64),
-                self._vm_id,
-                *self._fleet(),
-            )
+            view = self.__dict__["_plan"] = self._plan_view()
+            check_plan(self.workflow, view, self._vm_id)
             self.__dict__["_checked"] = True
         return self
 
-    def _fleet(self) -> tuple:
-        """``(kind, flavors, zone)``: each VM's slot in the list of the
-        fleet's distinct flavors, that list, and each VM's region code
-        (``None`` when every VM is in one region)."""
+    def _plan_view(self) -> "PlanView":
+        """The plan as arrays: the view :meth:`validate` checked, else a
+        new one."""
+        if self._plan is not None:
+            return self._plan
         itypes = self._vm_itype
         nv = len(itypes)
         first = dict(zip(map(id, itypes), itypes))
@@ -404,7 +400,17 @@ class Schedule:
         zone = None
         if len(code) > 1:
             zone = np.fromiter(map(code.__getitem__, names), np.int64, nv)
-        return kind, list(first.values()), zone
+        return plan_view(
+            self.workflow,
+            self.platform.network,
+            np.asarray(self._tvm, dtype=np.int64),
+            np.asarray(self._start, dtype=np.float64),
+            np.asarray(self._end, dtype=np.float64),
+            np.asarray(self._vm_seq, dtype=np.int64),
+            kind,
+            list(first.values()),
+            zone,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -413,13 +419,35 @@ class Schedule:
         )
 
 
-def check_plan(
-    workflow, network, tvm, start, end, seq, vm_ids, kind, flavors, zone=None
-) -> None:
+class PlanView(NamedTuple):
+    """A plan as arrays over its workflow's task index: per task its VM
+    position, start and end; the tasks VM by VM (*seq*); per VM its slot
+    (*kind*) in the fleet's distinct *flavors* and its region code
+    (*zone*, ``None``: one region); per task its runtime (*runt*) and per
+    predecessor-CSR edge its transfer time (*moved*), the operands
+    :func:`~repro.kernels.columnar.fleet_costs` gives."""
+
+    tvm: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    seq: np.ndarray
+    kind: np.ndarray
+    flavors: list
+    zone: Optional[np.ndarray]
+    runt: np.ndarray
+    moved: np.ndarray
+
+
+def plan_view(workflow, network, tvm, start, end, seq, kind, flavors, zone=None):
+    """The :class:`PlanView` of a plan given by its arrays."""
+    cd = get_columnar(workflow)
+    runt, moved = fleet_costs(cd, network, tvm, kind, flavors, zone)
+    return PlanView(tvm, start, end, seq, kind, flavors, zone, runt, moved)
+
+
+def check_plan(workflow, view: PlanView, vm_ids) -> None:
     """Raise :class:`InvalidScheduleError` on the first infeasibility of
-    a plan given as arrays: per task its VM position *tvm*, *start* and
-    *end*; the tasks VM by VM (*seq*); per VM its id, its slot (*kind*)
-    in *flavors* and its region code *zone* (``None``: one region).
+    the plan *view* whose VMs have the ids *vm_ids*.
 
     First every start and finish must be finite (every comparison below
     is false on NaN).  Then each VM, in VM order, is checked for (a)
@@ -428,6 +456,7 @@ def check_plan(
     edge, in ``Workflow.edges()`` order, for a child that starts no
     earlier than its parent's finish plus the transfer time.
     """
+    tvm, start, end, seq, kind, flavors, _, runt, moved = view
     cd = get_columnar(workflow)
     ids = cd.ids
     unset = ~(np.isfinite(start) & np.isfinite(end))
@@ -436,7 +465,6 @@ def check_plan(
         raise InvalidScheduleError(
             f"{ids[t]!r} runs from {start[t]} to {end[t]}: not a finite time"
         )
-    runt, moved = fleet_costs(cd, network, tvm, kind, flavors, zone)
 
     def vm_name(v) -> str:
         return f"vm{vm_ids[v]}-{flavors[kind[v]].short}"

@@ -18,10 +18,10 @@ the policy's ``select_vm`` exactly, including
   pop and keeps the chosen one; the level pool is scanned first-fit in
   the builder heap's ``(-busy, id)`` pop order, with the VMs already
   hosting the level masked out),
-* and the ``MetricsRegistry`` counter semantics — one data-ready memo
-  miss per task on its first generic evaluation, a hit per repeat, no
-  counters on the exact predecessor-hosting path, totals flushed once
-  at the end (key-identical because zero totals are not flushed).
+* and the ``MetricsRegistry`` counters, which record simulation facts
+  only (VMs rented, tasks placed, and each ``provision.*`` decision),
+  not how much work a query took; the totals are flushed once at the
+  end (key-identical because zero totals are not flushed).
 
 Eligibility is decided by the call sites (the exact stock scheduler
 and policy types, at any size); the property tests in
@@ -37,7 +37,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.schedule import Schedule, check_plan
+from repro.core.schedule import Schedule, check_plan, plan_view
 from repro.kernels.columnar import (
     get_columnar,
     pred_lists,
@@ -75,7 +75,6 @@ class _State:
         "vm_startt",
         "vm_paid",
         "stamps",
-        "ctr",
         "cold",
         "boot",
         "btu",
@@ -115,8 +114,6 @@ class _State:
         self.vm_paid: List[float] = [_INF] * n
         #: per-VM placement count (also the busy heap's staleness stamp)
         self.stamps: List[int] = [0] * n
-        #: [memo misses, memo hits]
-        self.ctr = [0, 0]
         self.cold = not platform.prebooted
         self.boot = platform.boot_seconds
         self.btu = platform.billing.btu_seconds
@@ -138,30 +135,22 @@ class _State:
 
     def data_ready(self, t: int) -> float:
         """Generic data-ready of *t* on a VM hosting none of its
-        predecessors (uncounted): every edge pays its remote transfer."""
-        pi = self.pi
-        tfin = self.tfin
-        rtr = self.rtr
-        best = 0.0
-        for e in range(self.pp[t], self.pp[t + 1]):
-            cand = tfin[pi[e]] + rtr[e]
-            if cand > best:
-                best = cand
+        predecessors (memoized): every edge pays its remote transfer."""
+        best = self.dr_gen[t]
+        if best is None:
+            pi = self.pi
+            tfin = self.tfin
+            rtr = self.rtr
+            best = 0.0
+            for e in range(self.pp[t], self.pp[t + 1]):
+                cand = tfin[pi[e]] + rtr[e]
+                if cand > best:
+                    best = cand
+            self.dr_gen[t] = best
         return best
 
-    def count_generic(self, t: int, best: float, evals: int) -> None:
-        """Account *evals* generic data-ready evaluations of *t* the way
-        the builder's per-task memo does: the first is a miss that
-        stores *best*, every later one a hit."""
-        if self.dr_gen[t] is None:
-            self.dr_gen[t] = best
-            self.ctr[0] += 1
-            evals -= 1
-        self.ctr[1] += evals
-
     def es(self, t: int, v: int) -> float:
-        """``ScheduleBuilder.earliest_start`` over the flat state —
-        including the per-call data-ready counter semantics."""
+        """``ScheduleBuilder.earliest_start`` over the flat state."""
         pp = self.pp
         lo = pp[t]
         hi = pp[t + 1]
@@ -169,7 +158,7 @@ class _State:
         if lo != hi:
             if v in self.pred_vm_set(t):
                 # exact per-predecessor pass (same_vm transfers are 0.0;
-                # fin + 0.0 == fin for fin > 0), never counted
+                # fin + 0.0 == fin for fin > 0)
                 pi = self.pi
                 tvm = self.tvm
                 tfin = self.tfin
@@ -183,10 +172,7 @@ class _State:
             else:
                 # all candidate VMs share one (flavor, region): the
                 # builder's per-task memo collapses to a single slot
-                best = self.dr_gen[t]
-                if best is None:
-                    best = self.data_ready(t)
-                self.count_generic(t, best, 1)
+                best = self.data_ready(t)
             if best > ready:
                 ready = best
         if self.cold and not self.stamps[v]:
@@ -250,10 +236,6 @@ class _State:
             return
         metrics.inc("builder.vms_rented", self.nv)
         metrics.inc("builder.tasks_placed", self.n)
-        if self.ctr[0]:
-            metrics.inc("builder.data_ready_memo_misses", self.ctr[0])
-        if self.ctr[1]:
-            metrics.inc("builder.data_ready_memo_hits", self.ctr[1])
         if self.rent:
             metrics.inc("provision.rent", self.rent)
         if self.reuse_pred:
@@ -306,15 +288,13 @@ class _LevelPool:
 
     def first_fit(self, st: _State, t: int, require_fit: bool, fits) -> int:
         """The first live VM in pool order that can host *t* (-1 if
-        none), with the builder's memo counters for the candidates the
-        heap walk would have evaluated."""
+        none)."""
         if not self.vids:
             return -1
-        has_preds = st.pp[t] != st.pp[t + 1]
         #: live candidates that host no predecessor of t
         gen = self.live.copy()
         exact = []
-        if has_preds:
+        if st.pp[t] != st.pp[t + 1]:
             # VMs hosting a predecessor need the exact per-edge
             # data-ready: they leave the vector and are tried below.
             # Predecessors sit on earlier levels, so their VMs were all
@@ -329,16 +309,11 @@ class _LevelPool:
         k = 0
         found = False
         if gen.any():
-            if has_preds:
-                # es = max(ready, data-ready); max returns one of its
-                # operands, so each element is the float ``_State.es``
-                # computes
-                dr = st.data_ready(t)
-                es_v = np.maximum(self.ready, dr)
-            else:
-                es_v = self.ready
-            first = es_v <= self.lim
-            ok = gen & first
+            # es = max(ready, data-ready); max returns one of its
+            # operands, so each element is the float ``_State.es``
+            # computes
+            es_v = np.maximum(self.ready, st.data_ready(t))
+            ok = gen & (es_v <= self.lim)
             if require_fit:
                 ok &= es_v + st.runt[t] <= self.lim
             k = int(ok.argmax())
@@ -352,15 +327,6 @@ class _LevelPool:
                 k = s
                 found = True
                 break
-        if has_preds:
-            # one generic evaluation per candidate walked, and under
-            # require_fit a second for each that passed is_reusable
-            end = k + 1 if found else len(gen)
-            evals = int(np.count_nonzero(gen[:end]))
-            if evals:
-                if require_fit:
-                    evals += int(np.count_nonzero(gen[:end] & first[:end]))
-                st.count_generic(t, dr, evals)
         if not found:
             return -1
         self.live[k] = False
@@ -542,29 +508,29 @@ def _assemble(
     Mirrors ``ScheduleBuilder.build`` (placement end is
     ``start + (finish - start)``, the exact IEEE ops of the indexed
     freeze) and runs ``Schedule.validate``'s :func:`check_plan` on the
-    arrays held here, before the columns are made.  No VM or Placement
-    object is made.
+    arrays held here, before the columns are made; the schedule keeps
+    that view for the verify certificate.  No VM or Placement object is
+    made.
     """
     starts = np.asarray(st.tstart)
-    fins = np.asarray(st.tfin)
-    ends = starts + (fins - starts)
+    ends = starts + (np.asarray(st.tfin) - starts)
     nv = st.nv
     tvm = np.asarray(st.tvm)
-    log = np.asarray(st.log, dtype=np.int64)
     # a stable sort of the placement log by VM: each VM's tasks in the
     # order they were placed on it, which is their start order
-    seq = log[np.argsort(tvm[log], kind="stable")]
+    seq = np.asarray(st.log, dtype=np.int64)
+    seq = seq[np.argsort(tvm[seq], kind="stable")]
     ptr = np.zeros(nv + 1, dtype=np.int64)
     np.cumsum(np.bincount(tvm, minlength=nv), out=ptr[1:])
     kind = np.zeros(nv, dtype=np.int64)
-    network = platform.network
-    check_plan(workflow, network, tvm, starts, ends, seq, range(nv), kind, [itype])
+    view = plan_view(workflow, platform.network, tvm, starts, ends, seq, kind, [itype])
+    check_plan(workflow, view, range(nv))
     return Schedule._from_columns(
         workflow,
         platform,
         (
             st.tvm,
-            starts.tolist(),
+            st.tstart,
             ends.tolist(),
             ptr.tolist(),
             seq.tolist(),
@@ -575,5 +541,5 @@ def _assemble(
         ),
         algorithm,
         provisioning,
-        checked=True,
+        view,
     )

@@ -29,8 +29,8 @@ reports its first divergence or deadlock.
 Fleets may mix flavors (the CPA-Eager, GAIN and AllPar1LnSDyn plans):
 each task runs ``work / speedup`` of its own VM's flavor, and each
 cross-VM edge pays the bottleneck of the two links, as the DES charges
-(:func:`~repro.kernels.columnar.fleet_costs`, shared with
-``Schedule.validate``).
+(:func:`~repro.kernels.columnar.fleet_costs`).  It reads the schedule's
+plan view, the arrays ``Schedule.validate`` has already checked.
 
 Anything the recurrence does not model goes to the DES (``False``): a
 tracer that records spans or an active metrics registry (the DES emits
@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.schedule import Schedule
-from repro.kernels.columnar import fleet_costs, get_columnar
+from repro.kernels.columnar import get_columnar
 from repro.obs.metrics import current as current_metrics
 
 __all__ = ["replay_verify"]
@@ -76,24 +76,19 @@ def replay_verify(schedule: Schedule, tracer=None) -> bool:
     """
     if not _eligible(schedule, tracer):
         return False
-    kind, flavors, zone = schedule._fleet()
+    _, start, finish, seq, _, _, zone, runt, moved = schedule._plan_view()
     if zone is not None:
         return False
-    cd = get_columnar(schedule.workflow)
-    tvm = np.asarray(schedule._tvm, dtype=np.int64)
-    runt, moved = fleet_costs(cd, schedule.platform.network, tvm, kind, flavors)
-    start = np.asarray(schedule._start, dtype=np.float64)
-    finish = np.asarray(schedule._end, dtype=np.float64)
     if not np.array_equal(start + runt, finish):
         return False
 
     # VM-queue edges: each VM runs its queue front to back, so every
     # task but a queue's head waits on the task placed before it
-    seq = np.asarray(schedule._vm_seq, dtype=np.int64)
     head = np.zeros(seq.size + 1, dtype=bool)
     head[schedule._vm_ptr] = True
     pos = np.flatnonzero(~head[:-1])
     before, after = seq[pos - 1], seq[pos]
+    cd = get_columnar(schedule.workflow)
     ready = np.zeros(cd.n, dtype=np.float64)
     ready[after] = finish[before]
 

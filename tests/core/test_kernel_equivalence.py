@@ -314,9 +314,11 @@ def test_columnar_metrics_identical_to_indexed(policy_name, shape, seed, platfor
 
 
 #: SHA-256 of ``run_sweep(seed=2013)``'s merged ``MetricsRegistry``,
-#: recorded when every paper workflow still took the builder path
+#: recorded when every paper workflow still took the builder path, and
+#: re-pinned when the builder stopped counting data-ready memo hits and
+#: misses: the earlier payload with only those two keys removed
 RUN_SWEEP_COUNTERS_2013 = (
-    "81a299421d1ba44c50fcecf625ff01c018924b33dfed3fc634d5520427f518fb"
+    "9733c40d1e2f1df2ef52a8c6e189c61b678d4207d7fb66b11c5846b81f7d5334"
 )
 
 

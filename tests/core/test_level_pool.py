@@ -7,13 +7,15 @@ best_level_candidate`` pops a heap and defers the rejected entries.  The
 DAGs in ``test_kernel_equivalence.py`` are small, so their walks are
 short.  Here levels are wider and the runtimes are the paper's seeded
 Pareto draws: most of the pool is rejected for most tasks, which
-exercises the ordering, the claimed-VM mask, the exact path for
-predecessor-hosting candidates and the memo-counter accounting of
-walks dozens of candidates long.  The contract is the same:
-byte-identical schedules and ``MetricsRegistry`` counters.
+exercises the ordering, the claimed-VM mask and the exact path for
+predecessor-hosting candidates over walks dozens of candidates long.
+The contract is the same: byte-identical schedules and
+``MetricsRegistry`` counters.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,15 +100,37 @@ def test_expired_predecessor_host_is_rejected(policy):
     assert counters["provision.rent"] == 3
 
 
+def _live_candidates(wf, sched):
+    """Per parallel task, in the kernels' placement order (longest
+    first, then by id), the number of pool candidates still live when
+    it is placed: the VMs that hosted an earlier level, less those that
+    tasks of its own level placed before it took.  Read off the plan."""
+    levels = wf.level_of()
+    first = {
+        vm.id: min(levels[p.task_id] for p in vm.placements) for vm in sched.vms
+    }
+    by_level = defaultdict(list)
+    for tid, lvl in levels.items():
+        by_level[lvl].append(tid)
+    seen = []
+    for lvl, tasks in sorted(by_level.items()):
+        if len(tasks) < 2:
+            continue
+        pool = {v for v, f in first.items() if f < lvl}
+        for tid in sorted(tasks, key=lambda t: (-wf.task(t).work, t)):
+            seen.append(len(pool))
+            pool.discard(sched.vm_of(tid).id)
+    return seen
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_pareto_walks_are_long(policy):
     """The grid above reaches deep into the pool: on average each task
-    evaluates several candidates before one fits or it rents."""
-    counters = _assert_identical(
-        apply_model(montage(20), ParetoModel(), seed=0), WARM, policy
-    )
-    evals = counters["builder.data_ready_memo_hits"]
-    assert evals > 5 * counters["builder.tasks_placed"]
+    is shown several live candidates before one fits or it rents."""
+    wf = apply_model(montage(20), ParetoModel(), seed=0)
+    _assert_identical(wf, WARM, policy)
+    sched = LevelScheduler(policy).schedule(wf, WARM)
+    assert sum(_live_candidates(wf, sched)) > 5 * len(wf)
 
 
 @pytest.mark.slow

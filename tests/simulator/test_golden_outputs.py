@@ -216,12 +216,16 @@ GOLDEN = {
     ("static", "faults-resubmit"): "2d50ae1c4ff28fd9e9761c9c0015c2598207dba233a5b0a7426bcfd3ec40f16a",
     # re-pinned when AllPar* stopped placing a sequential task on a
     # crashed VM's ghost: both montage25 AllPar* replans used to raise
-    # "does not belong to this builder" and now complete
-    ("static", "faults-replan"): "2e1701a3dbdf11568c4f04c2e1d73641a05cf155922a9459f8fcf328f6d5b689",
+    # "does not belong to this builder" and now complete; re-pinned
+    # again, with faults-replan-backoff, when the builder stopped
+    # counting data-ready memo hits and misses (the replans build plans
+    # under the registry): each new digest is the previous payload with
+    # only those two counter keys removed
+    ("static", "faults-replan"): "0f6d2c6ee01880776c8bcec2d40a689de10e5de82f4fb46e46befaaee6fdb96b",
     # the two backoff environments were pinned before the static replay
     # kept one state record per task
     ("static", "faults-resubmit-backoff"): "b41bea6813fbf98af16945e27fa8db0004e170785f7e105e158cef6cdab2b12e",
-    ("static", "faults-replan-backoff"): "8d1bdea7350831f683703334c2619bac7f8836a70a8ae1c19a6c100b0450d6cd",
+    ("static", "faults-replan-backoff"): "6be03aa04168c0b904404a6ab65c8516acc68c2b0424b61f0950c15b4e20f275",
     ("static", "spike-rebid"): "ee735ce1ee4bd6e36a6ff3be431ccaa466de2ce07ec51978c2f017162ba76e6e",
     ("static", "spike-fallback"): "7ed5334fe71471b3d7364fb8f93d5912d53b447891deab3feb5e908c5a6679fd",
     ("static", "cold-warm-pool"): "39dfdde34430c637b2405f5a0e824e28e5a075cebcc23151ca02acf3da8934f8",
