@@ -7,7 +7,7 @@ pre-index ``*Reference`` kernels at 10k tasks so the speedup of the
 indexed kernels is measured, not asserted.  Trace equivalence is
 measured on every run, complementing the property tests: at 1k tasks
 the stock schedulers are compared to the quadratic reference, and at
-50k to the indexed builder path (the scheduler subclasses of
+50k to the builder path (the scheduler subclasses of
 ``tests/oracles/builder_path.py``).  A full refresh also runs a
 single-shot 1M-task completion smoke through one policy.
 
@@ -79,7 +79,7 @@ FAMILIES = [
 REFERENCE_SIZE = "10k"
 #: trace equivalence vs the quadratic *Reference kernels at this size
 EQUIVALENCE_SIZE = "1k"
-#: trace equivalence of the fused kernels vs the indexed builder path
+#: trace equivalence of the fused kernels vs the builder path
 #: at this size (the quadratic reference is infeasible here, but the
 #: builder path is itself property-tested against it, so the chain
 #: closes)

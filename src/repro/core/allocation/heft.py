@@ -49,8 +49,8 @@ class HeftScheduler(SchedulingAlgorithm):
     ) -> Schedule:
         # Stock runs take the fused columnar kernel (see
         # LevelScheduler.schedule).  Exact-type checks keep subclasses
-        # (e.g. LocalityHeftScheduler's region chooser) on the indexed
-        # kernels.
+        # (e.g. LocalityHeftScheduler's region chooser) on the builder
+        # path.
         policy = self.provisioning
         fused_policy = (
             "onevm"

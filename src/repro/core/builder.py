@@ -12,9 +12,8 @@ test suite checks against the discrete-event simulator.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.cloud.instance import InstanceType
 from repro.cloud.platform import CloudPlatform
@@ -106,19 +105,6 @@ class ScheduleBuilder:
         self._edge_gb = workflow.edge_data_map()
         #: per-task data-ready memo: task -> (rows, pred vm ids, by-key memo)
         self._pred_cache: Dict[str, Tuple[list, FrozenSet[int], dict]] = {}
-        # Incremental VM indexes, built lazily by ``_ensure_index`` on
-        # the first indexed query so external code (the replan path)
-        # may seed builder state directly beforehand:
-        #: lazy max-heap of (-busy_seconds, vm id, stamp); stale entries
-        #: (stamp mismatch) are dropped on pop
-        self._busy_heap: Optional[list] = None
-        #: per-VM entry version, bumped on every busy_seconds change
-        self._busy_stamp: Dict[int, int] = {}
-        #: per-VM set of DAG levels it hosts (AllPar* exclusion in O(1))
-        self._vm_levels: Dict[int, Set[int]] = {}
-        #: (level, heap) candidate pool for the level currently being
-        #: packed by a level-driven policy; None until first use
-        self._level_pool: Optional[Tuple[int, list]] = None
         #: ghosts handed out by :meth:`adopt_ghost` (ids go negative)
         self._ghost_count = 0
 
@@ -143,16 +129,28 @@ class ScheduleBuilder:
             itype = vm.itype if vm is not None else self.default_itype
         return self.platform.runtime(self.workflow.task(task_id), itype)
 
-    def busiest_vm(self, candidates: List[BuilderVM] | None = None) -> Optional[BuilderVM]:
-        """The VM with the largest accumulated execution time.
+    def busiest_vm(
+        self, accept: Callable[[BuilderVM], bool] | None = None
+    ) -> Optional[BuilderVM]:
+        """The non-empty VM with the largest accumulated execution time
+        that *accept* (if given) admits — ``max(busy, -id)`` over the
+        accepted VMs, so ties go to the earliest rented.
 
-        Deterministic tie-break on VM id (earliest rented wins).
+        One running-max scan in id order: *accept* is asked only of a VM
+        whose ``busy_seconds`` beats the best accepted so far.
         """
-        pool = self.vms if candidates is None else candidates
-        pool = [vm for vm in pool if not vm.empty]
-        if not pool:
-            return None
-        return max(pool, key=lambda vm: (vm.busy_seconds, -vm.id))
+        best = None
+        top = float("-inf")
+        for vm in self.vms:
+            if vm.order and vm.busy_seconds > top and (accept is None or accept(vm)):
+                best = vm
+                top = vm.busy_seconds
+        return best
+
+    def hosts_level(self, vm: BuilderVM, lvl: int) -> bool:
+        """Does *vm* already run a task of DAG level *lvl*?  (The AllPar*
+        exclusion: one VM per task of a level.)"""
+        return lvl in map(self._levels.__getitem__, vm.order)
 
     def vm_of_largest_predecessor(self, task_id: str) -> Optional[BuilderVM]:
         """VM hosting the predecessor with the longest execution time
@@ -236,11 +234,13 @@ class ScheduleBuilder:
     def earliest_start(self, task_id: str, vm: BuilderVM) -> float:
         """Estimated start of *task_id* if placed next on *vm*: VM free
         time vs. latest predecessor finish + data transfer."""
-        ready = vm.ready_time
+        order = vm.order
+        # vm.ready_time and vm.empty, inlined on the hot path
+        ready = vm.timing[order[-1]][1] if order else 0.0
         data_ready = self._data_ready(task_id, vm)
         if data_ready > ready:
             ready = data_ready
-        if vm.empty and not self.platform.prebooted:
+        if not order and not self.platform.prebooted:
             # cold start: the VM is requested when the task becomes
             # ready and boots before it can execute anything
             ready += self.platform.boot_seconds
@@ -254,10 +254,13 @@ class ScheduleBuilder:
         IaaS practice this literature assumes), so a task can only
         *reuse* a VM if it can start before this horizon.
         """
-        if vm.empty:
+        order = vm.order
+        if not order:
             return float("inf")
-        billing = self.platform.billing
-        return vm.start_time + billing.paid_seconds(vm.uptime_seconds)
+        # vm.start_time + paid_seconds(vm.uptime_seconds), unrolled
+        timing = vm.timing
+        start = timing[order[0]][0]
+        return start + self.platform.billing.paid_seconds(timing[order[-1]][1] - start)
 
     def owns(self, vm: BuilderVM) -> bool:
         """Is *vm* one of this builder's VMs?  Ghosts of crashed VMs
@@ -289,133 +292,6 @@ class ScheduleBuilder:
         return finish <= self.paid_horizon(vm) + 1e-9
 
     # ------------------------------------------------------------------
-    # indexed queries (the O(log V)-per-placement kernels, DESIGN.md §9)
-    # ------------------------------------------------------------------
-    def _ensure_index(self) -> None:
-        """Build the VM indexes from current state on first indexed use.
-
-        Lazy so external code that seeds builder state directly (the
-        replan path in :mod:`repro.simulator.executor`) is indexed
-        correctly, as long as such seeding happens before the first
-        indexed query — which it does, since policies only run after.
-        """
-        if self._busy_heap is not None:
-            return
-        stamps: Dict[int, int] = {}
-        vm_levels: Dict[int, Set[int]] = {}
-        heap: list = []
-        levels = self._levels
-        for vm in self.vms:
-            stamps[vm.id] = 0
-            if vm.empty:
-                continue
-            vm_levels[vm.id] = {levels[t] for t in vm.order}
-            heap.append((-vm.busy_seconds, vm.id, 0))
-        heapq.heapify(heap)
-        self._busy_stamp = stamps
-        self._vm_levels = vm_levels
-        self._busy_heap = heap
-
-    def _level_pool_for(self, lvl: int) -> list:
-        """Busy-ordered heap of non-empty VMs not hosting level *lvl*.
-
-        Rebuilt (O(V)) when the queried level changes; level-driven
-        policies place whole levels contiguously, so each level pays one
-        rebuild and then O(log V) amortized per query.  ``place``
-        maintains the pool incrementally while its level stays current.
-        """
-        self._ensure_index()
-        pool = self._level_pool
-        if pool is not None and pool[0] == lvl:
-            return pool[1]
-        stamps = self._busy_stamp
-        vm_levels = self._vm_levels
-        heap = []
-        for vm in self.vms:
-            if vm.empty or lvl in vm_levels.get(vm.id, ()):
-                continue
-            heap.append((-vm.busy_seconds, vm.id, stamps[vm.id]))
-        heapq.heapify(heap)
-        self._level_pool = (lvl, heap)
-        return heap
-
-    def best_level_candidate(
-        self, task_id: str, require_fit: bool = False
-    ) -> Optional[BuilderVM]:
-        """Largest-accumulated-execution-time VM that can host *task_id*
-        under the AllPar* rules: not hosting a task of its level, still
-        alive when the task could start, and (with *require_fit*) within
-        its paid BTUs.  Equivalent to the full candidate scan's
-        ``max(candidates, key=(busy_seconds, -id))`` — identical result,
-        heap-ordered iteration instead of an O(V·tasks) rescan.
-        """
-        lvl = self._levels[task_id]
-        heap = self._level_pool_for(lvl)
-        stamps = self._busy_stamp
-        vm_levels = self._vm_levels
-        vms = self.vms
-        deferred: list = []
-        chosen: Optional[BuilderVM] = None
-        while heap:
-            entry = heapq.heappop(heap)
-            vid = entry[1]
-            vm = vms[vid]
-            if entry[2] != stamps.get(vid) or vm.empty or lvl in vm_levels.get(vid, ()):
-                continue  # stale entry or VM claimed by this level — drop
-            if self.is_reusable(task_id, vm) and (
-                not require_fit or self.fits_in_btu(task_id, vm)
-            ):
-                chosen = vm  # entry consumed: the caller places here,
-                break  # after which the VM hosts this level anyway
-            # rejection was task-specific (data-ready/fit); keep the VM
-            # as a candidate for the level's remaining tasks
-            deferred.append(entry)
-        for entry in deferred:
-            heapq.heappush(heap, entry)
-        return chosen
-
-    def qualifies_for_level(
-        self, task_id: str, vm: BuilderVM, require_fit: bool = False
-    ) -> bool:
-        """Would *vm* be in the AllPar* candidate scan for *task_id*?
-        (The O(1)-ish membership test behind the largest-predecessor
-        fast path.)"""
-        if vm.empty or not self.owns(vm):
-            return False
-        self._ensure_index()
-        if self._levels[task_id] in self._vm_levels.get(vm.id, ()):
-            return False
-        if not self.is_reusable(task_id, vm):
-            return False
-        return not require_fit or self.fits_in_btu(task_id, vm)
-
-    def busiest_reusable(self, task_id: str) -> Optional[BuilderVM]:
-        """The StartPar* target: the VM with the largest accumulated
-        execution time among those still alive when *task_id* could
-        start.  Identical to ``busiest_vm([alive candidates])`` over the
-        full scan, served from the busy-seconds heap.
-        """
-        self._ensure_index()
-        heap = self._busy_heap
-        stamps = self._busy_stamp
-        vms = self.vms
-        deferred: list = []
-        chosen: Optional[BuilderVM] = None
-        while heap:
-            entry = heapq.heappop(heap)
-            vid = entry[1]
-            vm = vms[vid]
-            if entry[2] != stamps.get(vid) or vm.empty:
-                continue  # stale — drop for good
-            deferred.append(entry)  # current entry: always keep
-            if self.is_reusable(task_id, vm):
-                chosen = vm
-                break
-        for entry in deferred:
-            heapq.heappush(heap, entry)
-        return chosen
-
-    # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def begin_task(self, task_id: str) -> None:
@@ -432,9 +308,6 @@ class ScheduleBuilder:
             region=region or self.region,
         )
         self.vms.append(vm)
-        if self._busy_heap is not None:
-            self._busy_stamp[vm.id] = 0
-            # empty VMs enter the busy/level structures on first placement
         if self.metrics is not None:
             self.metrics.inc("builder.vms_rented")
         return vm
@@ -450,11 +323,8 @@ class ScheduleBuilder:
         The replan path seeds a fresh builder with the surviving runtime
         fleet before handing the unfinished sub-DAG to a provisioning
         policy; *placements* rows are ``(task_id, start, finish)`` frozen
-        at their realized times.  Must run before the first indexed
-        query — the lazy indexes snapshot builder state when built.
+        at their realized times.
         """
-        if self._busy_heap is not None:
-            raise SchedulingError("adopt_vm after indexed queries began")
         vm = BuilderVM(
             id=len(self.vms),
             itype=itype or self.default_itype,
@@ -506,16 +376,6 @@ class ScheduleBuilder:
         self._pred_cache.pop(task_id, None)
         if self.metrics is not None:
             self.metrics.inc("builder.tasks_placed")
-        if self._busy_heap is not None:
-            stamp = self._busy_stamp.get(vm.id, 0) + 1
-            self._busy_stamp[vm.id] = stamp
-            hosted = self._vm_levels.setdefault(vm.id, set())
-            hosted.add(self._levels[task_id])
-            entry = (-vm.busy_seconds, vm.id, stamp)
-            heapq.heappush(self._busy_heap, entry)
-            pool = self._level_pool
-            if pool is not None and pool[0] not in hosted:
-                heapq.heappush(pool[1], entry)
 
     # ------------------------------------------------------------------
     # result

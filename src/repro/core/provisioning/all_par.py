@@ -12,12 +12,14 @@ Per the paper, renting one single-core VM per parallel task instead of a
 multi-core VM is cost-neutral under EC2's cost-per-core pricing; only
 global idle time differs.
 
-Implementation: the historical kernel rescanned every VM's full task
-list per placement (O(V·tasks) — see ``AllParExceedReference`` in
-``tests/oracles/provisioning_scan.py``, the preserved oracle).  This version runs against the
-:class:`~repro.core.builder.ScheduleBuilder` indexes — the per-level
-candidate pool and per-VM level sets — for O(log V) amortized
-placements; the property tests assert the schedules are byte-identical.
+Implementation: stock runs take the fused level kernel
+(:mod:`repro.kernels.provision`); this ``select_vm`` serves the builder
+path (fault replans, scheduler subclasses).  It makes one running-max
+scan (:meth:`~repro.core.builder.ScheduleBuilder.busiest_vm`) and asks
+the level, reuse and fit tests only of a VM busier than the best so
+far.  ``AllParExceedReference`` in ``tests/oracles/provisioning_scan.py``
+filters every candidate first and is the oracle the property tests
+compare against, schedule for schedule.
 """
 
 from __future__ import annotations
@@ -31,39 +33,34 @@ class _AllParBase(ProvisioningPolicy):
 
     def select_vm(self, task_id: str, builder: ScheduleBuilder) -> BuilderVM:
         require_fit = not self.exceed_btu
+        lvl = builder.level_of(task_id)
         metrics = builder.metrics
+
+        def accept(vm: BuilderVM) -> bool:
+            # free of this level, alive when the task could start, and
+            # (NotExceed) within the BTUs it has already paid for
+            return (
+                not builder.hosts_level(vm, lvl)
+                and builder.is_reusable(task_id, vm)
+                and (not require_fit or builder.fits_in_btu(task_id, vm))
+            )
+
+        # The largest predecessor's VM first.  A replan's crashed VM
+        # survives only as a ghost the builder does not own: rent
+        # instead of placing on it.
+        pred_vm = builder.vm_of_largest_predecessor(task_id)
+        if pred_vm is not None and builder.owns(pred_vm) and accept(pred_vm):
+            if metrics is not None:
+                metrics.inc("provision.reuse_pred")
+            return pred_vm
+        # A parallel task then takes the busiest accepted VM; a
+        # sequential one rents.
         if builder.level_size(task_id) > 1:
-            # Parallel task: prefer the largest predecessor's VM when it
-            # is a candidate, else the busiest candidate from the
-            # level pool, else rent.
-            pred_vm = builder.vm_of_largest_predecessor(task_id)
-            if pred_vm is not None and builder.qualifies_for_level(
-                task_id, pred_vm, require_fit
-            ):
-                if metrics is not None:
-                    metrics.inc("provision.reuse_pred")
-                return pred_vm
-            chosen = builder.best_level_candidate(task_id, require_fit)
+            chosen = builder.busiest_vm(accept)
             if chosen is not None:
                 if metrics is not None:
                     metrics.inc("provision.reuse_pool")
                 return chosen
-            if metrics is not None:
-                metrics.inc("provision.rent")
-            return builder.new_vm()
-        # Sequential task: its largest predecessor's VM or a rental.  A
-        # replan's crashed VM survives only as a ghost (empty, so always
-        # "reusable"): rent instead of placing on it.
-        pred_vm = builder.vm_of_largest_predecessor(task_id)
-        if (
-            pred_vm is not None
-            and builder.owns(pred_vm)
-            and builder.is_reusable(task_id, pred_vm)
-            and (not require_fit or builder.fits_in_btu(task_id, pred_vm))
-        ):
-            if metrics is not None:
-                metrics.inc("provision.reuse_pred")
-            return pred_vm
         if metrics is not None:
             metrics.inc("provision.rent")
         return builder.new_vm()

@@ -8,11 +8,14 @@ that VM past its currently-paid BTUs; the *Exceed* variant never rents
 for that reason — so a workflow with a single entry task ends up
 entirely serialized on one VM (the paper's CSTEM remark).
 
-Implementation: the historical kernel re-filtered and re-sorted the
-whole fleet per task (see ``StartParExceedReference`` in
-``tests/oracles/provisioning_scan.py``, the preserved oracle); this version reads the builder's busy-seconds
-heap — O(log V) amortized per placement, byte-identical schedules
-(property-tested).
+Implementation: stock runs take the fused HEFT kernel
+(:mod:`repro.kernels.provision`); this ``select_vm`` serves the builder
+path (fault replans, scheduler subclasses).  It makes one running-max
+scan (:meth:`~repro.core.builder.ScheduleBuilder.busiest_vm`) and asks
+the reuse test only of a VM busier than the best so far.
+``StartParExceedReference`` in ``tests/oracles/provisioning_scan.py``
+filters the whole fleet first and is the oracle the property tests
+compare against, schedule for schedule.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class _StartParBase(ProvisioningPolicy):
             return builder.new_vm()
         # Only VMs still alive when the task could start are reusable:
         # idle VMs are deprovisioned at their BTU boundary.
-        target = builder.busiest_reusable(task_id)
+        target = builder.busiest_vm(lambda vm: builder.is_reusable(task_id, vm))
         if target is None:
             if metrics is not None:
                 metrics.inc("provision.rent")

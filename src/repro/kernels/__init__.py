@@ -12,7 +12,7 @@ the discrete-event replay of ``verify`` runs with a recurrence sweep for
 the homogeneous no-fault case.
 
 Contract: **trace identity**.  Every columnar kernel must reproduce the
-indexed kernels' output byte-for-byte — same VM ids and rent windows,
+builder path's output byte-for-byte — same VM ids and rent windows,
 same task timing, same makespan/cost, same ``MetricsRegistry`` counters
 — property-tested in ``tests/core/test_kernel_equivalence.py`` over the
 seeded DAG zoo.  The platform models are sealed data classes, so the

@@ -14,10 +14,12 @@ the policy's ``select_vm`` exactly, including
 * the float operations (single additions, ``max`` folds over the same
   operands, the ``1e-9`` reuse/fit epsilons, BTU rounding via
   ``max(1, ceil(uptime/btu - 1e-9))``),
-* the candidate orders (the busy heap drops stale-stamp entries on
-  pop and keeps the chosen one; the level pool is scanned first-fit in
-  the builder heap's ``(-busy, id)`` pop order, with the VMs already
-  hosting the level masked out),
+* the choice of VM: the builder's running-max scan picks
+  ``max(busy, -id)`` over the VMs it accepts, and the kernels reach
+  the same VM as the first accepted one in ``(-busy, id)`` order
+  (StartPar* pops a busy heap that drops stale-stamp entries; AllPar*
+  scans its level pool first-fit with the VMs already hosting the
+  level masked out),
 * and the ``MetricsRegistry`` counters, which record simulation facts
   only (VMs rented, tasks placed, and each ``provision.*`` decision),
   not how much work a query took; the totals are flushed once at the
@@ -26,7 +28,7 @@ the policy's ``select_vm`` exactly, including
 Eligibility is decided by the call sites (the exact stock scheduler
 and policy types, at any size); the property tests in
 ``tests/core/test_kernel_equivalence.py`` assert byte-identical
-schedules and counters against the indexed kernels.
+schedules and counters against the builder path.
 """
 
 from __future__ import annotations
@@ -248,14 +250,14 @@ class _State:
 # AllPar[Not]Exceed over level order
 # ----------------------------------------------------------------------
 class _LevelPool:
-    """``best_level_candidate``'s pool of one level, as sorted arrays.
+    """One level's AllPar* candidates, as sorted arrays.
 
     The candidates are the rented VMs not hosting the level.  None of
     them changes while the level is placed — a VM only changes when a
     task lands on it, and then it hosts the level — so the builder's
-    heap walk (pop in ``(-busy, id)`` order, drop claimed entries,
-    defer the rejected ones, consume the chosen one) is a first-fit
-    scan of one fixed sorted order under a shrinking ``live`` mask.
+    ``max(busy, -id)`` over the accepted VMs is the first accepted one
+    in one fixed ``(-busy, id)`` order, a first-fit scan under a
+    shrinking ``live`` mask.
     """
 
     __slots__ = ("lvl", "vids", "ready", "lim", "live", "slot")
@@ -376,9 +378,9 @@ def fused_level_schedule(
         tasks = nodes[sel].tolist()
         parallel = len(tasks) > 1
         for t in tasks:
-            # qualifies_for_level on the largest predecessor's VM: level
-            # exclusion (always passed by a sequential task), then
-            # is_reusable, then the fit
+            # the largest predecessor's VM: level exclusion (always
+            # passed by a sequential task), then is_reusable, then the
+            # fit
             pv = st.largest_pred_vm(t)
             if pv != -1 and vm_lastlvl[pv] != lvl and fits(t, pv):
                 st.reuse_pred += 1
@@ -392,8 +394,8 @@ def fused_level_schedule(
                 # or a new one
                 rent(t, lvl)
                 continue
-            # best_level_candidate: the pool is built on the level's
-            # first query, as the builder builds its heap
+            # the busiest accepted VM: the pool is built on the
+            # level's first query
             if pool is None or pool.lvl != lvl:
                 pool = _LevelPool(st, vm_lastlvl, lvl)
             v = pool.first_fit(st, t, require_fit, fits)
@@ -438,8 +440,7 @@ def fused_heft_schedule(
     order = np.lexsort((cd.str_rank, -ranks)).tolist()
 
     if policy == "onevm":
-        # never queries the busy heap, so (like the lazy indexed
-        # builder) none is ever built
+        # never queries the busy heap, so none is ever built
         for t in order:
             st.rent += 1
             place(t, st.new_vm())
@@ -459,8 +460,9 @@ def fused_heft_schedule(
             if heap_live:
                 heapq.heappush(busy_heap, (-st.vm_busy[v], v, stamps[v]))
             continue
-        # busiest_reusable: built lazily on first query; the current
-        # entry is kept (deferred) whether or not it is chosen
+        # the busiest reusable VM: the heap is built on the first
+        # query; the current entry is kept (deferred) whether or not
+        # it is chosen
         if not heap_live:
             busy_heap = [
                 (-st.vm_busy[v], v, stamps[v]) for v in range(st.nv) if stamps[v]
@@ -506,7 +508,7 @@ def _assemble(
     :class:`Schedule`.
 
     Mirrors ``ScheduleBuilder.build`` (placement end is
-    ``start + (finish - start)``, the exact IEEE ops of the indexed
+    ``start + (finish - start)``, the exact IEEE ops of the builder's
     freeze) and runs ``Schedule.validate``'s :func:`check_plan` on the
     arrays held here, before the columns are made; the schedule keeps
     that view for the verify certificate.  No VM or Placement object is

@@ -105,6 +105,30 @@ class TestQueries:
     def test_busiest_vm_none_when_empty(self, chain3, platform):
         assert _builder(chain3, platform).busiest_vm() is None
 
+    def test_busiest_vm_accept_asks_only_busier_vms(self, platform, fan7):
+        """The running max asks *accept* only of a VM busier than the
+        best accepted so far; an equally busy later VM wins only when
+        every earlier one is refused."""
+        b = _builder(fan7, platform)
+        v1, v2, v3 = b.new_vm(), b.new_vm(), b.new_vm()
+        b.place("root", v1)  # 1800 s
+        b.place("c3", v2)
+        b.place("c5", v2)  # 1200 + 600 s: ties v1
+        b.place("c2", v3)  # 1600 s
+        asked = []
+
+        def refuse_v1(vm):
+            asked.append(vm.id)
+            return vm is not v1
+
+        assert b.busiest_vm() is v1
+        assert b.busiest_vm(refuse_v1) is v2
+        assert asked == [v1.id, v2.id]
+        assert b.busiest_vm(lambda vm: vm is v3) is v3
+        assert b.busiest_vm(lambda vm: False) is None
+        assert b.hosts_level(v1, 0) and not b.hosts_level(v1, 1)
+        assert b.hosts_level(v2, 1) and not b.hosts_level(v2, 0)
+
     def test_vm_of_largest_predecessor(self, diamond, platform):
         b = _builder(diamond, platform)
         va = b.new_vm()

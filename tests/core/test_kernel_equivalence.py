@@ -1,10 +1,10 @@
-"""Property tests: the indexed kernels are byte-identical to the
-straightforward reference implementations.
+"""Property tests: the fused kernels and the builder path are
+byte-identical to the straightforward reference implementations.
 
-The scaling work (DESIGN.md §9) rewrote the provisioning policies, the
-ranking pass and the DAG sweeps against incremental indexes.  The
-contract is *trace identity*, not statistical equivalence: on any DAG,
-the optimized kernel must reproduce the reference schedule exactly —
+The scaling work (DESIGN.md §9, §12) rewrote the provisioning policies,
+the ranking pass and the DAG sweeps.  The contract is *trace
+identity*, not statistical equivalence: on any DAG, the optimized
+kernel must reproduce the reference schedule exactly —
 same VMs (flavor, region, rent window), same task order and timing on
 each VM, same makespan and cost.  These tests drive both kernels over
 seeded random DAGs of the shapes that stress different code paths
@@ -134,14 +134,38 @@ def platform():
     return CloudPlatform.ec2()
 
 
+#: VMs boot before their first task runs: an empty VM's start moves
+COLD = CloudPlatform.ec2(boot_seconds=97.0, prebooted=False)
+
+
 # ----------------------------------------------------------------------
 # provisioning kernels
 # ----------------------------------------------------------------------
+def _pairings():
+    """``(policy, scheduler, platform)`` cases.  Each policy first runs
+    under its paper pairing (:func:`_scheduler_for`, fused kernels, warm
+    platform; the id is the policy name alone).  Then it runs on the
+    builder path under both schedulers, warm and cold: HEFT order
+    interleaves levels under AllPar*, level order batches StartPar*."""
+    names = sorted(REFERENCE_POLICIES)
+    cases = [pytest.param(name, None, "warm", id=name) for name in names]
+    cases += [
+        pytest.param(name, cls, plat, id=f"{name}-{cls.__name__}-{plat}")
+        for name in names
+        for cls in (BuilderHeft, BuilderLevel)
+        for plat in ("warm", "cold")
+    ]
+    return cases
+
+
 @pytest.mark.parametrize("shape,seed", _dag_cases())
-@pytest.mark.parametrize("policy_name", sorted(REFERENCE_POLICIES))
-def test_policy_trace_identical_to_reference(policy_name, shape, seed, platform):
+@pytest.mark.parametrize("policy_name,scheduler_cls,plat", _pairings())
+def test_policy_trace_identical_to_reference(
+    policy_name, scheduler_cls, plat, shape, seed, platform
+):
     wf = SHAPES[shape](seed)
-    scheduler_cls = _scheduler_for(policy_name)
+    scheduler_cls = scheduler_cls or _scheduler_for(policy_name)
+    platform = COLD if plat == "cold" else platform
     optimized = scheduler_cls(PROVISIONING_POLICIES[policy_name]()).schedule(
         wf, platform
     )

@@ -1,12 +1,13 @@
 """The fused AllPar* kernel's first-fit level pool against the builder's
-heap walk.
+running-max scan.
 
 ``repro.kernels.provision`` scans each level's candidate pool as one
-sorted array (``_LevelPool.first_fit``) where ``ScheduleBuilder.
-best_level_candidate`` pops a heap and defers the rejected entries.  The
-DAGs in ``test_kernel_equivalence.py`` are small, so their walks are
-short.  Here levels are wider and the runtimes are the paper's seeded
-Pareto draws: most of the pool is rejected for most tasks, which
+sorted array (``_LevelPool.first_fit``) where the builder path's
+``AllPar*.select_vm`` takes ``ScheduleBuilder.busiest_vm`` over the
+VMs free of the level.  The DAGs in ``test_kernel_equivalence.py`` are
+small, so their walks are short.  Here levels are wider and the
+runtimes are the paper's seeded Pareto draws: most of the pool is
+rejected for most tasks, which
 exercises the ordering, the claimed-VM mask and the exact path for
 predecessor-hosting candidates over walks dozens of candidates long.
 The contract is the same: byte-identical schedules and
@@ -69,10 +70,10 @@ def _run(wf, platform, policy, scheduler):
 
 def _assert_identical(wf, platform, policy):
     fused = _run(wf, platform, policy, LevelScheduler)
-    indexed = _run(wf, platform, policy, BuilderLevel)
-    assert fused[0] == indexed[0]
-    assert fused[1] == indexed[1]
-    return indexed[1]["counters"]
+    builder = _run(wf, platform, policy, BuilderLevel)
+    assert fused[0] == builder[0]
+    assert fused[1] == builder[1]
+    return builder[1]["counters"]
 
 
 @pytest.mark.parametrize("platform", [WARM, COLD], ids=["warm", "cold"])

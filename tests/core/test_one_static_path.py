@@ -4,7 +4,7 @@ Stock ``HeftScheduler`` and ``LevelScheduler`` runs take the fused
 columnar kernels for every workflow, the paper's 12-24 task shapes
 included: the exact scheduler and policy types are the only dispatch
 rule, and no task count gates it.  Subclasses, such as
-``LocalityHeftScheduler``, keep the indexed ``ScheduleBuilder``.
+``LocalityHeftScheduler``, keep the ``ScheduleBuilder`` path.
 """
 
 from __future__ import annotations

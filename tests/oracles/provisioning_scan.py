@@ -1,11 +1,15 @@
-"""Straightforward (pre-indexed) provisioning kernels, kept as oracles.
+"""Straightforward filter-then-max provisioning kernels, kept as oracles.
 
 These classes are the original full-scan implementations of the paper's
-five policies, before the production versions in ``all_par.py`` /
-``start_par.py`` were rewritten against the :class:`ScheduleBuilder`
-indexes: ``AllPar*Reference`` walks every VM's complete task list per
-placement (O(V·tasks)), ``StartPar*Reference`` re-filters and re-sorts
-the whole fleet per task.  Obviously correct, hopelessly quadratic.
+five policies.  ``AllPar*Reference`` walks every VM's complete task
+list per placement and filters the whole candidate set before taking
+its maximum (O(V·tasks)); ``StartPar*Reference`` filters the whole
+fleet per task and takes its own ``max``, independent of
+``ScheduleBuilder.busiest_vm``.  The production ``select_vm`` in
+``all_par.py`` / ``start_par.py`` makes one running-max scan that asks
+the tests only of a VM busier than the best so far, and the fused
+kernels of ``repro.kernels.provision`` serve stock runs.  Obviously
+correct, hopelessly quadratic.
 
 They live with the tests, outside the package, and are not registered
 in ``PROVISIONING_POLICIES`` (the registry is pinned to the paper's
@@ -109,9 +113,9 @@ class _StartParReferenceBase(ProvisioningPolicy):
             for vm in builder.vms
             if not vm.empty and builder.is_reusable(task_id, vm)
         ]
-        target = builder.busiest_vm(alive)
-        if target is None:
+        if not alive:
             return builder.new_vm()
+        target = max(alive, key=lambda vm: (vm.busy_seconds, -vm.id))
         if self.exceed_btu or builder.fits_in_btu(task_id, target):
             return target
         return builder.new_vm()
