@@ -6,7 +6,8 @@ backoff, VMs reaped while a retry waits), on a shared fleet and on a
 private one, and in the static replay of a HEFT plan.  Every cell must
 either complete or give up with :class:`~repro.errors.FaultError`;
 anything else (a wedged service, a lost or doubled task, two attempts
-on one VM at once, an illegal phase move) is an executor bug.
+on one VM at once, an illegal phase move, a crash charged to a task
+that was not running) is an executor bug.
 """
 
 from __future__ import annotations
@@ -37,6 +38,21 @@ RECOVERIES = (RetrySameVM, ResubmitFresh, ReplanRemaining)
 
 def _plan(seed):
     return FaultPlan(seed=seed, task_fail_prob=0.3, vm_crash_rate=1 / 3000)
+
+
+def _assert_crashes_charge_running_tasks(events):
+    """Every ``task_fail`` a crash causes names a task running on the
+    VM at the crash.  Events are read in time order; the online log
+    keeps the start of a voided future reservation, so the running set
+    is keyed by task and VM."""
+    running = set()
+    for e in events:
+        if e.kind == "task_start":
+            running.add((e.task_id, e.vm))
+        elif e.kind in ("task_end", "task_fail"):
+            if e.detail in ("vm_crash", "spot_preempt"):
+                assert (e.task_id, e.vm) in running, e
+            running.discard((e.task_id, e.vm))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -77,6 +93,7 @@ def test_every_cell_completes_or_gives_up(platform, recovery, seed):
         ends = Counter(e.task_id for e in solo.events if e.kind == "task_end")
         assert set(ends) == set(montage().task_ids)
         assert set(ends.values()) == {1}
+        _assert_crashes_charge_running_tasks(solo.events)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -98,6 +115,7 @@ def test_static_replay_completes_or_gives_up(platform, recovery, seed):
             ends = Counter(e.task_id for e in result.events if e.kind == "task_end")
             assert set(ends) == set(wf.task_ids)
             assert set(ends.values()) == {1}
+            _assert_crashes_charge_running_tasks(result.events)
             # no VM starts an attempt while another runs on it
             running = {}
             for e in result.events:

@@ -230,22 +230,27 @@ GOLDEN = {
     ("static", "spike-fallback"): "7ed5334fe71471b3d7364fb8f93d5912d53b447891deab3feb5e908c5a6679fd",
     ("static", "cold-warm-pool"): "39dfdde34430c637b2405f5a0e824e28e5a075cebcc23151ca02acf3da8934f8",
     ("online", "plain"): "34d4b013c235979bb2af3c85998e4a995b60e6715adec1c4e6245de7aab99861",
-    ("online", "faults-retry"): "5ab0689822ed0b67aed43b489cf1e1e2892793671156c819a8ffbb6111ce6c53",
-    ("online", "faults-resubmit"): "2d1f13054ea9b3db9774174ed62b73fd3ec77fc8624a58be7c738e406bf6571a",
-    ("online", "faults-replan"): "08e5d6f9c1d62616a4fee67061fa38f77039a93e90c305da52e456097530640c",
-    ("online", "faults-resubmit-backoff"): "9a740e9be117981145731224df9b4664a283e94ecd5d3ababa3086f61c2b1eb2",
-    ("online", "faults-replan-backoff"): "6455e418a522c87cad2eec6a83e22fec7bc52f4e6e985d706ed95631609f3d2d",
-    ("online", "spike-rebid"): "ffe4a49282773e62e929d95bd25185cdc1cf18ca1729d520df63eba77c4eef0f",
-    ("online", "spike-fallback"): "38321aad7010fa5ade6d31f58169d5407dacee09c69769b48e0dd33d3e134fd5",
+    # every online and service fault and spike digest was re-pinned when
+    # a crash stopped charging reservations that had not started (and
+    # retries waiting out a backoff): those are now re-placed uncharged,
+    # after the running attempt's recovery delay and on its purchase, as
+    # the static replay re-places a crashed VM's queue
+    ("online", "faults-retry"): "3559386615a85eb45d7c52fcdb337242b8014023dad340fe32f04795f3dbbb69",
+    ("online", "faults-resubmit"): "bbfb7665dad11fd3ed1f7cf7c95663b08bb964ca8141f51ff343b28caec690e2",
+    ("online", "faults-replan"): "e708b9c36ff57f23bfe2f307ce2890e7da5021a8ae3c0d976fe5a13d8169eb31",
+    ("online", "faults-resubmit-backoff"): "bc3ca00225ca1ae302a9cc9c0cb5ae630e5dfd4a494782601baeec1222c38a6d",
+    ("online", "faults-replan-backoff"): "4f4675af51ced47244c56c634af7356b07f899b93f8d1283a608e2540335d1e5",
+    ("online", "spike-rebid"): "817d469cb05495e8b6f611ab9f10fdb91a66a849432f30417b1ca8de8b332009",
+    ("online", "spike-fallback"): "38148130a7c3eb030ce3b369b2dee3c8e5056b4a105fe421ea3c2dbda657941e",
     ("online", "cold-warm-pool"): "4dd96f4fee485696b2619f23d157d072590bc640385a79a9c99e7fae54a5eaf0",
     ("service", "plain"): "96fbc09ff7d393e79855da678632057b4bfcac5182328ee7dd6b5664bc48aa13",
-    ("service", "faults-retry"): "7cb76194debc6c0faa4e4e73f890fafdc0078f2a35c9f87e90bd89c9128f3e07",
-    ("service", "faults-resubmit"): "62bb72b438857b374deb94695bcee7dcf6865edfead9dd3fba3f4d8bfaa745d2",
-    ("service", "faults-replan"): "6a1e19b39469871e8e10bc52b524e6a4bdf7c0502c23f57871d51d2025d5302f",
-    ("service", "faults-resubmit-backoff"): "413539f7925b5c34e79b5dd39ac9efdc152f029b2fb07273890c702f4e38a9e1",
-    ("service", "faults-replan-backoff"): "3bf2b0cb8a412a999d403f9a2d5e1d2ecc23dafd84765d9605785f12affed051",
-    ("service", "spike-rebid"): "55cf49dcfbf6f4985a3fed58d27db05712b9818f0dbed0b55e87a9fc48880d3f",
-    ("service", "spike-fallback"): "2c6639daf1f6eea51e91e59dab1054d7083c17a67c43372bba6496c986182087",
+    ("service", "faults-retry"): "853ff4c1f84fb6b26ea6cfee0a9ed9cc8c2c2af1460e1801c709c8992c8e15a1",
+    ("service", "faults-resubmit"): "bf929e4ebd2225a625a75a115c670c12713447ea5bb2348636d2722c68061529",
+    ("service", "faults-replan"): "3b89716d4a8a4e653731205a9e6da25a17233332669036d1bd77317c44109424",
+    ("service", "faults-resubmit-backoff"): "46d586a9641774dc23aab1d408702806e0dbab7d4f219738bd3bc0fc20a0bbe2",
+    ("service", "faults-replan-backoff"): "a682fa3c75eaafedf5c284ac6db7404e75de309dac9e8e9f6e8baff40aed5e15",
+    ("service", "spike-rebid"): "df7d601e65fcf83ed066c219ad035d71c9c7ddce835e1f48a7b294384bd597fc",
+    ("service", "spike-fallback"): "e3aef51e1c6f987deb579597a627e26782c86c202233cbd7e07db11000217b84",
     ("service", "cold-warm-pool"): "af853b1bd3762e9d5fff8a5a52004dfe59d8168f1c6f37797be294fef31a08aa",
 }
 
