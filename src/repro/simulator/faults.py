@@ -32,10 +32,12 @@ an ambient platform market) is in force: the recovery policy, the
 :class:`FaultStats` ledger, the spot interruption process and the
 default purchase option.  Both executors call it for every job the
 fault layer adds — arming crashes and spot reclamations at rent, the
-actual duration of a resumed attempt, the recovery decision and its
-log line, the realized rent of each VM, and the fault counters — and
-keep only their own timing and placement rules.  A run with no plan and
-no market has no runtime, so its per-task paths never reach this layer.
+actual duration of a resumed attempt, the failed-attempt step (its
+accounting, the recovery decision and its log line), the realized rent
+of each VM, and the fault counters — and keep only their own timing and
+placement rules.  Both keep each task's state in a :class:`TaskRecord`.
+A run with no plan and no market has no runtime, so its per-task paths
+never reach this layer.
 """
 
 from __future__ import annotations
@@ -285,6 +287,48 @@ class FaultPlan:
         return fails, base * factor
 
 
+#: the phases of a dispatched task, and the phases each may move to
+#: next.  A replayed task is ``queued`` (waiting for its inputs or its
+#: VM), ``running`` or ``done``.  An online task is ``placed`` (holding
+#: a reservation), ``retry`` (backing off on the same VM, still on its
+#: roster), ``redispatch`` (backing off until re-placed) or ``done``.
+QUEUED, RUNNING, DONE = "queued", "running", "done"
+PLACED, RETRY, REDISPATCH = "placed", "retry", "redispatch"
+MOVES = {
+    QUEUED: (RUNNING,),
+    RUNNING: (DONE, QUEUED),
+    PLACED: (DONE, RETRY, REDISPATCH),
+    RETRY: (PLACED, REDISPATCH),
+    REDISPATCH: (PLACED,),
+    DONE: (),
+}
+
+
+@dataclass(slots=True)
+class TaskRecord:
+    """One dispatched task's state, which each executor extends with
+    its own timing and placement fields.
+
+    ``attempt`` counts failed attempts plus one: only
+    :meth:`FaultRuntime.attempt_failed` bumps it, and it keys the fault
+    draws and the give-up limit.  ``gen`` is the placement generation:
+    an end, failure or retry event carries the ``gen`` it was scheduled
+    under, and one carrying another is stale.
+    """
+
+    phase: str
+    attempt: int = 1
+    gen: int = 1
+
+    def move(self, task_id: str, phase: str) -> None:
+        """The one way a task changes phase; an illegal move is a bug."""
+        if phase not in MOVES[self.phase]:
+            raise SimulationError(
+                f"task {task_id!r} cannot move from {self.phase!r} to {phase!r}"
+            )
+        self.phase = phase
+
+
 @dataclass
 class FaultStats:
     """Robustness accounting for one fault-injected run."""
@@ -330,20 +374,11 @@ class FaultStats:
         return self.retries + self.resubmits + self.replans
 
     def as_dict(self) -> Dict[str, float]:
+        """Every counter and total, in field order (not the log)."""
         return {
-            "task_failures": self.task_failures,
-            "vm_crashes": self.vm_crashes,
-            "boot_failures": self.boot_failures,
-            "preemptions": self.preemptions,
-            "grace_warnings": self.grace_warnings,
-            "rebids": self.rebids,
-            "retries": self.retries,
-            "resubmits": self.resubmits,
-            "replans": self.replans,
-            "wasted_task_seconds": self.wasted_task_seconds,
-            "wasted_btu_seconds": self.wasted_btu_seconds,
-            "paid_seconds": self.paid_seconds,
-            "realized_cost": self.realized_cost,
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name != "decisions"
         }
 
 
@@ -445,51 +480,45 @@ class FaultRuntime:
         self.stats.vm_crashes += 1
         return "vm_crash"
 
-    def attempt_failed(self, wasted: float) -> None:
-        """Count one failed attempt that burnt *wasted* seconds."""
-        self.stats.task_failures += 1
-        self.stats.wasted_task_seconds += wasted
-
-    def unsaved(self, task_id: str, wasted: float) -> float:
-        """The part of *wasted* not checkpointed at a reclamation
-        warning: checkpointed progress survives the VM's death."""
-        if task_id in self.ckpt:
-            return max(wasted - self.ckpt[task_id], 0.0)
-        return wasted
-
-    def decide(
+    def attempt_failed(
         self,
         task_id: str,
-        vm_id: int,
-        attempt: int,
+        rec: TaskRecord,
+        vm,
         now: float,
         reason: str,
+        wasted: float,
         vm_alive: bool,
-        purchase: Optional[object],
         lost: bool = False,
     ) -> RecoveryAction:
-        """Ask the recovery policy about one failed attempt and log the
-        verdict.
+        """The step both executors take for one failed attempt of
+        *task_id* on *vm* (anything with an ``id`` and a ``purchase``).
+
+        Counts the failure and the *wasted* seconds (on a dead VM, less
+        the progress a reclamation-warning checkpoint saved), asks the
+        recovery policy and logs its verdict, bumps ``rec.attempt`` and
+        counts the recovery the executor carries out: a retry on a live
+        VM, a replan (also when *lost* — the replay's crashed VM — and
+        the policy replans a crashed queue), or else a resubmit.
 
         Market decisions suffix the log line with ``[tag]``, so
         zero-market logs keep their historic format.  An abort raises
         :class:`~repro.errors.FaultError`; *lost* words it as a task
         lost with its VM rather than a policy giving up."""
-        failure = FailureEvent(
-            task_id=task_id,
-            vm_id=vm_id,
-            attempt=attempt,
-            time=now,
-            reason=reason,
-            vm_alive=vm_alive,
-            purchase=purchase,
+        stats = self.stats
+        stats.task_failures += 1
+        if not vm_alive and task_id in self.ckpt:
+            wasted = max(wasted - self.ckpt[task_id], 0.0)
+        stats.wasted_task_seconds += wasted
+        attempt = rec.attempt
+        action = self.recovery.decide(
+            FailureEvent(task_id, vm.id, attempt, now, reason, vm_alive, vm.purchase)
         )
-        action = self.recovery.decide(failure)
         line = f"{action.kind}:{task_id}@{now:.3f}"
         if action.tag:
             line += f"[{action.tag}]"
-            self.stats.rebids += 1
-        self.stats.decisions.append(line)
+            stats.rebids += 1
+        stats.decisions.append(line)
         if action.kind == "abort":
             if lost:
                 raise FaultError(
@@ -498,6 +527,15 @@ class FaultRuntime:
             raise FaultError(
                 f"task {task_id!r} failed {attempt} times; recovery gave up"
             )
+        rec.attempt = attempt + 1
+        if action.kind == "replan" or (
+            lost and self.recovery.queue_strategy == "replan"
+        ):
+            stats.replans += 1
+        elif action.kind == "retry" and vm_alive:
+            stats.retries += 1
+        else:
+            stats.resubmits += 1
         return action
 
     # ------------------------------------------------------------------
