@@ -498,17 +498,20 @@ class OnlineCloudExecutor:
         ]
 
     def checkpoint(self, vm: FleetVM) -> None:
-        """Checkpoint this run's attempts running on *vm* at a spot
-        warning (when the recovery policy opts in)."""
+        """Checkpoint this run's attempt running on *vm* at a spot
+        warning (when the recovery policy opts in): a placed attempt that
+        has started, as the replay saves ``vm.running``.  A retry waiting
+        out its backoff keeps nothing of the attempt that failed."""
         faults = self.faults
         assert faults is not None
         if not faults.recovery.checkpoint_on_warning:
             return
         now = self.sim.now
+        state = self._state
         for tid in self._own_reservations(vm):
-            started = self.task_start.get(tid)
-            if started is None or started > now:
-                continue  # reserved but not yet running
+            started = self.task_start[tid]
+            if state[tid].phase != PLACED or started > now:
+                continue  # reserved but not yet running, or backing off
             done = min(now, self.task_finish[tid]) - started
             if done > 0:
                 faults.ckpt[tid] = done

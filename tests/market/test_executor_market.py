@@ -175,6 +175,51 @@ class TestCheckpointOnWarning:
         )
         assert ckpt.faults.wasted_task_seconds < plain.faults.wasted_task_seconds
 
+    @pytest.mark.parametrize(
+        "seed, policy", [(0, "StartParNotExceed"), (5, "AllParNotExceed")]
+    )
+    def test_online_checkpoints_only_the_running_attempt(
+        self, monkeypatch, seed, policy
+    ):
+        """A warning saves progress of a placed attempt that has started,
+        as the replay saves ``vm.running``; a retry waiting out its
+        backoff keeps none of the work its failed attempt lost."""
+        from repro.experiments.scenarios import price_scenario
+        from repro.simulator.faults import PLACED
+        from repro.simulator.online import OnlineCloudExecutor
+
+        saved = []
+        checkpoint = OnlineCloudExecutor.checkpoint
+
+        def watched(self, vm):
+            before = dict(self.faults.ckpt)
+            checkpoint(self, vm)
+            now = self.sim.now
+            for tid, done in self.faults.ckpt.items():
+                if before.get(tid) != done:
+                    start = self.task_start[tid]
+                    assert self._state[tid].phase == PLACED, tid
+                    assert start <= now, tid
+                    assert done == min(now, self.task_finish[tid]) - start
+                    saved.append(tid)
+
+        monkeypatch.setattr(OnlineCloudExecutor, "checkpoint", watched)
+        res = run_online(
+            montage(25),
+            PLATFORM,
+            policy=policy,
+            fault_plan=FaultPlan(
+                seed=seed,
+                market=price_scenario("spot_spike").market,
+                task_fail_prob=0.3,
+            ),
+            recovery=RebidHigher(
+                base="retry", checkpoint_on_warning=True, backoff_base=300
+            ),
+        )
+        assert res.faults.grace_warnings > 0
+        assert saved  # a running attempt was checkpointed
+
 
 class TestOnlinePreemption:
     def test_preemptions_and_rebids_online(self):
