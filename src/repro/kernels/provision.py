@@ -7,9 +7,10 @@ objects, no per-placement dicts, no memo-dict lookups in
 ``platform.transfer_time`` — and assembles the final :class:`Schedule`
 and runs its feasibility check on the arrays at the end.
 
-The kernels are *transcriptions*, not re-designs: every branch mirrors
-the corresponding :class:`~repro.core.builder.ScheduleBuilder` query and
-the policy's ``select_vm`` exactly, including
+The StartPar* and AllPar* kernels are *transcriptions*, not
+re-designs: every branch mirrors the corresponding
+:class:`~repro.core.builder.ScheduleBuilder` query and the policy's
+``select_vm`` exactly, including
 
 * the float operations (single additions, ``max`` folds over the same
   operands, the ``1e-9`` reuse/fit epsilons, BTU rounding via
@@ -24,6 +25,12 @@ the policy's ``select_vm`` exactly, including
   only (VMs rented, tasks placed, and each ``provision.*`` decision),
   not how much work a query took; the totals are flushed once at the
   end (key-identical because zero totals are not flushed).
+
+OneVMperTask is its recurrence instead: each task rents its own VM, so
+no queue delays it and no edge stays on one VM, and its start is its
+data-ready time over every remote edge (plus the boot on a cold
+platform) — the builder's ``earliest_start`` on a fresh VM, with the
+same operands in the same order, and no per-VM state.
 
 Eligibility is decided by the call sites (the exact stock scheduler
 and policy types, at any size); the property tests in
@@ -232,18 +239,21 @@ class _State:
                 pv = self.tvm[p]
         return pv
 
-    def flush_metrics(self) -> None:
-        metrics = current_metrics()
-        if metrics is None:
-            return
-        metrics.inc("builder.vms_rented", self.nv)
-        metrics.inc("builder.tasks_placed", self.n)
-        if self.rent:
-            metrics.inc("provision.rent", self.rent)
-        if self.reuse_pred:
-            metrics.inc("provision.reuse_pred", self.reuse_pred)
-        if self.reuse_pool:
-            metrics.inc("provision.reuse_pool", self.reuse_pool)
+
+def _flush_metrics(vms: int, tasks: int, rent: int, reuse_pred=0, reuse_pool=0) -> None:
+    """Flush one run's placement totals (zero decision totals are not
+    flushed, as the builder never counts them)."""
+    metrics = current_metrics()
+    if metrics is None:
+        return
+    metrics.inc("builder.vms_rented", vms)
+    metrics.inc("builder.tasks_placed", tasks)
+    if rent:
+        metrics.inc("provision.rent", rent)
+    if reuse_pred:
+        metrics.inc("provision.reuse_pred", reuse_pred)
+    if reuse_pool:
+        metrics.inc("provision.reuse_pool", reuse_pool)
 
 
 # ----------------------------------------------------------------------
@@ -406,8 +416,11 @@ def fused_level_schedule(
                 place(t, v)
                 vm_lastlvl[v] = lvl
 
-    st.flush_metrics()
-    return _assemble(workflow, platform, itype, region, cd, st, algorithm, provisioning)
+    _flush_metrics(st.nv, st.n, st.rent, st.reuse_pred, st.reuse_pool)
+    return _assemble(
+        workflow, platform, itype, region, cd, st.tstart, st.tfin, st.tvm, st.log,
+        st.nv, algorithm, provisioning,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -429,6 +442,13 @@ def fused_heft_schedule(
     the former.
     """
     cd = get_columnar(workflow)
+    ranks = upward_rank_values(workflow, platform, itype)
+    order = np.lexsort((cd.str_rank, -ranks))
+    if policy == "onevm":
+        return _one_vm_per_task(
+            workflow, platform, itype, region, cd, order, algorithm, provisioning
+        )
+    order = order.tolist()
     st = _State(workflow, cd, platform, itype)
     es = st.es
     place = st.place
@@ -436,19 +456,6 @@ def fused_heft_schedule(
     pp = st.pp
     stamps = st.stamps
     vm_paid = st.vm_paid
-    ranks = upward_rank_values(workflow, platform, itype)
-    order = np.lexsort((cd.str_rank, -ranks)).tolist()
-
-    if policy == "onevm":
-        # never queries the busy heap, so none is ever built
-        for t in order:
-            st.rent += 1
-            place(t, st.new_vm())
-        st.flush_metrics()
-        return _assemble(
-            workflow, platform, itype, region, cd, st, algorithm, provisioning
-        )
-
     busy_heap: list = []
     heap_live = False
 
@@ -494,52 +501,99 @@ def fused_heft_schedule(
         place(t, v)
         heapq.heappush(busy_heap, (-st.vm_busy[v], v, stamps[v]))
 
-    st.flush_metrics()
-    return _assemble(workflow, platform, itype, region, cd, st, algorithm, provisioning)
+    _flush_metrics(st.nv, st.n, st.rent, st.reuse_pred, st.reuse_pool)
+    return _assemble(
+        workflow, platform, itype, region, cd, st.tstart, st.tfin, st.tvm, st.log,
+        st.nv, algorithm, provisioning,
+    )
+
+
+def _one_vm_per_task(
+    workflow, platform, itype, region, cd, order, algorithm, provisioning
+) -> Schedule:
+    """OneVMperTask over the HEFT *order* as its recurrence.
+
+    The order's ``k``-th task rents VM ``k`` and is the only task it
+    hosts, so no VM queue delays it and no edge stays on one VM: it
+    starts at ``max(0.0, max over predecessors (finish + transfer))``,
+    plus the boot on a cold platform, and finishes ``runtime`` later —
+    the builder's ``earliest_start`` on a fresh VM, operand for operand.
+    """
+    n = cd.n
+    runt = (cd.works / itype.speedup).tolist()
+    pp, pi = pred_lists(workflow)
+    rtr = pred_transfer_seconds(workflow, platform, itype)
+    cold = not platform.prebooted
+    boot = platform.boot_seconds
+    tstart = [0.0] * n
+    tfin = [0.0] * n
+    tvm = [0] * n
+    for v, t in enumerate(order.tolist()):
+        s = 0.0
+        for e in range(pp[t], pp[t + 1]):
+            c = tfin[pi[e]] + rtr[e]
+            if c > s:
+                s = c
+        if cold:
+            s += boot
+        tstart[t] = s
+        tfin[t] = s + runt[t]
+        tvm[t] = v
+    _flush_metrics(n, n, n)
+    return _assemble(
+        workflow, platform, itype, region, cd, tstart, tfin, tvm, order, n,
+        algorithm, provisioning,
+    )
 
 
 # ----------------------------------------------------------------------
 # schedule assembly
 # ----------------------------------------------------------------------
 def _assemble(
-    workflow, platform, itype, region, cd, st: _State, algorithm: str, provisioning: str
+    workflow, platform, itype, region, cd, tstart, tfin, tvm, log, nv: int,
+    algorithm: str, provisioning: str,
 ) -> Schedule:
-    """Freeze the flat state into a validated column-backed
-    :class:`Schedule`.
+    """Freeze one run's placements — per task its start, finish and VM,
+    and the tasks in placement order (*log*) over *nv* VMs — into a
+    validated column-backed :class:`Schedule`.
 
     Mirrors ``ScheduleBuilder.build`` (placement end is
     ``start + (finish - start)``, the exact IEEE ops of the builder's
     freeze) and runs ``Schedule.validate``'s :func:`check_plan` on the
     arrays held here, before the columns are made; the schedule keeps
-    that view for the verify certificate.  No VM or Placement object is
-    made.
+    that view for the verify certificate and its billing.  No VM or
+    Placement object is made.
     """
-    starts = np.asarray(st.tstart)
-    ends = starts + (np.asarray(st.tfin) - starts)
-    nv = st.nv
-    tvm = np.asarray(st.tvm)
+    starts = np.asarray(tstart)
+    ends = starts + (np.asarray(tfin) - starts)
+    tvm_v = np.asarray(tvm)
     # a stable sort of the placement log by VM: each VM's tasks in the
     # order they were placed on it, which is their start order
-    seq = np.asarray(st.log, dtype=np.int64)
-    seq = seq[np.argsort(tvm[seq], kind="stable")]
+    seq = np.asarray(log, dtype=np.int64)
+    seq = seq[np.argsort(tvm_v[seq], kind="stable")]
     ptr = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tvm, minlength=nv), out=ptr[1:])
+    np.cumsum(np.bincount(tvm_v, minlength=nv), out=ptr[1:])
     kind = np.zeros(nv, dtype=np.int64)
-    view = plan_view(workflow, platform.network, tvm, starts, ends, seq, kind, [itype])
+    region = region or platform.default_region
+    boot = platform.boot_seconds
+    view = plan_view(
+        workflow, platform.network, tvm_v, starts, ends, seq, ptr, kind, [itype],
+        None, [region], boot,
+    )
     check_plan(workflow, view, range(nv))
     return Schedule._from_columns(
         workflow,
         platform,
         (
-            st.tvm,
-            st.tstart,
+            tvm,
+            tstart,
             ends.tolist(),
             ptr.tolist(),
             seq.tolist(),
             list(range(nv)),
             [itype] * nv,
-            [region or platform.default_region] * nv,
-            [platform.boot_seconds] * nv,
+            [region] * nv,
+            [boot] * nv,
         ),
         algorithm,
         provisioning,

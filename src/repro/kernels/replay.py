@@ -76,8 +76,9 @@ def replay_verify(schedule: Schedule, tracer=None) -> bool:
     """
     if not _eligible(schedule, tracer):
         return False
-    _, start, finish, seq, _, _, zone, runt, moved = schedule._plan_view()
-    if zone is not None:
+    view = schedule._plan_view()
+    start, finish, seq, runt = view.start, view.end, view.seq, view.runt
+    if view.zone is not None:
         return False
     if not np.array_equal(start + runt, finish):
         return False
@@ -85,7 +86,7 @@ def replay_verify(schedule: Schedule, tracer=None) -> bool:
     # VM-queue edges: each VM runs its queue front to back, so every
     # task but a queue's head waits on the task placed before it
     head = np.zeros(seq.size + 1, dtype=bool)
-    head[schedule._vm_ptr] = True
+    head[view.ptr] = True
     pos = np.flatnonzero(~head[:-1])
     before, after = seq[pos - 1], seq[pos]
     cd = get_columnar(schedule.workflow)
@@ -95,7 +96,7 @@ def replay_verify(schedule: Schedule, tracer=None) -> bool:
     # DAG edges: the latest data arrival, each edge paying its transfer
     # (zero on one VM) after the predecessor's finish
     src, dst = cd.pred_idx, cd.pred_dst
-    arrive = finish[src] + moved
+    arrive = finish[src] + view.moved
     waits = dst[cd.pred_rows]
     ready[waits] = np.maximum(ready[waits], np.maximum.reduceat(arrive, cd.pred_rows))
     return (

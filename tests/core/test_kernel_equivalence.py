@@ -28,7 +28,7 @@ from repro.core.allocation.ranking import upward_rank
 from repro.core.provisioning import PROVISIONING_POLICIES
 from repro.errors import PlatformError
 from repro.workflows.dag import Workflow
-from repro.workflows.generators import fork_join, mapreduce, random_layered
+from repro.workflows.generators import fork_join, mapreduce, montage, random_layered
 from repro.workflows.task import Task
 from tests.oracles.builder_path import BuilderHeft, BuilderLevel
 from tests.oracles.dag_passes import critical_path_reference, level_of_reference
@@ -335,6 +335,43 @@ def test_columnar_metrics_identical_to_indexed(policy_name, shape, seed, platfor
             SHAPES[shape](seed), platform
         )
     assert reg_c.as_dict() == reg_i.as_dict()
+
+
+def _one_vm_cases():
+    wide = montage(60)  # mConcatFit waits on every mDiffFit
+    cases = [pytest.param(wide, id="montage60")]
+    cases += [
+        pytest.param(SHAPES[shape](seed), id=f"{shape}-s{seed}")
+        for shape in ("mapreduce", "deep")
+        for seed in SEEDS
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("wf", _one_vm_cases())
+@pytest.mark.parametrize("plat", ["warm", "cold"])
+@pytest.mark.parametrize("flavor", ["small", "large"])
+def test_one_vm_per_task_recurrence_matches_the_builder(wf, plat, flavor, platform):
+    """The OneVMperTask kernel computes each start from its recurrence
+    alone (data-ready over every remote edge, plus the boot when cold);
+    the builder places each task on a fresh VM through its queries.
+    Plans and counters agree, on a warm and a cold platform, on a fan-in
+    of 60 edges and on the zoo's mapreduce and deep shapes."""
+    from repro.obs.metrics import MetricsRegistry
+
+    platform = COLD if plat == "cold" else platform
+    itype = platform.itype(flavor)
+    if wf.name.startswith("montage"):
+        assert len(wf.pred_map()["mConcatFit"]) >= 60
+    fused_reg, built_reg = MetricsRegistry(), MetricsRegistry()
+    with fused_reg.activate():
+        fused = HeftScheduler("OneVMperTask").schedule(wf, platform, itype=itype)
+    with built_reg.activate():
+        built = BuilderHeft("OneVMperTask").schedule(wf, platform, itype=itype)
+    assert fused == built
+    assert _fingerprint(fused) == _fingerprint(built)
+    assert fused_reg.as_dict() == built_reg.as_dict()
+    assert fused.vm_count == len(wf)
 
 
 #: SHA-256 of ``run_sweep(seed=2013)``'s merged ``MetricsRegistry``,

@@ -27,6 +27,8 @@ from repro.core.schedule import Schedule
 from repro.kernels.replay import replay_verify
 from repro.simulator.online import online_to_schedule, run_online
 from repro.workflows.generators import mapreduce, montage, random_layered
+from repro.workloads.base import apply_model
+from repro.workloads.pareto import ParetoModel
 from tests.oracles import schedule_metrics as oracle
 from tests.oracles.builder_path import BuilderHeft, BuilderLevel
 
@@ -181,3 +183,177 @@ def test_large_static_path_makes_no_objects():
     # the first object-level query makes them, once
     assert wf.task("mJPEG").category == "mJPEG"
     assert {"_tasks", "_succ", "_pred"} <= vars(wf).keys()
+
+
+# ----------------------------------------------------------------------
+# billing from the checked arrays against the oracle
+# ----------------------------------------------------------------------
+def _queue_sizes(schedule) -> list:
+    ptr = schedule._vm_ptr
+    return [b - a for a, b in zip(ptr, ptr[1:])]
+
+
+@pytest.mark.parametrize("projections, longest", [(6, 9), (600, 1001)])
+def test_long_queues_bill_like_the_oracle(projections, longest):
+    """A VM's busy time adds its durations left to right however long
+    its queue: past eight tasks (where a vectorised sum would split the
+    adds) and past a thousand.  Pareto runtimes make the order of the
+    adds show in the last bits."""
+    wf = apply_model(montage(projections), ParetoModel(), seed=projections)
+    sched = HeftScheduler("StartParExceed").schedule(wf, EC2)
+    assert sched._plan is not None  # billed from the arrays it was checked on
+    assert max(_queue_sizes(sched)) >= longest
+    _assert_matches_oracle(sched)
+
+
+def _two_region_mixed_plan(platform) -> Schedule:
+    """A builder-made plan over four VMs of three flavors in two
+    regions, tasks dealt round-robin in topological order."""
+    from repro.core.builder import ScheduleBuilder
+
+    wf = montage(8)
+    builder = ScheduleBuilder(wf, platform, platform.itype("small"))
+    us = platform.region("us-east-virginia")
+    eu = platform.region("eu-dublin")
+    fleet = [
+        builder.new_vm(platform.itype(flavor), region)
+        for flavor, region in (
+            ("small", us),
+            ("large", eu),
+            ("medium", us),
+            ("small", eu),
+        )
+    ]
+    for k, task in enumerate(wf.topological_order()):
+        builder.place(task, fleet[k % len(fleet)])
+    return builder.build("round-robin", "two-region")
+
+
+def test_two_region_mixed_flavor_plan_bills_like_the_oracle(platform):
+    sched = _two_region_mixed_plan(platform)
+    assert sched._plan is not None and sched._plan.zone is not None
+    assert len(sched._plan.flavors) == 3
+    assert sched.transfer_cost > 0
+    _assert_matches_oracle(sched)
+
+
+@pytest.mark.parametrize("policy", ["OneVMperTask", "StartParNotExceed"])
+def test_cold_boot_plan_bills_like_the_oracle(policy):
+    """Each VM's rent starts a boot before its first task: one boot for
+    the whole fleet (a fused plan) or one per VM (a checked plan from
+    VMs)."""
+    sched = HeftScheduler(policy).schedule(montage(10), COLD)
+    assert sched._plan.boot == 97.0
+    _assert_matches_oracle(sched)
+    vms = [
+        VM(
+            id=vm.id,
+            itype=vm.itype,
+            region=vm.region,
+            boot_seconds=float(k % 3) * 40.0,
+            placements=list(vm.placements),
+        )
+        for k, vm in enumerate(sched.vms)
+    ]
+    booted = Schedule(sched.workflow, COLD, vms, "booted", "booted").validate()
+    assert list(booted._plan.boot) == [vm.boot_seconds for vm in vms]
+    _assert_matches_oracle(booted)
+
+
+def test_unvalidated_plan_bills_from_its_columns(platform):
+    """A plan built from VMs and never checked bills from its list
+    columns; pricing it builds no view."""
+    fused = HeftScheduler("StartParNotExceed").schedule(montage(7), platform)
+    plain = Schedule(fused.workflow, platform, fused.vms, "plain", "plain")
+    assert plain._plan is None
+    _assert_matches_oracle(plain)
+    core_metrics.evaluate(plain)
+    assert plain._plan is None and not plain._checked
+    assert _metrics(plain) == _metrics(fused)
+
+
+def _both_paths(workflow, platform, vms) -> tuple:
+    """The same VMs as an unchecked plan and as a checked one."""
+    return (
+        Schedule(workflow, platform, vms, "x", "x"),
+        Schedule(workflow, platform, vms, "x", "x").validate(),
+    )
+
+
+def test_an_empty_vm_fails_alike_on_both_paths(platform):
+    from repro.errors import InvalidScheduleError
+
+    fused = HeftScheduler("StartParNotExceed").schedule(montage(4), platform)
+    vms = list(fused.vms)
+    vms.insert(1, VM(id=99, itype=vms[0].itype, region=vms[0].region))
+    messages = set()
+    for sched in _both_paths(fused.workflow, platform, vms):
+        for metric in ("rent_cost", "total_idle_seconds", "total_btus"):
+            with pytest.raises(InvalidScheduleError) as exc:
+                getattr(sched, metric)
+            messages.add(str(exc.value))
+    with pytest.raises(InvalidScheduleError) as exc:
+        oracle.rent_cost(_both_paths(fused.workflow, platform, vms)[0])
+    assert messages == {str(exc.value)} == {"vm99-s hosted no task"}
+
+
+def test_negative_uptime_fails_alike_on_both_paths(platform):
+    """A VM whose placement list runs backwards has a negative uptime,
+    which the billing model refuses on either path."""
+    from repro.errors import BillingError
+
+    fused = HeftScheduler("StartParExceed").schedule(montage(4), platform)
+    vms = [
+        VM(
+            id=vm.id,
+            itype=vm.itype,
+            region=vm.region,
+            placements=list(reversed(vm.placements)),
+        )
+        for vm in fused.vms
+    ]
+    messages = set()
+    for sched in _both_paths(fused.workflow, platform, vms):
+        for metric in ("rent_cost", "total_idle_seconds", "total_btus"):
+            with pytest.raises(BillingError) as exc:
+                getattr(sched, metric)
+            messages.add(str(exc.value))
+    with pytest.raises(BillingError) as exc:
+        oracle.rent_cost(_both_paths(fused.workflow, platform, vms)[0])
+    assert len(messages) == 1 and messages == {str(exc.value)}
+    assert str(exc.value).startswith("negative uptime -")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_busy_time_adds_in_placement_order(platform, seed):
+    """A VM's durations are added one by one in its placement order.  In
+    a queue listed in time order the running sum never outgrows the
+    precision of the durations (each is rounded to its own start's), so
+    the order rarely shows.  This VM lists a long task before sixteen
+    short, earlier ones whose durations carry bits the running sum
+    cannot hold, and its idle time keeps the busy time's last bits:
+    another association of the adds rounds differently."""
+    import random
+
+    from repro.cloud.vm import Placement
+    from repro.workflows.dag import Workflow
+    from repro.workflows.task import Task
+
+    rng = random.Random(seed)
+    runs = [(1000.0, 50000.0 + rng.random())]
+    runs += [(5.0 * i + rng.random(), 1.0 + 2.0 * rng.random()) for i in range(16)]
+    runs.append((60000.0, 100.0 + rng.random()))
+    wf = Workflow("bag")
+    placements = []
+    for i, (start, work) in enumerate(runs):
+        task = wf.add_task(Task(f"t{i}", work))
+        placements.append(Placement(task.id, start, start + work))
+    vm = VM(
+        id=0,
+        itype=platform.itype("small"),
+        region=platform.default_region,
+        placements=placements,
+    )
+    sched = Schedule(wf, platform, [vm], "bag", "bag").validate()
+    assert sched._plan is not None
+    _assert_matches_oracle(sched)
