@@ -413,12 +413,9 @@ class ScheduleExecutor:
             )
             replan = replan or action.kind == "replan"
         else:
-            # nothing ran: the queue alone follows the queue strategy
+            # nothing ran: the queue alone follows the queue strategy,
+            # re-placed uncharged, so no recovery is counted
             action = RecoveryAction("replan" if replan else "resubmit", 0.0)
-            if replan:
-                faults.stats.replans += 1
-            else:
-                faults.stats.resubmits += 1
         # the dead VM keeps only its executed prefix
         vm.queue = vm.queue[: vm.next_idx]
         if replan:

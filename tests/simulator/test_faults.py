@@ -513,6 +513,28 @@ class TestCrashChargesOnlyTheRunningAttempt:
         assert result.faults.task_failures == 1
         assert {ex._state[t].attempt for t in later} == {1}
 
+    @pytest.mark.parametrize("recovery", ["resubmit", "replan"])
+    def test_replay_crash_between_queued_tasks(self, platform, recovery):
+        """A crash after the VM's running task finished and before its
+        next queued task starts fails nothing, so no recovery is counted:
+        the queue is re-placed uncharged, as the online executor does."""
+        sched = HeftScheduler("StartParExceed").schedule(montage(4), platform)
+        dry = ScheduleExecutor(sched, fault_plan=FaultPlan()).run()
+        host = sched.vms[0]
+        first, after = host.task_ids[:2]
+        gap = (dry.task_finish[first], dry.task_start[after])
+        assert gap[0] < gap[1]
+        ex = ScheduleExecutor(sched, fault_plan=FaultPlan(), recovery=recovery)
+        evm = ex._vms[0]
+        ex.sim.at(sum(gap) / 2, lambda: ex._vm_crash(evm), "crash")
+        result = ex.run()
+        assert result.faults.vm_crashes == 1
+        assert self._task_fails(result) == []
+        assert result.faults.task_failures == 0
+        assert result.faults.recoveries == 0
+        assert result.task_start[after] > gap[1]  # it did move
+        assert set(result.task_finish) == set(sched.workflow.task_ids)
+
     def test_replay_crash_during_a_retry_backoff(self, platform):
         wf = sequential(3)
         plan = _fails_once(wf, "step_001")
