@@ -12,22 +12,20 @@ how to check its own feasibility (dependencies, transfers, per-VM
 serialization) and how to price itself (BTU rent + banded cross-region
 egress).
 
-A checked plan keeps the arrays it was checked on (:class:`PlanView`),
-and its makespan, BTUs, rent and idle time are a few whole-array steps
-over them, once per plan; an unchecked plan prices from its list
-columns, and pricing never builds a view.  Both paths perform the same
-float operations in the same order, so their figures are equal to the
-bit: a VM's busy time adds its durations left to right in placement
-order, as Python's ``sum`` adds a list of floats (``ufunc.at`` on the
-arrays; Python 3.12 and later compensate float sums, which the arrays
-do not).
+A schedule makes its plan as arrays (:class:`PlanView`) once, on the
+first query that needs them, and keeps them; the fused kernels and
+every other producer hand over the view they checked.  Validation,
+pricing (makespan, BTUs, rent, idle time, cross-region volumes) and
+the verify certificate all read that one view.  Pricing never checks
+feasibility: an infeasible plan prices, and only :meth:`validate`
+refuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from itertools import count
-from operator import attrgetter, eq, mul, sub
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -163,16 +161,17 @@ class Schedule:
             d["_vm_region"],
             d["_vm_boot"],
         ) = columns
-        # made on demand: the VM views, the makespan, the billing and the
-        # cost; the plan as arrays it was checked on, which the
-        # certificate and the billing read
+        # made on demand: the VM views, the makespan, the billing, the
+        # cost and the plan as arrays (:meth:`_plan_view`), which the
+        # check, the pricing and the certificate read
         d["_vms"] = None
         d["_makespan"] = None
         d["_billing"] = None
         d["_total_cost"] = None
         d["_plan"] = view
         #: feasibility memo — the schedule is immutable, so one
-        #: successful :meth:`validate` holds for its lifetime
+        #: successful :meth:`validate` holds for its lifetime; a view
+        #: handed over here is one :func:`check_plan` passed
         d["_checked"] = view is not None
 
     def relabeled(self, algorithm: str, provisioning: str) -> "Schedule":
@@ -259,10 +258,6 @@ class Schedule:
         except KeyError:
             raise InvalidScheduleError(f"unknown task {task_id!r}") from None
 
-    def _vm_name(self, v: int) -> str:
-        """``VM.name`` of the VM at position *v*."""
-        return f"vm{self._vm_id[v]}-{self._vm_itype[v].short}"
-
     @property
     def label(self) -> str:
         if self.algorithm and self.provisioning:
@@ -270,17 +265,14 @@ class Schedule:
         return self.algorithm or self.provisioning or "schedule"
 
     # ------------------------------------------------------------------
-    # metrics: from the checked arrays, else the list columns
+    # metrics, from the plan view
     # ------------------------------------------------------------------
     @property
     def makespan(self) -> float:
         """Finish of the last task (workflows are released at t=0)."""
         makespan = self._makespan
         if makespan is None:
-            view = self._plan
-            makespan = (
-                max(self._end) if view is None else float(np.maximum.reduce(view.end))
-            )
+            makespan = float(np.maximum.reduce(self._plan_view().end))
             self.__dict__["_makespan"] = makespan
         return makespan
 
@@ -294,45 +286,26 @@ class Schedule:
         A VM's BTUs are the billing model's rounding of
         ``VM.uptime_seconds``, its last end minus (its first start -
         boot); its idle time is the paid time minus the busy time, the
-        left-to-right sum of its task durations in placement order.  A
-        checked plan is billed from the arrays it was checked on, any
-        other from its list columns; both do the same float operations
-        in the same order.
+        left-to-right sum of its task durations in placement order.
+        Billed by :meth:`_bill_plan` from the plan view.
         """
         billed = self._billing
         if billed is None:
-            view = self._plan
-            billed = self._bill_columns() if view is None else self._bill_plan(view)
-            self.__dict__["_billing"] = billed
+            billed = self.__dict__["_billing"] = self._bill_plan(self._plan_view())
         return billed
 
-    def _bill_columns(self) -> tuple:
-        ptr = self._vm_ptr
-        if any(map(eq, ptr, ptr[1:])):
-            v = next(v for v in range(len(ptr) - 1) if ptr[v] == ptr[v + 1])
-            raise InvalidScheduleError(f"{self._vm_name(v)} hosted no task")
-        seq = self._vm_seq
-        start = self._start
-        end = self._end
-        billing = self.platform.billing
-        up = [
-            end[seq[b - 1]] - (start[seq[a]] - boot)
-            for a, b, boot in zip(ptr, ptr[1:], self._vm_boot)
-        ]
-        btus = list(map(billing.btus, up))
-        durs = [end[t] - start[t] for t in seq]
-        busy = [sum(durs[a:b]) for a, b in zip(ptr, ptr[1:])]
-        btu = billing.btu_seconds
-        idle = sum(map(sub, [k * btu for k in btus], busy))
-        return btus, sum(btus), idle
-
     def _bill_plan(self, view: "PlanView") -> tuple:
-        """:meth:`_bill_columns` as whole-array steps over *view*."""
+        """:meth:`_billed` as whole-array steps over *view*: the
+        billing model's rounding per VM, and the idle time with each
+        VM's durations added one by one in its placement order.  An
+        empty VM raises :class:`InvalidScheduleError`, a negative or NaN
+        uptime the billing model's error, for the first such VM."""
         first, after = view.ptr[:-1], view.ptr[1:]
         nv = len(first)
         if np.count_nonzero(after - first) < nv:
             v = int((after - first).argmin())
-            raise InvalidScheduleError(f"{self._vm_name(v)} hosted no task")
+            name = _vm_name(self._vm_id, view, v)
+            raise InvalidScheduleError(f"{name} hosted no task")
         starts, ends = view.qstart, view.qend
         single = len(starts) == nv  # every VM hosts one task
         up = starts.copy() if single else starts[first]
@@ -375,11 +348,7 @@ class Schedule:
         """Sum over VMs of ``btus * price`` (the paper's fixed-price BTU
         arithmetic, ``BillingModel.vm_cost``)."""
         btus = self._billed()[0]
-        view = self._plan
-        if view is None:
-            prices = map(Region.price, self._vm_region, self._vm_itype)
-            return sum(map(mul, btus, prices))
-        return sum((btus * _vm_prices(view)).tolist())
+        return sum((btus * _vm_prices(self._plan_view())).tolist())
 
     def check_constraints(self, constraints) -> tuple:
         """Violations of *constraints* (a
@@ -397,14 +366,9 @@ class Schedule:
     def transfer_volumes(self) -> List[Tuple[str, str, float]]:
         """Cross-region edges as ``(src_region, dst_region, gb)``, in
         deterministic (parent, child) order."""
-        view = self._plan
-        regions = self._vm_region
-        if view is not None:
-            one_region = view.zone is None
-        else:
-            one_region = len(set(map(_NAME, regions))) < 2
-        if one_region:
+        if self._plan_view().zone is None:
             return []  # a single-region plan ships nothing across regions
+        regions = self._vm_region
         index = self._index
         tvm = self._tvm
         out = []
@@ -455,18 +419,17 @@ class Schedule:
 
         Memoized: the object is immutable, so a second call returns
         immediately (the fused kernels run the same :func:`check_plan`
-        and hand the view they checked over).  The checked view is kept
-        for the verify certificate, its next reader.
+        and hand the view they checked over).  It checks the one plan
+        view that pricing and the verify certificate read.
         """
         if not self._checked:
-            view = self.__dict__["_plan"] = self._plan_view()
-            check_plan(self.workflow, view, self._vm_id)
+            check_plan(self.workflow, self._plan_view(), self._vm_id)
             self.__dict__["_checked"] = True
         return self
 
     def _plan_view(self) -> "PlanView":
-        """The plan as arrays: the view :meth:`validate` checked, else a
-        new one."""
+        """The plan as arrays, made on the first call and kept (a
+        producer that checked the plan hands its view over)."""
         if self._plan is not None:
             return self._plan
         itypes = self._vm_itype
@@ -482,7 +445,7 @@ class Schedule:
             code = dict(zip(regions, count()))
             names = map(_NAME, self._vm_region)
             zone = np.fromiter(map(code.__getitem__, names), np.int64, nv)
-        return plan_view(
+        view = self.__dict__["_plan"] = plan_view(
             self.workflow,
             self.platform.network,
             np.asarray(self._tvm, dtype=np.int64),
@@ -496,6 +459,7 @@ class Schedule:
             list(regions.values()),
             np.asarray(self._vm_boot, dtype=np.float64),
         )
+        return view
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -565,6 +529,12 @@ def _vm_prices(view: PlanView):
     return prices[slot]
 
 
+def _vm_name(vm_ids, view: PlanView, v) -> str:
+    """``VM.name`` of the VM at position *v* of the plan *view* whose
+    VMs have the ids *vm_ids*."""
+    return f"vm{vm_ids[v]}-{view.flavors[view.kind[v]].short}"
+
+
 def check_plan(workflow, view: PlanView, vm_ids) -> None:
     """Raise :class:`InvalidScheduleError` on the first infeasibility of
     the plan *view* whose VMs have the ids *vm_ids*.
@@ -587,9 +557,6 @@ def check_plan(workflow, view: PlanView, vm_ids) -> None:
             f"{ids[t]!r} runs from {start[t]} to {end[t]}: not a finite time"
         )
 
-    def vm_name(v) -> str:
-        return f"vm{vm_ids[v]}-{flavors[kind[v]].short}"
-
     vm_at = view.qvm
     inner = vm_at[:-1] == vm_at[1:]
     s = view.qstart
@@ -609,11 +576,12 @@ def check_plan(workflow, view: PlanView, vm_ids) -> None:
             i = overlap.argmax()
             if not (off[j] and vm_at[j] < vm_at[i]):
                 raise InvalidScheduleError(
-                    f"{vm_name(vm_at[i])}: {ids[x[i]]!r} and {ids[y[i]]!r} overlap"
+                    f"{_vm_name(vm_ids, view, vm_at[i])}: "
+                    f"{ids[x[i]]!r} and {ids[y[i]]!r} overlap"
                 )
         v, t = vm_at[j], seq[j]
         raise InvalidScheduleError(
-            f"{vm_name(v)}: {ids[t]!r} runs {dur[t]:.6f}s, "
+            f"{_vm_name(vm_ids, view, v)}: {ids[t]!r} runs {dur[t]:.6f}s, "
             f"expected {runt[t]:.6f}s on {flavors[kind[v]].name}"
         )
     src, dst = cd.pred_idx, cd.pred_dst

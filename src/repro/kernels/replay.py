@@ -30,7 +30,7 @@ Fleets may mix flavors (the CPA-Eager, GAIN and AllPar1LnSDyn plans):
 each task runs ``work / speedup`` of its own VM's flavor, and each
 cross-VM edge pays the bottleneck of the two links, as the DES charges
 (:func:`~repro.kernels.columnar.fleet_costs`).  It reads the schedule's
-plan view, the arrays ``Schedule.validate`` has already checked.
+plan view, the same arrays its check and its pricing read.
 
 Anything the recurrence does not model goes to the DES (``False``): a
 tracer that records spans or an active metrics registry (the DES emits

@@ -41,14 +41,14 @@ def validate_reference(schedule) -> None:
         for x, y in zip(ordered, ordered[1:]):
             if end[x] > start[y] + _EPS:
                 raise InvalidScheduleError(
-                    f"{schedule._vm_name(v)}: {ids[x]!r} and {ids[y]!r} overlap"
+                    f"{schedule.vms[v].name}: {ids[x]!r} and {ids[y]!r} overlap"
                 )
         for t in row:
             expect = runtime(task(ids[t]), itype)
             duration = end[t] - start[t]
             if abs(duration - expect) > _EPS * max(1.0, expect):
                 raise InvalidScheduleError(
-                    f"{schedule._vm_name(v)}: {ids[t]!r} runs {duration:.6f}s, "
+                    f"{schedule.vms[v].name}: {ids[t]!r} runs {duration:.6f}s, "
                     f"expected {expect:.6f}s on {itype.name}"
                 )
     index = schedule._index
