@@ -28,6 +28,7 @@ from repro.core.constraints import Constraints
 from repro.errors import ExperimentError
 from repro.service.arrivals import WorkflowRequest
 from repro.util.suggest import unknown_name_message
+from repro.util.totals import left_sum
 
 
 class RequestQueue(Sequence):
@@ -250,7 +251,7 @@ def default_estimator(request: WorkflowRequest, service) -> float:
         end = start + (end - start)
         paid.append(btus(end - (start - boot)))
     price = region.price(itype)
-    return sum([b * price for b in paid])
+    return left_sum(b * price for b in paid)
 
 
 class BudgetGuardAdmission(AdmissionPolicy):

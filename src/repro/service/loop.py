@@ -48,7 +48,7 @@ from repro.service.admission import (
     admission_policy,
 )
 from repro.service.arrivals import WorkflowRequest
-from repro.service.fleet import FleetManager, OwnerBill
+from repro.service.fleet import FleetManager, OwnerBill, fleet_for
 from repro.simulator.engine import Simulator
 from repro.simulator.faults import FaultPlan, FaultRuntime
 from repro.simulator.online import OnlineCloudExecutor
@@ -233,7 +233,7 @@ class WorkflowService:
         self.sim = Simulator(tracer=tracer)
         #: the shared fleet; inject one to inspect it after the run, or
         #: to run against the scan oracle of the property tests
-        self.fleet = fleet if fleet is not None else FleetManager(region=self.region)
+        self.fleet = fleet_for(fleet, self.region, platform.btu_seconds)
         self.accounts: Dict[str, TenantAccount] = {}
         #: admitted requests waiting for a slot (arrival order, and
         #: per tenant for the fair-share pick)

@@ -4,7 +4,7 @@ that replays a static schedule (assignments + per-VM order) through
 task-ready/transfer/completion dynamics and reports observed timings."""
 
 from repro.simulator.engine import Simulator
-from repro.simulator.events import EventQueue, ScheduledEvent
+from repro.simulator.events import ScheduledEvent
 from repro.simulator.trace import TraceEvent, SimulationResult
 from repro.simulator.executor import (
     ScheduleExecutor,
@@ -26,7 +26,6 @@ from repro.simulator.online import (
 
 __all__ = [
     "Simulator",
-    "EventQueue",
     "ScheduledEvent",
     "TraceEvent",
     "SimulationResult",

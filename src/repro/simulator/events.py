@@ -1,24 +1,22 @@
-"""Time-ordered event queue.
+"""The event record of the discrete-event engine.
 
-Events fire in (time, insertion sequence) order, so simultaneous events
-are processed deterministically in the order they were scheduled —
-essential for bit-for-bit reproducible experiments.
+:class:`~repro.simulator.engine.Simulator` keeps its pending events in a
+min-heap of :class:`ScheduledEvent` records and fires them in ``(time,
+insertion sequence)`` order, so simultaneous events are processed
+deterministically in the order they were scheduled — essential for
+bit-for-bit reproducible experiments.
 
-The event record is a :class:`typing.NamedTuple` rather than the
-historical frozen dataclass: heap sifts then compare plain tuples in C,
-and because ``(time, seq)`` is unique per queue the comparison never
+The record is a :class:`typing.NamedTuple` rather than the historical
+frozen dataclass: heap sifts then compare plain tuples in C, and
+because ``(time, seq)`` is unique per simulator the comparison never
 reaches the (incomparable) ``action`` field.  Pushing an event is one
 tuple allocation instead of a dataclass ``__init__`` + ``__setattr__``
-guard per field — the queue sits on the simulator's innermost loop.
+guard per field — the heap sits on the simulator's innermost loop.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Callable, NamedTuple
-
-from repro.errors import SimulationError
 
 
 class ScheduledEvent(NamedTuple):
@@ -32,32 +30,3 @@ class ScheduledEvent(NamedTuple):
     seq: int
     action: Callable[[], None]
     label: str = ""
-
-
-class EventQueue:
-    """Min-heap of :class:`ScheduledEvent` with stable ordering."""
-
-    def __init__(self) -> None:
-        self._heap: list[ScheduledEvent] = []
-        self._counter = itertools.count()
-
-    def push(self, time: float, action: Callable[[], None], label: str = "") -> ScheduledEvent:
-        if time < 0 or time != time:
-            raise SimulationError(f"cannot schedule event at time {time}")
-        ev = ScheduledEvent(time, next(self._counter), action, label)
-        heapq.heappush(self._heap, ev)
-        return ev
-
-    def pop(self) -> ScheduledEvent:
-        if not self._heap:
-            raise SimulationError("pop from empty event queue")
-        return heapq.heappop(self._heap)
-
-    def peek_time(self) -> float | None:
-        return self._heap[0].time if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)

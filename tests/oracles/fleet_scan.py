@@ -27,10 +27,10 @@ class ScanFleetManager(FleetManager):
     def _close(self, vm: FleetVM) -> None:
         """Keep the dead record: ``vms`` stays a roster of records."""
 
-    def reap(self, now: float, btu: float) -> List[FleetVM]:
+    def reap(self, now: float) -> List[FleetVM]:
         reaped: List[FleetVM] = []
         for vm in self._open.values():  # every record, in id order
-            if not vm.dead and vm.free_at <= now and vm.horizon(btu) < now - _EPS:
+            if not vm.dead and vm.free_at <= now and vm.horizon(self.btu) < now - _EPS:
                 self._retire(vm)
                 self.reaped_count += 1
                 reaped.append(vm)

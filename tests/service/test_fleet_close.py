@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import random
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.experiments.scenarios import price_scenario
 from repro.experiments.service import ServiceCell, build_requests
 from repro.market.recovery import RebidHigher
+from repro.market.spot import ON_DEMAND, spot
 from repro.obs.metrics import MetricsRegistry
 from repro.service.fleet import ClosedVM, FleetManager, FleetVM
 from repro.service.loop import WorkflowService
@@ -162,7 +165,7 @@ def test_row_views(platform):
     fleet.mark_crashed(crashed, 150.0)
     crashed.preempted = True
     fleet.notify_crash(crashed)
-    assert [vm.id for vm in fleet.reap(btu + 1.0, btu)] == [reaped.id]
+    assert [vm.id for vm in fleet.reap(btu + 1.0)] == [reaped.id]
 
     assert fleet.vms[live.id] is live and fleet.vms[-1] is live
     assert fleet.live_vm(live.id) is live
@@ -239,3 +242,133 @@ def test_no_record_survives_a_reaped_vm(platform):
         if faults is not None:
             assert service.fleet.counters()["crashed"] > 0
         del service  # its open records must not count in the next case
+
+
+# ----------------------------------------------------------------------
+# finalize: the array bill against the record walk on hand-built fleets
+# ----------------------------------------------------------------------
+def _twins(build):
+    """A closing fleet and the record-keeping oracle, both built by the
+    same *build(fleet)*."""
+    fleets = (FleetManager(), ScanFleetManager())
+    for fleet in fleets:
+        build(fleet)
+    return fleets
+
+
+def _same_bill(platform, build, market=None, seed=0):
+    got, want = (
+        fleet.finalize(platform.billing, platform.default_region, market, seed)
+        for fleet in _twins(build)
+    )
+    assert repr(got) == repr(want)
+    return got
+
+
+def _use(fleet, vm, seconds):
+    vm.free_at += seconds
+    vm.busy_seconds += seconds
+    fleet.note_use(vm)
+
+
+def test_finalize_mixed_market_fleet(platform):
+    """Fixed-price rentals, market on-demand and spot purchases on a
+    stepped price trace, two flavors and three owners: the market VMs
+    keep the scalar realized cost, the rest bill per column."""
+    small, large = platform.itype("small"), platform.itype("large")
+    market = price_scenario("spot_spike").market
+
+    def build(fleet):
+        for i, (itype, owner, purchase) in enumerate(
+            [
+                (small, "a", None),
+                (large, "b", spot(0.5)),
+                (small, "c", ON_DEMAND),
+                (large, "a", None),
+                (small, "b", spot()),
+                (small, "c", spot(0.5)),
+            ]
+        ):
+            vm = fleet.rent(itype, 300.0 * i, 300.0 * i + 30.0, owner, purchase)
+            _use(fleet, vm, 1234.5 * (i + 1))
+        fleet.reap(20_000.0)
+
+    roll = _same_bill(platform, build, market=market, seed=3)
+    assert sorted(roll.bills) == ["a", "b", "c"]
+    # the market priced the spot VMs otherwise than the list price would
+    assert roll.rent_cost != _same_bill(platform, build).rent_cost
+
+
+def test_finalize_crashed_and_zero_uptime(platform):
+    """Crashed VMs stop paying at the crash (closed by notify_crash, or
+    left open and closed by finalize); a rental that never ran, or
+    crashed at its start, pays nothing."""
+    itype = platform.itype("small")
+
+    def build(fleet):
+        fleet.rent(itype, 100.0, 100.0, owner="z")  # zero uptime
+        notified = fleet.rent(itype, 0.0, 30.0, owner="x")
+        _use(fleet, notified, 9000.0)
+        fleet.mark_crashed(notified, 4000.0)
+        fleet.notify_crash(notified)
+        lazy = fleet.rent(itype, 50.0, 80.0, owner="y")
+        _use(fleet, lazy, 500.0)
+        fleet.mark_crashed(lazy, 50.0)  # crashed at its start
+        open_vm = fleet.rent(itype, 60.0, 90.0, owner="x")
+        _use(fleet, open_vm, 7300.0)
+
+    roll = _same_bill(platform, build)
+    assert roll.bills["z"].btus == 0 and roll.bills["z"].rent_cost == 0.0
+    assert roll.bills["y"].btus == 0
+    assert roll.bills["x"].btus == 2 + 3
+
+
+def test_finalize_empty_fleet(platform):
+    roll = _same_bill(platform, lambda fleet: None)
+    assert repr(roll) == repr(FleetManager().finalize(platform.billing))
+    assert (roll.bills, roll.btus, roll.utilization) == ({}, 0, 0.0)
+
+
+def test_finalize_large_irregular_fleet(platform):
+    """6,000 VMs of irregular lifetimes over five owners, two flavors,
+    crashes and reaps: every per-owner and fleet total adds its VMs in
+    id order (a pairwise sum gives other bits here)."""
+    flavors = (platform.itype("small"), platform.itype("medium"))
+    btu = platform.btu_seconds
+
+    def build(fleet):
+        rng = random.Random(11)
+        now = 0.0
+        for _ in range(6000):
+            now += rng.expovariate(1 / 40.0)
+            vm = fleet.rent(
+                rng.choice(flavors), now, now + 30.0 * rng.random(), f"t{rng.randrange(5)}"
+            )
+            _use(fleet, vm, rng.lognormvariate(7.0, 1.3))
+            if rng.random() < 0.03:
+                fleet.mark_crashed(vm, now + rng.random() * (vm.free_at - now))
+                fleet.notify_crash(vm)
+            if rng.random() < 0.1:
+                fleet.reap(now)
+        fleet.reap(now + 2 * btu)
+
+    roll = _same_bill(platform, build)
+    assert len(roll.bills) == 5
+    assert sum(b.vm_count for b in roll.bills.values()) == 6000
+
+
+def test_finalize_freed_before_start_names_the_first_vm(platform):
+    itype = platform.itype("small")
+
+    def build(fleet):
+        fleet.rent(itype, 0.0, 10.0)
+        fleet.rent(itype, 100.0, 50.0)
+        fleet.rent(itype, 100.0, 100.0 - 1e-10)  # within the slack
+        fleet.rent(itype, 200.0, 20.0)
+
+    for fleet in _twins(build):
+        with pytest.raises(SimulationError) as caught:
+            fleet.finalize(platform.billing, platform.default_region)
+        assert str(caught.value) == "vm1 freed at 50.0 before start 100.0"
+        # the kept traceback pins no view of the columns: they still grow
+        fleet.rent(itype, 300.0, 400.0)
