@@ -35,6 +35,7 @@ from repro.cloud.region import Region
 from repro.cloud.vm import VM, Placement
 from repro.errors import InvalidScheduleError
 from repro.kernels.columnar import fleet_costs, get_columnar
+from repro.util.totals import array_left_sum
 from repro.workflows.dag import Workflow
 
 _EPS = 1e-6
@@ -337,7 +338,7 @@ class Schedule:
             np.add.at(busy, view.qvm, durs)
         idle = btus * btu
         idle -= busy
-        return btus, int(sum(btus.tolist())), sum(idle.tolist())
+        return btus, int(sum(btus.tolist())), array_left_sum(idle)
 
     @property
     def total_btus(self) -> int:
@@ -348,7 +349,7 @@ class Schedule:
         """Sum over VMs of ``btus * price`` (the paper's fixed-price BTU
         arithmetic, ``BillingModel.vm_cost``)."""
         btus = self._billed()[0]
-        return sum((btus * _vm_prices(self._plan_view())).tolist())
+        return array_left_sum(btus * _vm_prices(self._plan_view()))
 
     def check_constraints(self, constraints) -> tuple:
         """Violations of *constraints* (a

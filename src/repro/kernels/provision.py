@@ -26,6 +26,15 @@ re-designs: every branch mirrors the corresponding
   not how much work a query took; the totals are flushed once at the
   end (key-identical because zero totals are not flushed).
 
+Each candidate VM's start is computed once, and the task is placed at
+it: the reuse and fit tests and ``_State.place`` share one float.  Per
+task, the generic data-ready (every edge remote) is one pass over its
+predecessors; it is the start on a fresh VM (plus the boot on a cold
+platform: a fresh VM hosts no predecessor) and, with the VM's ready
+time, on a rented VM hosting none.  A rented VM hosting a predecessor
+takes the exact per-edge pass, and the set of such VMs is made at most
+once per task, only when a candidate is examined.
+
 OneVMperTask is its recurrence instead: each task rents its own VM, so
 no queue delays it and no edge stays on one VM, and its start is its
 data-ready time over every remote edge (plus the boot on a cold
@@ -61,7 +70,12 @@ _INF = float("inf")
 
 
 class _State:
-    """Shared flat state + closures of one fused placement run."""
+    """Shared flat state + closures of one fused placement run.
+
+    No per-task memo: a task's generic data-ready and predecessor-VM
+    set are computed at most once, by the loop placing it, and die with
+    its iteration — a container per task would outlive its task and
+    leave the collector 50k+ of them to rescan."""
 
     __slots__ = (
         "n",
@@ -74,9 +88,6 @@ class _State:
         "tstart",
         "tfin",
         "tvm",
-        "dr_gen",
-        "pv_task",
-        "pv_set",
         "nv",
         "log",
         "vm_busy",
@@ -87,9 +98,6 @@ class _State:
         "cold",
         "boot",
         "btu",
-        "rent",
-        "reuse_pred",
-        "reuse_pool",
     )
 
     def __init__(self, workflow, cd, platform, itype) -> None:
@@ -103,15 +111,6 @@ class _State:
         self.tstart = [0.0] * n
         self.tfin = [0.0] * n
         self.tvm = [-1] * n
-        #: per-task memoized generic (non-predecessor-hosting) data-ready
-        self.dr_gen: List = [None] * n
-        #: the task being placed and the set of VM ids hosting its
-        #: predecessors (fixed once they are placed — allocation order is
-        #: topological); keeps ``es`` O(1) on wide fan-in tasks.  One
-        #: slot, not one set per task: a set per task would outlive its
-        #: task and leave the collector 50k+ containers to rescan.
-        self.pv_task = -1
-        self.pv_set: set = set()
         #: rented VMs; per-VM slots are preallocated to the VM-count
         #: ceiling (one per task) and the first ``nv`` are live
         self.nv = 0
@@ -126,67 +125,63 @@ class _State:
         self.cold = not platform.prebooted
         self.boot = platform.boot_seconds
         self.btu = platform.billing.btu_seconds
-        self.rent = 0
-        self.reuse_pred = 0
-        self.reuse_pool = 0
 
     # ------------------------------------------------------------------
     def pred_vm_set(self, t: int) -> set:
-        """Ids of the VMs hosting *t*'s predecessors, memoized for the
-        task being placed."""
-        if self.pv_task != t:
-            pp = self.pp
-            pi = self.pi
-            tvm = self.tvm
-            self.pv_set = {tvm[pi[e]] for e in range(pp[t], pp[t + 1])}
-            self.pv_task = t
-        return self.pv_set
+        """Ids of the VMs hosting *t*'s predecessors (fixed once they are
+        placed: allocation order is topological)."""
+        pi = self.pi
+        tvm = self.tvm
+        return {tvm[pi[e]] for e in range(self.pp[t], self.pp[t + 1])}
 
     def data_ready(self, t: int) -> float:
         """Generic data-ready of *t* on a VM hosting none of its
-        predecessors (memoized): every edge pays its remote transfer."""
-        best = self.dr_gen[t]
-        if best is None:
-            pi = self.pi
-            tfin = self.tfin
-            rtr = self.rtr
-            best = 0.0
-            for e in range(self.pp[t], self.pp[t + 1]):
-                cand = tfin[pi[e]] + rtr[e]
-                if cand > best:
-                    best = cand
-            self.dr_gen[t] = best
+        predecessors: every edge pays its remote transfer.  All
+        candidate VMs share one (flavor, region), so it is one value per
+        task, the builder's per-task memo."""
+        pi = self.pi
+        tfin = self.tfin
+        rtr = self.rtr
+        best = 0.0
+        for e in range(self.pp[t], self.pp[t + 1]):
+            cand = tfin[pi[e]] + rtr[e]
+            if cand > best:
+                best = cand
         return best
 
-    def es(self, t: int, v: int) -> float:
-        """``ScheduleBuilder.earliest_start`` over the flat state."""
-        pp = self.pp
-        lo = pp[t]
-        hi = pp[t + 1]
+    def fresh_start(self, dr: float) -> float:
+        """``earliest_start`` on a VM rented for the task, from its
+        generic data-ready *dr*: a fresh VM hosts no predecessor and is
+        ready at ``0.0 <= dr``; a cold one boots first."""
+        return dr + self.boot if self.cold else dr
+
+    def host_start(self, t: int, v: int) -> float:
+        """``earliest_start`` of *t* on rented VM *v*, which hosts one of
+        its predecessors: the exact per-edge pass (same-VM transfers are
+        0.0, and ``fin + 0.0 == fin`` for ``fin > 0``).  A rented VM has
+        booted."""
+        pi = self.pi
+        tvm = self.tvm
+        tfin = self.tfin
+        rtr = self.rtr
+        best = 0.0
+        for e in range(self.pp[t], self.pp[t + 1]):
+            p = pi[e]
+            cand = tfin[p] if tvm[p] == v else tfin[p] + rtr[e]
+            if cand > best:
+                best = cand
         ready = self.vm_ready[v]
-        if lo != hi:
-            if v in self.pred_vm_set(t):
-                # exact per-predecessor pass (same_vm transfers are 0.0;
-                # fin + 0.0 == fin for fin > 0)
-                pi = self.pi
-                tvm = self.tvm
-                tfin = self.tfin
-                rtr = self.rtr
-                best = 0.0
-                for e in range(lo, hi):
-                    p = pi[e]
-                    cand = tfin[p] if tvm[p] == v else tfin[p] + rtr[e]
-                    if cand > best:
-                        best = cand
-            else:
-                # all candidate VMs share one (flavor, region): the
-                # builder's per-task memo collapses to a single slot
-                best = self.data_ready(t)
-            if best > ready:
-                ready = best
-        if self.cold and not self.stamps[v]:
-            ready += self.boot
-        return ready
+        return best if best > ready else ready
+
+    def fit_start(self, t: int, v: int, require_fit: bool) -> float:
+        """is_reusable, then (NotExceed) fits_in_btu, of *t* on rented VM
+        *v*, which hosts one of its predecessors: *t*'s start on it, or
+        ``-1.0`` if it does not fit (starts are never negative)."""
+        s = self.host_start(t, v)
+        lim = self.vm_paid[v] + 1e-9
+        if s <= lim and (not require_fit or s + self.runt[t] <= lim):
+            return s
+        return -1.0
 
     def new_vm(self) -> int:
         # slots are preallocated with fresh-VM defaults and never
@@ -195,26 +190,29 @@ class _State:
         self.nv = v + 1
         return v
 
-    def place(self, t: int, v: int) -> None:
-        """``ScheduleBuilder.place`` + eager paid-horizon maintenance."""
-        s = self.es(t, v)
+    def place(self, t: int, v: int, s: float) -> None:
+        """``ScheduleBuilder.place`` of *t* on *v* at its start *s* (the
+        ``earliest_start`` its caller chose the VM by) + eager
+        paid-horizon maintenance."""
         d = self.runt[t]
         f = s + d
-        if not self.stamps[v]:
-            self.vm_startt[v] = s
+        stamps = self.stamps
+        if stamps[v]:
+            first = self.vm_startt[v]
+        else:
+            first = self.vm_startt[v] = s
+        stamps[v] += 1
         self.log.append(t)
         self.tvm[t] = v
         self.tstart[t] = s
         self.tfin[t] = f
         self.vm_ready[v] = f
         self.vm_busy[v] += d
-        self.stamps[v] += 1
-        up = f - self.vm_startt[v]
         btu = self.btu
-        k = math.ceil(up / btu - 1e-9)
+        k = math.ceil((f - first) / btu - 1e-9)
         if k < 1:
             k = 1
-        self.vm_paid[v] = self.vm_startt[v] + k * btu
+        self.vm_paid[v] = first + k * btu
 
     def largest_pred_vm(self, t: int) -> int:
         """``vm_of_largest_predecessor``: max over placed predecessors by
@@ -298,11 +296,12 @@ class _LevelPool:
         if s >= 0:
             self.live[s] = False
 
-    def first_fit(self, st: _State, t: int, require_fit: bool, fits) -> int:
-        """The first live VM in pool order that can host *t* (-1 if
-        none)."""
+    def first_fit(self, st: _State, t: int, dr: float, require_fit: bool):
+        """The first live VM in pool order that can host *t*, and *t*'s
+        start on it (``(-1, -1.0)`` if none); *dr* is *t*'s generic
+        data-ready."""
         if not self.vids:
-            return -1
+            return -1, -1.0
         #: live candidates that host no predecessor of t
         gen = self.live.copy()
         exact = []
@@ -319,30 +318,32 @@ class _LevelPool:
                 gen[pos] = False
                 exact = np.sort(pos).tolist()
         k = 0
-        found = False
+        start = -1.0
         if gen.any():
             # es = max(ready, data-ready); max returns one of its
-            # operands, so each element is the float ``_State.es``
-            # computes
-            es_v = np.maximum(self.ready, st.data_ready(t))
+            # operands, so each element is the float the builder's
+            # ``earliest_start`` computes
+            es_v = np.maximum(self.ready, dr)
             ok = gen & (es_v <= self.lim)
             if require_fit:
                 ok &= es_v + st.runt[t] <= self.lim
             k = int(ok.argmax())
-            found = bool(ok[k])
+            if ok[k]:
+                start = es_v[k].item()
         # the exact candidates the walk reaches before the vector's first
         # fit, in pool order: each costs one O(preds) pass at most once
-        for s in exact:
-            if found and s > k:
+        for slot in exact:
+            if start >= 0.0 and slot > k:
                 break
-            if fits(t, self.vids[s]):
-                k = s
-                found = True
+            s = st.fit_start(t, self.vids[slot], require_fit)
+            if s >= 0.0:
+                k = slot
+                start = s
                 break
-        if not found:
-            return -1
+        if start < 0.0:
+            return -1, -1.0
         self.live[k] = False
-        return self.vids[k]
+        return self.vids[k], start
 
 
 def fused_level_schedule(
@@ -357,10 +358,12 @@ def fused_level_schedule(
     """Level-ranked AllPar[Not]Exceed as one fused pass."""
     cd = get_columnar(workflow)
     st = _State(workflow, cd, platform, itype)
-    es = st.es
+    fit_start = st.fit_start
+    largest_pred_vm = st.largest_pred_vm
+    data_ready = st.data_ready
+    fresh_start = st.fresh_start
+    new_vm = st.new_vm
     place = st.place
-    runt = st.runt
-    vm_paid = st.vm_paid
     require_fit = not exceed
     order, lv_starts = cd.level_groups()
     neg_runt = -st.runt_v
@@ -369,18 +372,7 @@ def fused_level_schedule(
     #: so "hosts the current level" is exactly ``vm_lastlvl == lvl``
     vm_lastlvl: List[int] = []
     pool = None
-
-    def fits(t: int, v: int) -> bool:
-        """is_reusable, then (NotExceed) fits_in_btu, on a rented VM."""
-        s = es(t, v)
-        lim = vm_paid[v] + 1e-9
-        return s <= lim and (not require_fit or s + runt[t] <= lim)
-
-    def rent(t: int, lvl: int) -> None:
-        st.rent += 1
-        v = st.new_vm()
-        vm_lastlvl.append(lvl)
-        place(t, v)
+    rent = reuse_pred = reuse_pool = 0
 
     for lvl in range(cd.n_levels):
         nodes = order[lv_starts[lvl] : lv_starts[lvl + 1]]
@@ -391,32 +383,34 @@ def fused_level_schedule(
             # the largest predecessor's VM: level exclusion (always
             # passed by a sequential task), then is_reusable, then the
             # fit
-            pv = st.largest_pred_vm(t)
-            if pv != -1 and vm_lastlvl[pv] != lvl and fits(t, pv):
-                st.reuse_pred += 1
-                place(t, pv)
-                vm_lastlvl[pv] = lvl
-                if pool is not None and pool.lvl == lvl:
-                    pool.claim(pv)
-                continue
-            if not parallel:
-                # a sequential task takes its largest predecessor's VM
-                # or a new one
-                rent(t, lvl)
-                continue
-            # the busiest accepted VM: the pool is built on the
-            # level's first query
-            if pool is None or pool.lvl != lvl:
-                pool = _LevelPool(st, vm_lastlvl, lvl)
-            v = pool.first_fit(st, t, require_fit, fits)
-            if v == -1:
-                rent(t, lvl)
-            else:
-                st.reuse_pool += 1
-                place(t, v)
-                vm_lastlvl[v] = lvl
+            pv = largest_pred_vm(t)
+            if pv != -1 and vm_lastlvl[pv] != lvl:
+                s = fit_start(t, pv, require_fit)
+                if s >= 0.0:
+                    reuse_pred += 1
+                    place(t, pv, s)
+                    vm_lastlvl[pv] = lvl
+                    if pool is not None and pool.lvl == lvl:
+                        pool.claim(pv)
+                    continue
+            dr = data_ready(t)
+            # a sequential task takes its largest predecessor's VM or a
+            # new one; a parallel one the busiest accepted VM, from the
+            # pool built on the level's first query
+            if parallel:
+                if pool is None or pool.lvl != lvl:
+                    pool = _LevelPool(st, vm_lastlvl, lvl)
+                v, s = pool.first_fit(st, t, dr, require_fit)
+                if v != -1:
+                    reuse_pool += 1
+                    place(t, v, s)
+                    vm_lastlvl[v] = lvl
+                    continue
+            rent += 1
+            vm_lastlvl.append(lvl)
+            place(t, new_vm(), fresh_start(dr))
 
-    _flush_metrics(st.nv, st.n, st.rent, st.reuse_pred, st.reuse_pool)
+    _flush_metrics(st.nv, st.n, rent, reuse_pred, reuse_pool)
     return _assemble(
         workflow, platform, itype, region, cd, st.tstart, st.tfin, st.tvm, st.log,
         st.nv, algorithm, provisioning,
@@ -450,58 +444,78 @@ def fused_heft_schedule(
         )
     order = order.tolist()
     st = _State(workflow, cd, platform, itype)
-    es = st.es
     place = st.place
+    new_vm = st.new_vm
+    data_ready = st.data_ready
+    fresh_start = st.fresh_start
+    pred_vm_set = st.pred_vm_set
+    host_start = st.host_start
     runt = st.runt
     pp = st.pp
-    stamps = st.stamps
+    vm_busy = st.vm_busy
+    vm_ready = st.vm_ready
     vm_paid = st.vm_paid
+    stamps = st.stamps
+    heappop = heapq.heappop
+    heappush = heapq.heappush
     busy_heap: list = []
     heap_live = False
+    rent = 0
+    reuse = 0
 
     for t in order:
         if pp[t] == pp[t + 1]:  # entry task: always its own VM
-            st.rent += 1
-            v = st.new_vm()
-            place(t, v)
+            rent += 1
+            v = new_vm()
+            place(t, v, fresh_start(0.0))
             if heap_live:
-                heapq.heappush(busy_heap, (-st.vm_busy[v], v, stamps[v]))
+                heappush(busy_heap, (-vm_busy[v], v, stamps[v]))
             continue
         # the busiest reusable VM: the heap is built on the first
         # query; the current entry is kept (deferred) whether or not
         # it is chosen
         if not heap_live:
-            busy_heap = [
-                (-st.vm_busy[v], v, stamps[v]) for v in range(st.nv) if stamps[v]
-            ]
+            busy_heap = [(-vm_busy[v], v, stamps[v]) for v in range(st.nv) if stamps[v]]
             heapq.heapify(busy_heap)
             heap_live = True
+        # one generic data-ready per task: the start on a fresh VM, and
+        # on any candidate hosting no predecessor once it is free
+        dr = data_ready(t)
         target = -1
         deferred = []
+        #: VMs hosting a predecessor, made for the first live candidate
+        hosts = None
         while busy_heap:
-            entry = heapq.heappop(busy_heap)
+            entry = heappop(busy_heap)
             vid = entry[1]
             if entry[2] != stamps[vid]:
                 continue
             deferred.append(entry)
-            if es(t, vid) <= vm_paid[vid] + 1e-9:
+            if hosts is None:
+                hosts = pred_vm_set(t)
+            if vid in hosts:
+                s = host_start(t, vid)
+            else:
+                # a rented VM has booted: its start is max(ready, dr)
+                s = vm_ready[vid]
+                if dr > s:
+                    s = dr
+            if s <= vm_paid[vid] + 1e-9:
                 target = vid
                 break
         for entry in deferred:
-            heapq.heappush(busy_heap, entry)
-        if target == -1:
-            st.rent += 1
-            v = st.new_vm()
-        elif exceed or es(t, target) + runt[t] <= vm_paid[target] + 1e-9:
-            st.reuse_pool += 1
+            heappush(busy_heap, entry)
+        if target != -1 and (exceed or s + runt[t] <= vm_paid[target] + 1e-9):
+            reuse += 1
             v = target
         else:
-            st.rent += 1
-            v = st.new_vm()
-        place(t, v)
-        heapq.heappush(busy_heap, (-st.vm_busy[v], v, stamps[v]))
+            rent += 1
+            v = new_vm()
+            s = fresh_start(dr)
+        place(t, v, s)
+        heappush(busy_heap, (-vm_busy[v], v, stamps[v]))
 
-    _flush_metrics(st.nv, st.n, st.rent, st.reuse_pred, st.reuse_pool)
+    _flush_metrics(st.nv, st.n, rent, reuse_pool=reuse)
     return _assemble(
         workflow, platform, itype, region, cd, st.tstart, st.tfin, st.tvm, st.log,
         st.nv, algorithm, provisioning,

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.schedule import Schedule
 from repro.errors import SimulationError
+from repro.util.totals import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.simulator.faults import FaultStats
@@ -54,7 +55,7 @@ class SimulationResult:
     @property
     def realized_cost(self) -> float:
         """Total realized rent of a fault-injected run (0 otherwise)."""
-        return sum(self.vm_costs.values())
+        return left_sum(self.vm_costs.values())
 
     def record(self, event: TraceEvent) -> None:
         self.events.append(event)

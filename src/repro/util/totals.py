@@ -25,6 +25,20 @@ def left_sum(values: Iterable, start=0):
     return total
 
 
+def array_left_sum(values: np.ndarray):
+    """:func:`left_sum` of a float array, added in C: the same bits as
+    ``left_sum(values.tolist())``.
+
+    ``np.add.accumulate`` adds strictly left to right (each partial sum
+    feeds the next); ``np.sum``/``np.add.reduce`` add pairwise and give
+    other bits.  The leading int ``0`` of ``left_sum`` changes a total
+    only by turning ``-0.0`` into ``0.0``, which ``0 + total`` does
+    too."""
+    if not len(values):
+        return 0
+    return 0 + np.add.accumulate(values)[-1].item()
+
+
 def group_left_sums(groups: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
     """Per-group totals of *weights*: group ``g`` is ``0.0`` plus every
     ``weights[i]`` with ``groups[i] == g``, added in index order — the

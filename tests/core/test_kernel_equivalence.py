@@ -292,18 +292,30 @@ def test_schedules_are_internally_consistent(shape, seed, platform):
 # ----------------------------------------------------------------------
 # columnar fused kernels (DESIGN.md §12)
 # ----------------------------------------------------------------------
+def _assert_columnar_trace_identical(policy_name, shape, seed, platform):
+    policy = PROVISIONING_POLICIES[policy_name]
+    columnar = _scheduler_for(policy_name)(policy()).schedule(
+        SHAPES[shape](seed), platform
+    )
+    indexed = _builder_for(policy_name)(policy()).schedule(SHAPES[shape](seed), platform)
+    assert _fingerprint(columnar) == _fingerprint(indexed)
+
+
 @pytest.mark.parametrize("shape,seed", _dag_cases())
 @pytest.mark.parametrize("policy_name", sorted(PROVISIONING_POLICIES))
 def test_columnar_trace_identical_to_indexed(policy_name, shape, seed, platform):
     """The fused kernels reproduce the indexed kernels bit-exactly —
     same VM ids, rent windows and task timings — on every zoo DAG."""
-    columnar = _scheduler_for(policy_name)(
-        PROVISIONING_POLICIES[policy_name]()
-    ).schedule(SHAPES[shape](seed), platform)
-    indexed = _builder_for(policy_name)(
-        PROVISIONING_POLICIES[policy_name]()
-    ).schedule(SHAPES[shape](seed), platform)
-    assert _fingerprint(columnar) == _fingerprint(indexed)
+    _assert_columnar_trace_identical(policy_name, shape, seed, platform)
+
+
+@pytest.mark.parametrize("shape,seed", _dag_cases())
+@pytest.mark.parametrize("policy_name", sorted(PROVISIONING_POLICIES))
+def test_columnar_trace_identical_to_indexed_cold(policy_name, shape, seed):
+    """The same on a cold platform: every rented VM boots for 97 s
+    before its first task, so each kernel's start on a fresh VM differs
+    from its start on a rented one."""
+    _assert_columnar_trace_identical(policy_name, shape, seed, COLD)
 
 
 @pytest.mark.parametrize("shape,seed", _dag_cases())
@@ -318,23 +330,33 @@ def test_columnar_analysis_identical_to_reference(shape, seed, platform):
     assert cpath == critical_path_reference(SHAPES[shape](seed))
 
 
+def _assert_columnar_metrics_identical(policy_name, shape, seed, platform):
+    from repro.obs.metrics import MetricsRegistry
+
+    policy = PROVISIONING_POLICIES[policy_name]
+    reg_c, reg_i = MetricsRegistry(), MetricsRegistry()
+    with reg_c.activate():
+        _scheduler_for(policy_name)(policy()).schedule(SHAPES[shape](seed), platform)
+    with reg_i.activate():
+        _builder_for(policy_name)(policy()).schedule(SHAPES[shape](seed), platform)
+    assert reg_c.as_dict() == reg_i.as_dict()
+
+
 @pytest.mark.parametrize("shape,seed", _dag_cases())
 @pytest.mark.parametrize("policy_name", sorted(PROVISIONING_POLICIES))
 def test_columnar_metrics_identical_to_indexed(policy_name, shape, seed, platform):
-    """Counter byte-identity: the fused pass replicates the builder's
-    memo hit/miss accounting, not just the schedule."""
-    from repro.obs.metrics import MetricsRegistry
+    """Counter byte-identity: the fused pass records the builder's
+    counters (VMs rented, tasks placed, each ``provision.*`` decision),
+    not just its schedule."""
+    _assert_columnar_metrics_identical(policy_name, shape, seed, platform)
 
-    reg_c, reg_i = MetricsRegistry(), MetricsRegistry()
-    with reg_c.activate():
-        _scheduler_for(policy_name)(PROVISIONING_POLICIES[policy_name]()).schedule(
-            SHAPES[shape](seed), platform
-        )
-    with reg_i.activate():
-        _builder_for(policy_name)(PROVISIONING_POLICIES[policy_name]()).schedule(
-            SHAPES[shape](seed), platform
-        )
-    assert reg_c.as_dict() == reg_i.as_dict()
+
+@pytest.mark.parametrize("shape,seed", _dag_cases())
+@pytest.mark.parametrize("policy_name", sorted(PROVISIONING_POLICIES))
+def test_columnar_metrics_identical_to_indexed_cold(policy_name, shape, seed):
+    """The same on the cold platform, where a rental's start includes
+    the boot and so do the reuse and fit tests against its horizon."""
+    _assert_columnar_metrics_identical(policy_name, shape, seed, COLD)
 
 
 def _one_vm_cases():

@@ -2,7 +2,8 @@
 running-max scan.
 
 ``repro.kernels.provision`` scans each level's candidate pool as one
-sorted array (``_LevelPool.first_fit``) where the builder path's
+sorted array (``_LevelPool.first_fit``, which returns the chosen VM
+and the task's start on it) where the builder path's
 ``AllPar*.select_vm`` takes ``ScheduleBuilder.busiest_vm`` over the
 VMs free of the level.  The DAGs in ``test_kernel_equivalence.py`` are
 small, so their walks are short.  Here levels are wider and the
@@ -24,6 +25,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cloud.platform import CloudPlatform
 from repro.core.allocation import LevelScheduler
 from repro.experiments.scenarios import scenario
+from repro.kernels.columnar import get_columnar
+from repro.kernels.provision import _LevelPool, _State
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.base import apply_model
 from repro.workloads.pareto import ParetoModel
@@ -99,6 +102,35 @@ def test_expired_predecessor_host_is_rejected(policy):
         wf.add_dependency(src, dst, 0.1)
     counters = _assert_identical(wf.validate(), WARM, policy)
     assert counters["provision.rent"] == 3
+
+
+@pytest.mark.parametrize("exceed", [True, False], ids=["Exceed", "NotExceed"])
+def test_first_fit_returns_the_vm_and_the_start(exceed):
+    """``first_fit`` hands back the chosen VM with the task's start on
+    it, which the kernel places at, and ``(-1, -1.0)`` when no VM fits.
+    Level 0 rents ``a``, ``b`` and ``c`` at 0.0 (pool order: ``b``'s
+    VM, ``a``'s, ``c``'s).  ``d`` starts on ``b``'s VM when it frees
+    at 2000 s, a vector candidate.  ``e`` needs ``a``'s output: on
+    ``a``'s VM, the exact candidate, it starts at 1000 s, and only
+    Exceed may run it past that VM's BTU."""
+    wf = Workflow("first-fit")
+    works = {"a": 1000.0, "b": 2000.0, "c": 500.0, "d": 1200.0, "e": 3000.0}
+    for tid, work in works.items():
+        wf.add_task(Task(tid, work, "w"))
+    wf.add_dependency("a", "d", 0.1)
+    wf.add_dependency("a", "e", 0.1)
+    st = _State(wf.validate(), get_columnar(wf), WARM, WARM.itype("small"))
+    for t in range(3):
+        st.place(t, st.new_vm(), 0.0)
+
+    pool = _LevelPool(st, [0, 0, 0], 1)
+    assert pool.vids == [1, 0, 2]
+    d, e = 3, 4
+    assert st.data_ready(d) < 2000.0
+    got = pool.first_fit(st, d, st.data_ready(d), not exceed)
+    assert got == (1, 2000.0) and type(got[1]) is float
+    got = pool.first_fit(st, e, st.data_ready(e), not exceed)
+    assert got == ((0, 1000.0) if exceed else (-1, -1.0))
 
 
 def _live_candidates(wf, sched):

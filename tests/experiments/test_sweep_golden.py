@@ -18,6 +18,7 @@ digests and says why.
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import hashlib
 import io
@@ -32,6 +33,7 @@ from repro.experiments.pricing import run_pricing_sweep
 from repro.experiments.scenarios import price_scenarios
 from repro.experiments.service import run_service_sweep
 from repro.tune import autotune
+from tests.oracles.py312_sum import sum_312
 
 
 def _explode():
@@ -104,6 +106,20 @@ def _sha(text: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_matches_golden(name):
+    result = SWEEPS[name]()
+    got = (_sha(json.dumps(result.to_json())), _sha(result.summary()))
+    assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["fault", "pricing", "tune"])
+def test_cost_sweeps_hold_under_compensated_sum(name, monkeypatch):
+    """The sweeps that report realized and planned rent keep their
+    digests with ``builtins.sum`` replaced by CPython 3.12's
+    compensated sum (``tests/oracles/py312_sum.py``): every float total
+    they reach adds left to right through :mod:`repro.util.totals`.
+    This emulates 3.12 on the host's Python; a real 3.12 interpreter
+    is not part of the test run."""
+    monkeypatch.setattr(builtins, "sum", sum_312)
     result = SWEEPS[name]()
     got = (_sha(json.dumps(result.to_json())), _sha(result.summary()))
     assert got == GOLDEN[name]

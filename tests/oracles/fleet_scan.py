@@ -81,11 +81,14 @@ class ScanFleetManager(FleetManager):
             )
             for owner, acc in sorted(rows.items())
         }
+        rent_cost = 0  # left to right, as builtin ``sum`` up to 3.11
+        for b in bills.values():
+            rent_cost += b.rent_cost
         return FleetRollup(
             bills=bills,
             utilization=busy_total / paid_total if paid_total > 0 else 0.0,
             btus=sum(b.btus for b in bills.values()),
-            rent_cost=sum(b.rent_cost for b in bills.values()),
+            rent_cost=rent_cost,
         )
 
     def utilization(self, billing) -> float:

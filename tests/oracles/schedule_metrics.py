@@ -5,12 +5,21 @@ before the schedule was stored as columns: each walks the
 :class:`~repro.cloud.vm.VM` and :class:`~repro.cloud.vm.Placement`
 objects and prices VM by VM through the VM's own accounting.  The
 column metrics must equal them bit for bit
-(``tests/core/test_schedule_columns.py``).
+(``tests/core/test_schedule_columns.py``).  Float totals add one value
+at a time from the left, spelled out: builtin ``sum`` does that only
+up to Python 3.11 (3.12's compensates).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
+
+
+def _left_sum(values):
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def makespan(schedule) -> float:
@@ -24,12 +33,17 @@ def total_btus(schedule) -> int:
 
 def rent_cost(schedule) -> float:
     billing = schedule.platform.billing
-    return sum(vm.cost(billing) for vm in schedule.vms)
+    return _left_sum(vm.cost(billing) for vm in schedule.vms)
 
 
 def total_idle_seconds(schedule) -> float:
+    """Per VM, paid time less its task durations added in placement
+    order (``VM.idle_seconds`` with an explicit busy total)."""
     billing = schedule.platform.billing
-    return sum(vm.idle_seconds(billing) for vm in schedule.vms)
+    return _left_sum(
+        vm.paid_seconds(billing) - _left_sum(p.duration for p in vm.placements)
+        for vm in schedule.vms
+    )
 
 
 def transfer_volumes(schedule) -> List[Tuple[str, str, float]]:

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from repro.util.totals import group_left_sums, left_sum
+from repro.util.totals import array_left_sum, group_left_sums, left_sum
 from tests.oracles.py312_sum import sum_312
 
 
@@ -41,3 +41,20 @@ def test_group_left_sums_add_in_index_order():
         want[g] += x
     assert repr(got) == repr(want)
     assert any(float(np.sum(xs[groups == g])) != want[g] for g in range(3))
+
+
+def test_array_left_sum_is_left_sum_of_the_list():
+    """The array form adds in C with ``left_sum``'s bits, where a
+    pairwise ``np.sum`` and 3.12's ``sum`` give others; an empty array
+    is the int 0 and a lone ``-0.0`` becomes ``0.0``, as with
+    ``left_sum``."""
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 17, 1000, 50_000):
+        xs = (rng.pareto(1.5, n) + 1.0) * 3.7
+        assert repr(array_left_sum(xs)) == repr(left_sum(xs.tolist()))
+    big = np.array(_values(5000, seed=4))
+    want = left_sum(big.tolist())
+    assert array_left_sum(big) == want != float(np.sum(big))
+    assert want != sum_312(big.tolist())
+    assert array_left_sum(np.array([])) == 0 and type(array_left_sum(np.array([]))) is int
+    assert repr(array_left_sum(np.array([-0.0]))) == repr(left_sum([-0.0])) == "0.0"
